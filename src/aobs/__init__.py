@@ -24,7 +24,6 @@ from .core import (
     from_tabular,
     size_metric,
     union_roots,
-    var_subspace,
 )
 from .oracle import Action, Condition, tab_apply_action, tab_canonical, tab_equal, tab_prob
 from .acting import (
@@ -69,7 +68,6 @@ __all__ = [
     "tab_equal",
     "tab_prob",
     "union_roots",
-    "var_subspace",
 ]
 
 __version__ = "0.1.0"

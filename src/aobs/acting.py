@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .core import (
     AND,
@@ -196,24 +196,46 @@ def _pure_or(ch: Node, c: Condition, labels: LabelMap, store: Store) -> Node:
     return isolate(ch, c, labels, store)
 
 
-def erase_action_vars(n: Node, avars: FrozenSet[int], store: Store) -> Node:
+def erase_action_vars(
+    n: Node,
+    avars: FrozenSet[int],
+    store: Store,
+    memo: Optional[Dict[str, Node]] = None,
+) -> Node:
     """Remove every maximal descendant ranging only over action variables.
 
     Assumes the node is purely included and its OR weights sum to 1, so the
     erased parts carry unit mass and can be dropped without rescaling.  If the
-    whole node vanishes the empty-AND identity is returned.
+    whole node vanishes the empty-AND identity is returned; a subgraph whose
+    variables are disjoint from ``avars`` is returned unchanged.  ``memo``
+    maps node keys to erased nodes; erasing depends only on the node and
+    ``avars``, so all grafts of one action can share one memo.
     """
+    return _erase(n, avars, store, {} if memo is None else memo)
 
-    def rec(node: Node) -> Node:
-        if node.omega <= avars:
-            return store.empty_and()
-        if node.kind == LIT:
-            return node
-        if node.kind == AND:
-            return store.make_and([rec(ch) for ch in node.children])
-        return store.make_or([(w, rec(ch)) for w, ch in node.edges()])
 
-    return rec(n)
+# The recursive walks that hold a store (``_erase``, ``_normal``, ``_rebuild``)
+# are module-level functions rather than closures: a closure that calls itself
+# is a reference cycle, which would keep the store alive until the next full
+# garbage collection instead of freeing it with its last state.
+
+def _erase(node: Node, avars: FrozenSet[int], store: Store,
+           memo: Dict[str, Node]) -> Node:
+    if avars.isdisjoint(node.omega):
+        return node
+    got = memo.get(node.key)
+    if got is not None:
+        return got
+    if node.omega <= avars:
+        out = store.empty_and()
+    elif node.kind == AND:
+        out = store.make_and([_erase(ch, avars, store, memo)
+                              for ch in node.children])
+    else:
+        out = store.make_or([(w, _erase(ch, avars, store, memo))
+                             for w, ch in node.edges()])
+    memo[node.key] = out
+    return out
 
 
 def action_subgraph(store: Store, a: Action) -> Node:
@@ -236,45 +258,58 @@ def normalize(s: Aobs) -> Aobs:
     spliced with multiplied weights, and every OR is rescaled to unit mass
     with the excess pushed up into the nearest ancestor OR edge.  The scale
     arriving at the root must be 1.
+
+    Results are memoized in the store's ``normal`` table across calls, as
+    (scale, normal node) per node key.  Each output not yet in the table is
+    recorded as its own fixed point ``(1.0, out)``, so a subgraph that an
+    earlier call produced is a lookup, and an AND whose children all
+    normalize to themselves (none an AND) is returned as itself without
+    re-interning.  Nested ANDs that the optimizer builds were never an output,
+    so they miss and are spliced as before.  An entry never goes stale:
+    interned nodes are immutable and the store never drops one.
     """
-    store = s.store
-    memo: Dict[str, Tuple[float, Node]] = {}
-
-    def rec(node: Node) -> Tuple[float, Node]:
-        got = memo.get(node.key)
-        if got is not None:
-            return got
-        if node.kind == LIT:
-            out = (1.0, node)
-        elif node.kind == AND:
-            scale = 1.0
-            parts: List[Node] = []
-            for ch in node.children:
-                sc, nn = rec(ch)
-                scale *= sc
-                if nn.kind == AND:
-                    parts.extend(nn.children)
-                else:
-                    parts.append(nn)
-            out = (scale, store.make_and(parts))
-        else:
-            edges: List[Tuple[float, Node]] = []
-            for w, ch in node.edges():
-                sc, nn = rec(ch)
-                ww = w * sc
-                if nn.kind == OR:
-                    edges.extend((ww * w2, g) for w2, g in nn.edges())
-                else:
-                    edges.append((ww, nn))
-            total = sum(w for w, _ in edges)
-            out = (total, store.make_or([(w / total, g) for w, g in edges]))
-        memo[node.key] = out
-        return out
-
-    scale, root = rec(s.root)
+    scale, root = _normal(s.root, s.store, s.store.normal)
     if abs(scale - 1.0) > EPS_P:
         raise MassLeak(f"root mass is {scale}, expected 1")
-    return Aobs(root, store, s.universe, s.var_names)
+    return Aobs(root, s.store, s.universe, s.var_names)
+
+
+def _normal(node: Node, store: Store,
+            memo: Dict[str, Tuple[float, Node]]) -> Tuple[float, Node]:
+    got = memo.get(node.key)
+    if got is not None:
+        return got
+    if node.kind == LIT:
+        out = (1.0, node)
+    elif node.kind == AND:
+        scale = 1.0
+        parts: List[Node] = []
+        same = True
+        for ch in node.children:
+            sc, nn = _normal(ch, store, memo)
+            scale *= sc
+            if nn.kind == AND:
+                parts.extend(nn.children)
+                same = False
+            else:
+                parts.append(nn)
+                same = same and nn is ch
+        out = (scale, node if same else store.make_and(parts))
+    else:
+        edges: List[Tuple[float, Node]] = []
+        for w, ch in node.edges():
+            sc, nn = _normal(ch, store, memo)
+            ww = w * sc
+            if nn.kind == OR:
+                edges.extend((ww * w2, g) for w2, g in nn.edges())
+            else:
+                edges.append((ww, nn))
+        total = sum(w for w, _ in edges)
+        out = (total, store.make_or([(w / total, g) for w, g in edges]))
+    memo[node.key] = out
+    # an output is in normal form with unit mass: its own fixed point
+    memo.setdefault(out[1].key, (1.0, out[1]))
+    return out
 
 
 @dataclass
@@ -306,15 +341,17 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     avars = a.variables
     act_node = action_subgraph(store, a)
     minimal = find_minimal_subgraphs(s.root, c, avars, labels)
+    erased: Dict[str, Node] = {}
 
     def graft(part: Node) -> Node:
-        erased = erase_action_vars(part, avars, store)
-        return store.make_and([erased, act_node])
+        return store.make_and([erase_action_vars(part, avars, store, erased),
+                               act_node])
 
-    replacements: Dict[str, Node] = {}
+    # rebuilt nodes by key, seeded with the replaced minimal subgraphs
+    rebuilt: Dict[str, Node] = {}
     for n in minimal:
         if labels[n.key] == INCLUDED:
-            replacements[n.key] = graft(n)
+            rebuilt[n.key] = graft(n)
         else:
             iso = isolate(n, c, labels, store)
             edges = []
@@ -322,26 +359,30 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
                 if _label(ch, c, labels) == INCLUDED:
                     ch = graft(ch)
                 edges.append((w, ch))
-            replacements[n.key] = store.make_or(edges)
+            rebuilt[n.key] = store.make_or(edges)
 
-    rebuilt: Dict[str, Node] = {}
-
-    def rebuild(node: Node) -> Node:
-        repl = replacements.get(node.key)
-        if repl is not None:
-            return repl
-        got = rebuilt.get(node.key)
-        if got is not None:
-            return got
-        if node.kind == LIT:
-            out = node
-        elif node.kind == AND:
-            out = store.make_and([rebuild(ch) for ch in node.children])
-        else:
-            out = store.make_or([(w, rebuild(ch)) for w, ch in node.edges()])
-        rebuilt[node.key] = out
-        return out
-
-    new_root = rebuild(s.root)
+    new_root = _rebuild(s.root, avars | c.variables, labels, store, rebuilt)
     result = normalize(Aobs(new_root, store, s.universe, s.var_names))
     return ApplyResult(result, selected)
+
+
+def _rebuild(node: Node, need: FrozenSet[int], labels: LabelMap, store: Store,
+             rebuilt: Dict[str, Node]) -> Node:
+    got = rebuilt.get(node.key)
+    if got is not None:
+        return got
+    # Only ancestors of minimal subgraphs change, and every such ancestor
+    # covers ``need`` and is included or mixed: an AND ancestor's other
+    # children are disjoint from the minimal subgraph's variables, which
+    # contain the condition's, so they are included.  Any other node is kept
+    # as is.  A qualifying literal is minimal, so it is in ``rebuilt`` already.
+    if not need <= node.omega or labels[node.key] == EXCLUDED:
+        return node
+    if node.kind == AND:
+        out = store.make_and([_rebuild(ch, need, labels, store, rebuilt)
+                              for ch in node.children])
+    else:
+        out = store.make_or([(w, _rebuild(ch, need, labels, store, rebuilt))
+                             for w, ch in node.edges()])
+    rebuilt[node.key] = out
+    return out

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 #: global tolerance for probability-mass checks
@@ -109,16 +110,24 @@ def _digest(payload: str) -> str:
     return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()
 
 
+_by_key = attrgetter("key")
+
+
 class Store:
     """Append-only interning table for :class:`Node` objects.
 
     Construction validates the structural invariants (AND disjointness, OR
     subspace equality, positive weights) and returns the canonical node for a
     given structure, so identical subgraphs are physically shared.
+
+    ``normal`` is the normalize memo of :func:`aobs.acting.normalize`: node
+    key -> (scale, normal-form node), kept across calls.  Interned nodes are
+    immutable and the store never drops one, so an entry never goes stale.
     """
 
     def __init__(self) -> None:
         self._nodes: Dict[str, Node] = {}
+        self.normal: Dict[str, Tuple[float, Node]] = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -143,15 +152,11 @@ class Store:
         collapses to the child itself; an empty input yields the canonical
         empty-AND node with unit mass and no variables.
         """
-        kept = [c for c in children if not c.is_empty_and]
+        kept = [c for c in children if c.children or c.kind != AND]
         if len(kept) == 1:
             return kept[0]
-        omega: frozenset = frozenset()
-        total = 0
-        for c in kept:
-            omega = omega | c.omega
-            total += len(c.omega)
-        if len(omega) != total:
+        omega = frozenset().union(*[c.omega for c in kept])
+        if len(omega) != sum(len(c.omega) for c in kept):
             seen: set = set()
             for c in kept:
                 clash = seen & c.omega
@@ -160,8 +165,8 @@ class Store:
                         f"AND children share variables {sorted(clash)}"
                     )
                 seen |= c.omega
-        kept.sort(key=lambda c: c.key)
-        key = _digest("A|" + "|".join(c.key for c in kept))
+        kept.sort(key=_by_key)
+        key = _digest("A|" + "|".join([c.key for c in kept]))
         node = self._nodes.get(key)
         if node is None:
             node = self._intern(Node(AND, None, None, tuple(kept), (), key, omega))
@@ -223,11 +228,6 @@ class Store:
             return out
 
         return rec(node)
-
-
-def var_subspace(n: Node) -> frozenset:
-    """The variable set the node's substate ranges over (computed at interning)."""
-    return n.omega
 
 
 def iter_nodes(root: Node) -> Iterator[Node]:
@@ -415,10 +415,11 @@ def from_tabular(
     universe: Sequence[int],
     var_names: Optional[Sequence[str]] = None,
 ) -> Aobs:
-    """Build a belief state as a chain of unions of single physical states.
+    """Build a belief state as a balanced tree of unions of physical states.
 
-    The result is correct but not minimal; building a minimal graph from a
-    tabular state is out of scope.  Pass the result through the greedy
+    Rows are united pairwise, level by level, so the tree is ceil(log2 rows)
+    ORs deep.  The result is correct but not minimal; building a minimal graph
+    from a tabular state is out of scope.  Pass the result through the greedy
     optimizer to recover sharing.
     """
     if not rows:
@@ -426,10 +427,14 @@ def from_tabular(
     total = sum(p for p, _ in rows)
     if abs(total - 1.0) > 1e-6:
         raise AobsError(f"tabular probabilities sum to {total}, expected 1")
-    acc = from_physical_state(store, rows[0][1], universe, var_names)
-    mass = rows[0][0]
-    for p, state in rows[1:]:
-        nxt = from_physical_state(store, state, universe, var_names)
-        acc = union_roots(acc, nxt, mass / (mass + p))
-        mass += p
-    return acc
+    level = [(p, from_physical_state(store, state, universe, var_names))
+             for p, state in rows]
+    while len(level) > 1:
+        paired = [
+            (pa + pb, union_roots(a, b, pa / (pa + pb)))
+            for (pa, a), (pb, b) in zip(level[::2], level[1::2])
+        ]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return level[0][1]

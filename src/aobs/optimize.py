@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .core import AND, LIT, OR, Aobs, Node, iter_nodes
+from .core import AND, LIT, OR, Aobs, Node, Store, iter_nodes
 
 
 def _best_extraction(
@@ -62,39 +62,43 @@ def greedy_optimize(s: Aobs, node_cost: float = 1.0, threshold: int = 2) -> Aobs
         if found is None:
             break
         a, b, inter = found
-        targets = {a.key, b.key}
-        rebuilt: Dict[str, Node] = {}
-
-        def rebuild(node: Node) -> Node:
-            got = rebuilt.get(node.key)
-            if got is not None:
-                return got
-            if node.kind == LIT:
-                out = node
-            elif node.kind == AND:
-                kids = [rebuild(ch) for ch in node.children]
-                if node.key in targets:
-                    shared = store.make_and(
-                        [k for k, ch in zip(kids, node.children)
-                         if ch.key in inter]
-                    )
-                    rest = [k for k, ch in zip(kids, node.children)
-                            if ch.key not in inter]
-                    out = store.make_and(rest + [shared])
-                else:
-                    out = store.make_and(kids)
-            else:
-                out = store.make_or(
-                    [(w, rebuild(ch)) for w, ch in node.edges()]
-                )
-            rebuilt[node.key] = out
-            return out
-
-        new_root = rebuild(root)
+        new_root = _extract(root, {a.key, b.key}, inter, store, {})
         if new_root.key == root.key:
             break
         root = new_root
     return Aobs(root, store, s.universe, s.var_names)
+
+
+def _extract(node: Node, targets: Set[str], inter: FrozenSet[str],
+             store: Store, rebuilt: Dict[str, Node]) -> Node:
+    """Rebuild ``node`` with the children in ``inter`` of each target AND
+    moved into one shared AND.  Module-level rather than a closure, since a
+    closure that calls itself is a reference cycle that keeps the store alive
+    until the next full garbage collection."""
+    got = rebuilt.get(node.key)
+    if got is not None:
+        return got
+    if node.kind == LIT:
+        out = node
+    elif node.kind == AND:
+        kids = [_extract(ch, targets, inter, store, rebuilt)
+                for ch in node.children]
+        if node.key in targets:
+            shared = store.make_and(
+                [k for k, ch in zip(kids, node.children) if ch.key in inter]
+            )
+            rest = [k for k, ch in zip(kids, node.children)
+                    if ch.key not in inter]
+            out = store.make_and(rest + [shared])
+        else:
+            out = store.make_and(kids)
+    else:
+        out = store.make_or(
+            [(w, _extract(ch, targets, inter, store, rebuilt))
+             for w, ch in node.edges()]
+        )
+    rebuilt[node.key] = out
+    return out
 
 
 def or_factor_candidates(

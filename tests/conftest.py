@@ -94,7 +94,7 @@ def random_tabular(rng, num_vars, num_values, num_rows):
 
 
 def random_aobs(rng, num_vars=4, num_values=3, max_rows=6):
-    """Random belief state built as a union chain over random tabular rows."""
+    """Random belief state built as a tree of unions over random tabular rows."""
     store = Store()
     rows = random_tabular(rng, num_vars, num_values, rng.randint(1, max_rows))
     return from_tabular(store, rows, tuple(range(num_vars))), rows

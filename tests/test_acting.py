@@ -28,6 +28,7 @@ from aobs.core import (
     from_tabular,
     iter_nodes,
 )
+from aobs.optimize import greedy_optimize
 from aobs.oracle import (
     Action,
     Condition,
@@ -41,6 +42,21 @@ from conftest import assert_normal_form, enum_canonical, random_aobs, total_mass
 
 def _node_enum(node):
     return tab_canonical(enumerate_states(node, merge=True))
+
+
+def _random_step(rng, num_vars=4, num_values=3):
+    """A random (condition, action) pair over the random_aobs universe."""
+    c = Condition.of({
+        v: rng.sample(range(num_values), rng.randint(1, 2))
+        for v in rng.sample(range(num_vars), rng.randint(1, 2))
+    })
+    avars = tuple(sorted(rng.sample(range(num_vars), rng.randint(1, 2))))
+    raw = [rng.random() + 0.1 for _ in range(rng.randint(1, 3))]
+    t = sum(raw)
+    a = Action(avars, tuple(
+        (p / t, tuple(rng.randrange(num_values) for _ in avars)) for p in raw
+    ))
+    return c, a
 
 
 def _cond_b1():
@@ -205,6 +221,14 @@ class TestEraseActionVars:
         got = erase_action_vars(n, frozenset({1}), store)
         assert got is store.make_lit(0, 0)
 
+    def test_disjoint_subgraph_returned_as_is(self, three_var_state):
+        root = three_var_state.root
+        or_b = next(ch for ch in root.children if ch.omega == {1})
+        store = three_var_state.store
+        assert erase_action_vars(or_b, frozenset({0, 2}), store) is or_b
+        got = erase_action_vars(root, frozenset({2}), store)
+        assert any(ch is or_b for ch in got.children)
+
 
 class TestActionSubgraph:
     def test_two_outcomes(self, store):
@@ -261,6 +285,20 @@ class TestNormalize:
         assert abs(by_kind["plain"][0] - 0.3) < 1e-12
         assert all(abs(w - 0.5) < 1e-12 for w in inner_ors[0].weights)
         assert tab_equal(enum_canonical(got), _node_enum(root))
+
+    def test_warm_memo_matches_fresh_store(self):
+        rng = random.Random(17)
+        for _ in range(30):
+            s, _ = random_aobs(rng, max_rows=8)
+            s = normalize(s)
+            for _ in range(3):
+                s = apply_action(s, *_random_step(rng)).state
+            # the optimizer's nested ANDs are not in the warm memo
+            s = greedy_optimize(s)
+            warm = normalize(s)
+            fresh = Store()
+            cold = normalize(Aobs(fresh.reintern(s.root), fresh, s.universe))
+            assert warm.root.key == cold.root.key
 
     def test_mass_leak_detected(self, store):
         root = store.make_or([(0.5, store.make_lit(0, 0)),
@@ -322,23 +360,35 @@ class TestApplyAction:
             s = normalize(s)
             tab = enum_canonical(s)
             for _ in range(rng.randint(1, 4)):
-                c = Condition.of({
-                    v: rng.sample(range(3), rng.randint(1, 2))
-                    for v in rng.sample(range(4), rng.randint(1, 2))
-                })
-                avars = tuple(sorted(rng.sample(range(4), rng.randint(1, 2))))
-                k = rng.randint(1, 3)
-                raw = [rng.random() + 0.1 for _ in range(k)]
-                t = sum(raw)
-                a = Action(avars, tuple(
-                    (p / t, tuple(rng.randrange(3) for _ in avars))
-                    for p in raw
-                ))
+                c, a = _random_step(rng)
                 s = apply_action(s, c, a).state
                 tab = tab_apply_action(tab, c, a)
                 assert tab_equal(enum_canonical(s), tab)
                 assert abs(total_mass(s) - 1.0) < 1e-9
                 assert_normal_form(s)
+
+    def test_optimized_state_against_oracle(self):
+        rng = random.Random(43)
+        fired = 0
+        for _ in range(40):
+            s, _ = random_aobs(rng, max_rows=8)
+            s = greedy_optimize(normalize(s))
+            c, a = _random_step(rng)
+            res = apply_action(s, c, a)
+            expected = tab_apply_action(enum_canonical(s), c, a)
+            assert tab_equal(enum_canonical(res.state), expected)
+            if res.selected_mass > 0:  # a no-op returns its input as is
+                assert_normal_form(res.state)
+                fired += 1
+        assert fired >= 20
+
+    def test_untouched_root_child_kept(self, three_var_state):
+        root = three_var_state.root
+        or_c = next(ch for ch in root.children if ch.omega == {2})
+        res = apply_action(three_var_state, Condition.of({1: [1]}),
+                           Action((1,), ((1.0, (0,)),)))
+        assert res.state.root.kind == AND
+        assert any(ch is or_c for ch in res.state.root.children)
 
     def test_selected_mass_matches_oracle(self, two_var_right):
         res = apply_action(

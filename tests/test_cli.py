@@ -1,6 +1,7 @@
 """Command-line surface: JSON documents, DOT export, CSV output, exit codes."""
 import csv
 import json
+import random
 
 import pytest
 
@@ -14,9 +15,9 @@ from aobs.cli import (
     state_to_json,
     to_dot,
 )
-from aobs.oracle import tab_equal
+from aobs.oracle import Condition, tab_equal, tab_prob
 
-from conftest import enum_canonical
+from conftest import enum_canonical, random_tabular
 
 THREE_VAR_STATE = {
     "universe": ["a", "b", "c"],
@@ -144,6 +145,21 @@ class TestEvalCommand:
         rc = main(["eval", str(tmp_path / "absent.json"),
                    _write(tmp_path / "c.json", {})])
         assert rc == 2
+
+    def test_thousand_row_document(self, tmp_path, capsys):
+        # a union chain of this many rows overflowed the recursion limit
+        rows = random_tabular(random.Random(5), 50, 4, 1053)
+        names = [f"v{i}" for i in range(50)]
+        doc = {"universe": names,
+               "rows": [[p, {names[v]: u for v, u in a.items()}]
+                        for p, a in rows]}
+        rc = main(["eval",
+                   _write(tmp_path / "s.json", doc),
+                   _write(tmp_path / "c.json", {"v0": [0, 1], "v7": [2]})])
+        assert rc == 0
+        expected = tab_prob([(p, tuple(sorted(a.items()))) for p, a in rows],
+                            Condition.of({0: [0, 1], 7: [2]}))
+        assert abs(float(capsys.readouterr().out) - expected) < 1e-9
 
 
 class TestActCommand:

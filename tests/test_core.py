@@ -22,7 +22,6 @@ from aobs.core import (
     iter_nodes,
     size_metric,
     union_roots,
-    var_subspace,
 )
 from aobs.oracle import tab_canonical, tab_equal
 
@@ -46,14 +45,14 @@ class TestMakeLit:
         assert store.make_lit(0, 0) is store.make_lit(0, 0)
 
     def test_subspace(self, store):
-        assert var_subspace(store.make_lit(2, 1)) == frozenset({2})
+        assert store.make_lit(2, 1).omega == frozenset({2})
 
 
 class TestMakeAnd:
     def test_three_variable_root(self, three_var_state):
         assert three_var_state.root.kind == AND
         assert len(three_var_state.root.children) == 3
-        assert var_subspace(three_var_state.root) == frozenset({0, 1, 2})
+        assert three_var_state.root.omega == frozenset({0, 1, 2})
 
     def test_singleton_collapse(self, store):
         lit = store.make_lit(0, 0)
@@ -65,7 +64,7 @@ class TestMakeAnd:
 
     def test_empty_and_identity(self, store):
         e = store.empty_and()
-        assert e.is_empty_and and var_subspace(e) == frozenset()
+        assert e.is_empty_and and e.omega == frozenset()
         assert enumerate_states(e) == [(1.0, ())]
         # identity element: dropped from products
         lit = store.make_lit(0, 0)
@@ -106,11 +105,11 @@ class TestMakeOr:
 
 class TestVarSubspace:
     def test_root(self, three_var_state):
-        assert var_subspace(three_var_state.root) == frozenset({0, 1, 2})
+        assert three_var_state.root.omega == frozenset({0, 1, 2})
 
     def test_or_child(self, three_var_state):
         ors = [n for n in iter_nodes(three_var_state.root) if n.kind == OR]
-        assert {var_subspace(n) for n in ors} == {
+        assert {n.omega for n in ors} == {
             frozenset({1}), frozenset({2})
         }
 
@@ -287,6 +286,16 @@ class TestTabularRoundTrip:
                 (p, tuple(sorted(a.items()))) for p, a in rows
             ])
             assert tab_equal(got, expected)
+
+    def test_thousand_rows_count_and_depth(self, store):
+        rows = random_tabular(random.Random(5), 50, 4, 1053)
+        s = from_tabular(store, rows, tuple(range(50)))
+        assert count_states(s.root) == 1053
+        depth, level = 0, [s.root]
+        while any(n.kind == OR for n in level):
+            depth += 1
+            level = [ch for n in level if n.kind == OR for ch in n.children]
+        assert depth == 11  # ceil(log2(1053)) unions deep
 
     def test_empty_rejected(self, store):
         with pytest.raises(AobsError):
