@@ -34,7 +34,7 @@ from .acting import (
     normalize,
 )
 from .query import probability, select_substate
-from .optimize import greedy_optimize, or_factor_candidates
+from .optimize import greedy_optimize
 
 __all__ = [
     "Aobs",
@@ -59,7 +59,6 @@ __all__ = [
     "from_tabular",
     "greedy_optimize",
     "normalize",
-    "or_factor_candidates",
     "probability",
     "select_substate",
     "size_metric",

@@ -384,6 +384,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("input error: document nested too deeply to process",
+              file=sys.stderr)
+        return 2
     except AobsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,87 +1,180 @@
 """Greedy factoring of common child subsets to shrink the belief-state DAG.
 
 When two AND nodes share several children, the shared part can move into a new
-AND node referenced by both parents.  The same split applies to OR nodes whose
-shared children carry proportional weights; this module only reports such OR
-candidates.
+AND node referenced by both parents.
 """
 from __future__ import annotations
 
+from collections import Counter
+from heapq import heappop, heappush
+from itertools import chain
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .core import AND, LIT, OR, Aobs, Node, Store, iter_nodes
+from .core import AND, Aobs, Node, Store
 
 
-def _best_extraction(
-    root: Node, threshold: int
-) -> Optional[Tuple[Node, Node, FrozenSet[str]]]:
-    """The pair of AND nodes with the largest child intersection above the
-    threshold, preferring the largest nodes first."""
-    ands = [n for n in iter_nodes(root) if n.kind == AND and len(n.children) >= 2]
-    ands.sort(key=lambda n: (-len(n.children), n.key))
-    by_child: Dict[str, List[Node]] = {}
-    for n in ands:
-        for ch in n.children:
-            by_child.setdefault(ch.key, []).append(n)
-    child_sets = {n.key: frozenset(c.key for c in n.children) for n in ands}
-    by_key = {n.key: n for n in ands}
-    best: Optional[Tuple[Node, Node, FrozenSet[str]]] = None
-    best_size = threshold
-    for a in ands:
-        if len(a.children) <= best_size:
-            break  # sorted by size; nothing bigger can follow
-        partners: Set[str] = set()
-        for ch in a.children:
-            for b in by_child[ch.key]:
-                if b.key != a.key:
-                    partners.add(b.key)
-        for bkey in sorted(partners):
-            inter = child_sets[a.key] & child_sets[bkey]
-            if len(inter) > best_size:
-                best_size = len(inter)
-                best = (a, by_key[bkey], inter)
-    return best
+class _PairIndex:
+    """The nodes reachable from the current root and their AND pairs.
+
+    ``inc`` counts the reachable parents of each reachable node, plus one for
+    the root; ``parents`` and ``and_parents`` map a child key to the keys of
+    its reachable parents of any kind and of kind AND.  ``heap`` holds
+    ``(-shared, (-len(a.children), a.key), b.key)`` for every reachable AND
+    pair sharing more than ``threshold`` children, ``a`` being the earlier of
+    the two in that order.  Nodes are immutable, so an entry is exact for as
+    long as both of its nodes stay reachable; other entries are dropped when
+    they reach the top.
+    """
+
+    def __init__(self, root: Node, threshold: int) -> None:
+        self.threshold = threshold
+        self.nodes: Dict[str, Node] = {}
+        self.inc: Dict[str, int] = {}
+        self.parents: Dict[str, Set[str]] = {}
+        self.and_parents: Dict[str, Set[str]] = {}
+        self.heap: List[Tuple[int, Tuple[int, str], str]] = []
+        self.link(root)
+
+    def link(self, node: Node) -> None:
+        """Add one reference to ``node``; index what becomes reachable."""
+        nodes, inc = self.nodes, self.inc
+        parents, and_parents = self.parents, self.and_parents
+        stack = [node]
+        while stack:
+            n = stack.pop()
+            k = n.key
+            if k in inc:
+                inc[k] += 1
+                continue
+            nodes[k] = n
+            inc[k] = 1
+            if n.kind == AND:
+                for c in n.children:
+                    parents.setdefault(c.key, set()).add(k)
+                    and_parents.setdefault(c.key, set()).add(k)
+                if len(n.children) > self.threshold:
+                    self._push_pairs(n)
+            else:
+                for c in n.children:
+                    parents.setdefault(c.key, set()).add(k)
+            stack += n.children
+
+    def unlink(self, node: Node) -> None:
+        """Drop one reference to ``node``; forget what becomes unreachable."""
+        nodes, inc = self.nodes, self.inc
+        parents, and_parents = self.parents, self.and_parents
+        stack = [node]
+        while stack:
+            n = stack.pop()
+            k = n.key
+            inc[k] -= 1
+            if inc[k]:
+                continue
+            del inc[k], nodes[k]
+            parents.pop(k, None)
+            and_parents.pop(k, None)
+            for c in n.children:
+                parents[c.key].discard(k)
+            if n.kind == AND:
+                for c in n.children:
+                    and_parents[c.key].discard(k)
+            stack += n.children
+
+    def _push_pairs(self, n: Node) -> None:
+        """Queue the pairs of ``n`` with the AND nodes indexed before it."""
+        and_parents = self.and_parents
+        shared = Counter(chain.from_iterable(
+            [and_parents[c.key] for c in n.children]))
+        del shared[n.key]
+        rank = (-len(n.children), n.key)
+        for p, size in shared.items():
+            if size > self.threshold:
+                other = (-len(self.nodes[p].children), p)
+                if rank < other:
+                    heappush(self.heap, (-size, rank, p))
+                else:
+                    heappush(self.heap, (-size, other, n.key))
+
+    def best(self) -> Optional[Tuple[Node, Node, FrozenSet[str]]]:
+        """The reachable AND pair with the largest child intersection above
+        the threshold; ties go to the pair whose first node has more
+        children, then the lower key, and then to the lower-keyed partner."""
+        heap, nodes = self.heap, self.nodes
+        while heap:
+            _, (_, akey), bkey = heap[0]
+            if akey in nodes and bkey in nodes:
+                a, b = nodes[akey], nodes[bkey]
+                inter = (frozenset(c.key for c in a.children)
+                         & frozenset(c.key for c in b.children))
+                return a, b, inter
+            heappop(heap)
+        return None
+
+    def ancestors(self, keys: Set[str]) -> Set[str]:
+        """``keys`` and the keys of every reachable node above them."""
+        out = set(keys)
+        stack = list(keys)
+        while stack:
+            for p in self.parents.get(stack.pop(), ()):
+                if p not in out:
+                    out.add(p)
+                    stack.append(p)
+        return out
 
 
-def greedy_optimize(s: Aobs, node_cost: float = 1.0, threshold: int = 2) -> Aobs:
+def greedy_optimize(s: Aobs, *, threshold: int = 2) -> Aobs:
     """Repeatedly extract the largest shared child subset of two AND nodes.
 
-    Stops when no intersection larger than ``threshold`` remains.  With the
-    default threshold only intersections of three or more children are
-    extracted, which never increases the edge-plus-node size metric
-    (``node_cost`` is the per-node term of the underlying set-cover objective;
-    the default threshold is its break-even point).  Semantics are unchanged.
+    Stops when no intersection larger than ``threshold`` remains.  Moving
+    ``k`` shared children of two parents into a new AND replaces ``2k`` edges
+    by ``k + 2`` edges and one node, a change of ``3 - k`` in the
+    edge-plus-node size metric: the default threshold of 2 is the break-even
+    point of that set-cover objective, at which no extraction grows the
+    graph.
+    Semantics are unchanged.
+
+    One :class:`_PairIndex` per call holds the candidate pairs; each
+    extraction rebuilds only the ancestors of its two nodes and updates the
+    index with the nodes that became reachable or unreachable.
     """
     if threshold < 1:
         raise ValueError("threshold must be at least 1")
     store = s.store
     root = s.root
+    index = _PairIndex(root, threshold)
     # safety bound: each useful extraction shrinks total child counts
-    for _ in range(10 * len(list(iter_nodes(root))) + 100):
-        found = _best_extraction(root, threshold)
+    for _ in range(10 * len(index.nodes) + 100):
+        found = index.best()
         if found is None:
             break
         a, b, inter = found
-        new_root = _extract(root, {a.key, b.key}, inter, store, {})
+        targets = {a.key, b.key}
+        new_root = _extract(root, index.ancestors(targets), targets, inter,
+                            store, {})
         if new_root.key == root.key:
             break
+        index.link(new_root)
+        index.unlink(root)
         root = new_root
     return Aobs(root, store, s.universe, s.var_names)
 
 
-def _extract(node: Node, targets: Set[str], inter: FrozenSet[str],
-             store: Store, rebuilt: Dict[str, Node]) -> Node:
+def _extract(node: Node, dirty: Set[str], targets: Set[str],
+             inter: FrozenSet[str], store: Store,
+             rebuilt: Dict[str, Node]) -> Node:
     """Rebuild ``node`` with the children in ``inter`` of each target AND
-    moved into one shared AND.  Module-level rather than a closure, since a
-    closure that calls itself is a reference cycle that keeps the store alive
-    until the next full garbage collection."""
+    moved into one shared AND.  Only the nodes in ``dirty`` (the targets and
+    their ancestors) can change; every other node is returned as is.
+    Module-level rather than a closure, since a closure that calls itself is
+    a reference cycle that keeps the store alive until the next full garbage
+    collection."""
+    if node.key not in dirty:
+        return node
     got = rebuilt.get(node.key)
     if got is not None:
         return got
-    if node.kind == LIT:
-        out = node
-    elif node.kind == AND:
-        kids = [_extract(ch, targets, inter, store, rebuilt)
+    if node.kind == AND:
+        kids = [_extract(ch, dirty, targets, inter, store, rebuilt)
                 for ch in node.children]
         if node.key in targets:
             shared = store.make_and(
@@ -94,41 +187,8 @@ def _extract(node: Node, targets: Set[str], inter: FrozenSet[str],
             out = store.make_and(kids)
     else:
         out = store.make_or(
-            [(w, _extract(ch, targets, inter, store, rebuilt))
+            [(w, _extract(ch, dirty, targets, inter, store, rebuilt))
              for w, ch in node.edges()]
         )
     rebuilt[node.key] = out
-    return out
-
-
-def or_factor_candidates(
-    s: Aobs, eps: float = 1e-9
-) -> List[Tuple[Tuple[Node, Node], Tuple[Node, ...]]]:
-    """OR node pairs whose shared children have proportional weight vectors.
-
-    Such a subset can move into a new OR node with the common scale on the new
-    edge without changing semantics.  Only candidates with at least two shared
-    children are reported.
-    """
-    ors = [n for n in iter_nodes(s.root) if n.kind == OR]
-    ors.sort(key=lambda n: n.key)
-    weight_of = {
-        n.key: {c.key: w for w, c in n.edges()} for n in ors
-    }
-    out: List[Tuple[Tuple[Node, Node], Tuple[Node, ...]]] = []
-    for i, a in enumerate(ors):
-        for b in ors[i + 1:]:
-            common = [
-                ch for ch in a.children if ch.key in weight_of[b.key]
-            ]
-            if len(common) < 2:
-                continue
-            wa = [weight_of[a.key][ch.key] for ch in common]
-            wb = [weight_of[b.key][ch.key] for ch in common]
-            ratio = wb[0] / wa[0]
-            if all(
-                abs(y / x - ratio) <= eps * max(abs(ratio), 1.0)
-                for x, y in zip(wa[1:], wb[1:])
-            ):
-                out.append(((a, b), tuple(common)))
     return out

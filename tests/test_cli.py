@@ -146,6 +146,17 @@ class TestEvalCommand:
                    _write(tmp_path / "c.json", {})])
         assert rc == 2
 
+    def test_deeply_nested_document_exit_2(self, tmp_path, capsys):
+        # legal, but nested deeper than the recursive reader can follow
+        root = '{"lit": ["a", 0]}'
+        for _ in range(900):
+            root = '{"and": [' + root + ']}'
+        path = tmp_path / "s.json"
+        path.write_text('{"universe": ["a"], "root": ' + root + '}')
+        rc = main(["eval", str(path), _write(tmp_path / "c.json", {"a": [0]})])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
     def test_thousand_row_document(self, tmp_path, capsys):
         # a union chain of this many rows overflowed the recursion limit
         rows = random_tabular(random.Random(5), 50, 4, 1053)
