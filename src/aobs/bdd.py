@@ -147,14 +147,6 @@ def bdd_apply(manager: BddManager, op: str, a: BddNode, b: BddNode) -> BddNode:
     return manager.apply(op, a, b)
 
 
-def bdd_not(manager: BddManager, a: BddNode) -> BddNode:
-    return manager.negate(a)
-
-
-def bdd_exists(manager: BddManager, bvars: Iterable[int], a: BddNode) -> BddNode:
-    return manager.exists(bvars, a)
-
-
 def bdd_size(f: BddNode) -> int:
     """Count of reachable internal nodes; terminals are excluded."""
     seen = set()

@@ -53,7 +53,6 @@ class ExperimentConfig:
     oracle_cap: int = 20000
     with_bdd: bool = False
     optimize: bool = True
-    threshold: int = 2
 
     def __post_init__(self) -> None:
         if min(self.num_vars, self.num_values, self.num_actions,
@@ -152,7 +151,7 @@ def run_experiment(
         t0 = time.perf_counter()
         state = apply_action(state, condition, action).state
         if cfg.optimize:
-            state = greedy_optimize(state, threshold=cfg.threshold)
+            state = greedy_optimize(state)
         ms_aobs = (time.perf_counter() - t0) * 1e3
 
         n_states = count_states(state.root)

@@ -20,8 +20,9 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 #: global tolerance for probability-mass checks
 EPS_P = 1e-9
 
-#: OR edge weights are quantized to this many decimal digits inside node keys,
-#: so float noise below ~5e-13 does not break structural sharing
+#: OR edge weights are rounded to this many significant digits inside node
+#: keys, so float noise below a relative 5e-12 does not break structural
+#: sharing, while weights of any magnitude keep their relative precision
 WEIGHT_DIGITS = 12
 
 LIT = "lit"
@@ -121,13 +122,17 @@ class Store:
     given structure, so identical subgraphs are physically shared.
 
     ``normal`` is the normalize memo of :func:`aobs.acting.normalize`: node
-    key -> (scale, normal-form node), kept across calls.  Interned nodes are
-    immutable and the store never drops one, so an entry never goes stale.
+    key -> (scale, normal-form node), and ``factored`` the memo of
+    :func:`aobs.optimize.greedy_optimize`: node key -> factored node.  Both
+    are kept across calls.  Interned nodes are immutable and the store never
+    drops one, so an entry never goes stale; a future ``Store.collect`` that
+    drops nodes must prune both tables too, or they keep those nodes alive.
     """
 
     def __init__(self) -> None:
         self._nodes: Dict[str, Node] = {}
         self.normal: Dict[str, Tuple[float, Node]] = {}
+        self.factored: Dict[str, Node] = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -201,7 +206,7 @@ class Store:
         if len(pairs) == 1 and abs(pairs[0][0] - 1.0) <= EPS_P:
             return pairs[0][1]
         key = _digest(
-            "O|" + "|".join(f"{w:.{WEIGHT_DIGITS}f}:{c.key}" for w, c in pairs)
+            "O|" + "|".join(f"{w:.{WEIGHT_DIGITS - 1}e}:{c.key}" for w, c in pairs)
         )
         node = self._nodes.get(key)
         if node is None:

@@ -1,194 +1,145 @@
-"""Greedy factoring of common child subsets to shrink the belief-state DAG.
+"""Greedy factoring of shared products out of unions to shrink the DAG.
 
-When two AND nodes share several children, the shared part can move into a new
-AND node referenced by both parents.
+Every child of an OR is a product of factors.  When several children share
+factors ``X``, the group becomes one edge to ``AND(X, OR(remainders))``, since
+``sum_i w_i (X x R_i) = X x sum_i w_i R_i``: algebraic factoring of a sum of
+products.  The output has no AND under an AND and no OR under an OR, so the
+``normalize`` of a later action keeps the factoring.
 """
 from __future__ import annotations
 
-from collections import Counter
-from heapq import heappop, heappush
-from itertools import chain
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .core import AND, Aobs, Node, Store
+from .core import AND, LIT, OR, Aobs, Node, Store, size_metric
+
+Edge = Tuple[float, Node]
 
 
-class _PairIndex:
-    """The nodes reachable from the current root and their AND pairs.
+def greedy_optimize(s: Aobs) -> Aobs:
+    """Factor the products shared by several children of each OR.
 
-    ``inc`` counts the reachable parents of each reachable node, plus one for
-    the root; ``parents`` and ``and_parents`` map a child key to the keys of
-    its reachable parents of any kind and of kind AND.  ``heap`` holds
-    ``(-shared, (-len(a.children), a.key), b.key)`` for every reachable AND
-    pair sharing more than ``threshold`` children, ``a`` being the earlier of
-    the two in that order.  Nodes are immutable, so an entry is exact for as
-    long as both of its nodes stay reachable; other entries are dropped when
-    they reach the top.
+    Bottom-up, an AND is rebuilt from its factored children and an OR has
+    its edges factored.  In an OR, an AND child counts as the set of its
+    children and any other child as a one-element set.  For each factor that
+    at least two children share, the group ``G`` is the children that contain
+    it and ``X`` their common factors.  Replacing ``G`` by one edge to
+    ``AND(X, OR(w_i / sum(G) : AND(R_i)))``, ``R_i`` being what child ``i``
+    keeps besides ``X``, changes the edge-plus-node size metric locally by::
+
+        sum cost(P_i) - sum cost(R_i) - |X| - 4
+
+    where ``cost(m) = 1 + m`` for ``m >= 2`` and 0 otherwise (a one-factor
+    product is an existing node): the ``|G|`` old products go, the OR loses
+    ``|G| - 1`` edges, and the new AND (one node, ``|X| + 1`` edges), the new
+    OR (one node, ``|G|`` edges) and the remainders come in.  With every
+    ``R_i`` of two or more factors this gain is ``(|G| - 1) * |X| - 4``.  The
+    best positive group is taken, ties going to the lowest factor key, its
+    inner OR is factored the same way, and this repeats until no group
+    gains.  AND children of ANDs and OR children of ORs are spliced in as
+    the nodes are built, so a unit-mass input in normal form gives an output
+    in normal form; other inputs are accepted too.
+
+    Products may be shared elsewhere in the DAG, so a local gain does not
+    guarantee a global one: the result is kept only if ``size_metric`` does
+    not grow.  Semantics are unchanged.  Factored nodes are memoized in the
+    store's ``factored`` table across calls, each output as its own fixed
+    point, so a call costs only the part of the graph built since the last.
     """
-
-    def __init__(self, root: Node, threshold: int) -> None:
-        self.threshold = threshold
-        self.nodes: Dict[str, Node] = {}
-        self.inc: Dict[str, int] = {}
-        self.parents: Dict[str, Set[str]] = {}
-        self.and_parents: Dict[str, Set[str]] = {}
-        self.heap: List[Tuple[int, Tuple[int, str], str]] = []
-        self.link(root)
-
-    def link(self, node: Node) -> None:
-        """Add one reference to ``node``; index what becomes reachable."""
-        nodes, inc = self.nodes, self.inc
-        parents, and_parents = self.parents, self.and_parents
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            k = n.key
-            if k in inc:
-                inc[k] += 1
-                continue
-            nodes[k] = n
-            inc[k] = 1
-            if n.kind == AND:
-                for c in n.children:
-                    parents.setdefault(c.key, set()).add(k)
-                    and_parents.setdefault(c.key, set()).add(k)
-                if len(n.children) > self.threshold:
-                    self._push_pairs(n)
-            else:
-                for c in n.children:
-                    parents.setdefault(c.key, set()).add(k)
-            stack += n.children
-
-    def unlink(self, node: Node) -> None:
-        """Drop one reference to ``node``; forget what becomes unreachable."""
-        nodes, inc = self.nodes, self.inc
-        parents, and_parents = self.parents, self.and_parents
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            k = n.key
-            inc[k] -= 1
-            if inc[k]:
-                continue
-            del inc[k], nodes[k]
-            parents.pop(k, None)
-            and_parents.pop(k, None)
-            for c in n.children:
-                parents[c.key].discard(k)
-            if n.kind == AND:
-                for c in n.children:
-                    and_parents[c.key].discard(k)
-            stack += n.children
-
-    def _push_pairs(self, n: Node) -> None:
-        """Queue the pairs of ``n`` with the AND nodes indexed before it."""
-        and_parents = self.and_parents
-        shared = Counter(chain.from_iterable(
-            [and_parents[c.key] for c in n.children]))
-        del shared[n.key]
-        rank = (-len(n.children), n.key)
-        for p, size in shared.items():
-            if size > self.threshold:
-                other = (-len(self.nodes[p].children), p)
-                if rank < other:
-                    heappush(self.heap, (-size, rank, p))
-                else:
-                    heappush(self.heap, (-size, other, n.key))
-
-    def best(self) -> Optional[Tuple[Node, Node, FrozenSet[str]]]:
-        """The reachable AND pair with the largest child intersection above
-        the threshold; ties go to the pair whose first node has more
-        children, then the lower key, and then to the lower-keyed partner."""
-        heap, nodes = self.heap, self.nodes
-        while heap:
-            _, (_, akey), bkey = heap[0]
-            if akey in nodes and bkey in nodes:
-                a, b = nodes[akey], nodes[bkey]
-                inter = (frozenset(c.key for c in a.children)
-                         & frozenset(c.key for c in b.children))
-                return a, b, inter
-            heappop(heap)
-        return None
-
-    def ancestors(self, keys: Set[str]) -> Set[str]:
-        """``keys`` and the keys of every reachable node above them."""
-        out = set(keys)
-        stack = list(keys)
-        while stack:
-            for p in self.parents.get(stack.pop(), ()):
-                if p not in out:
-                    out.add(p)
-                    stack.append(p)
-        return out
+    root = _factor(s.root, s.store, s.store.factored)
+    if root is s.root or size_metric(
+            Aobs(root, s.store, s.universe)) > size_metric(s):
+        return s
+    return Aobs(root, s.store, s.universe, s.var_names)
 
 
-def greedy_optimize(s: Aobs, *, threshold: int = 2) -> Aobs:
-    """Repeatedly extract the largest shared child subset of two AND nodes.
+# Module-level rather than closures: a closure that calls itself is a
+# reference cycle that keeps the store alive until the next full collection.
 
-    Stops when no intersection larger than ``threshold`` remains.  Moving
-    ``k`` shared children of two parents into a new AND replaces ``2k`` edges
-    by ``k + 2`` edges and one node, a change of ``3 - k`` in the
-    edge-plus-node size metric: the default threshold of 2 is the break-even
-    point of that set-cover objective, at which no extraction grows the
-    graph.
-    Semantics are unchanged.
-
-    One :class:`_PairIndex` per call holds the candidate pairs; each
-    extraction rebuilds only the ancestors of its two nodes and updates the
-    index with the nodes that became reachable or unreachable.
-    """
-    if threshold < 1:
-        raise ValueError("threshold must be at least 1")
-    store = s.store
-    root = s.root
-    index = _PairIndex(root, threshold)
-    # safety bound: each useful extraction shrinks total child counts
-    for _ in range(10 * len(index.nodes) + 100):
-        found = index.best()
-        if found is None:
-            break
-        a, b, inter = found
-        targets = {a.key, b.key}
-        new_root = _extract(root, index.ancestors(targets), targets, inter,
-                            store, {})
-        if new_root.key == root.key:
-            break
-        index.link(new_root)
-        index.unlink(root)
-        root = new_root
-    return Aobs(root, store, s.universe, s.var_names)
-
-
-def _extract(node: Node, dirty: Set[str], targets: Set[str],
-             inter: FrozenSet[str], store: Store,
-             rebuilt: Dict[str, Node]) -> Node:
-    """Rebuild ``node`` with the children in ``inter`` of each target AND
-    moved into one shared AND.  Only the nodes in ``dirty`` (the targets and
-    their ancestors) can change; every other node is returned as is.
-    Module-level rather than a closure, since a closure that calls itself is
-    a reference cycle that keeps the store alive until the next full garbage
-    collection."""
-    if node.key not in dirty:
-        return node
-    got = rebuilt.get(node.key)
+def _factor(node: Node, store: Store, memo: Dict[str, Node]) -> Node:
+    got = memo.get(node.key)
     if got is not None:
         return got
-    if node.kind == AND:
-        kids = [_extract(ch, dirty, targets, inter, store, rebuilt)
-                for ch in node.children]
-        if node.key in targets:
-            shared = store.make_and(
-                [k for k, ch in zip(kids, node.children) if ch.key in inter]
-            )
-            rest = [k for k, ch in zip(kids, node.children)
-                    if ch.key not in inter]
-            out = store.make_and(rest + [shared])
+    if node.kind == LIT:
+        out = node
+    elif node.kind == AND:
+        kids = [_factor(ch, store, memo) for ch in node.children]
+        if all(k is ch and k.kind != AND for k, ch in zip(kids, node.children)):
+            out = node
         else:
-            out = store.make_and(kids)
+            out = store.make_and([f for k in kids for f in _factors(k)])
     else:
-        out = store.make_or(
-            [(w, _extract(ch, dirty, targets, inter, store, rebuilt))
-             for w, ch in node.edges()]
-        )
-    rebuilt[node.key] = out
+        out = _factor_union(
+            [(w, _factor(ch, store, memo)) for w, ch in node.edges()],
+            store, memo)
+    memo[node.key] = out
+    memo.setdefault(out.key, out)
     return out
+
+
+def _factors(n: Node) -> Sequence[Node]:
+    return n.children if n.kind == AND else (n,)
+
+
+def _factor_union(edges: List[Edge], store: Store,
+                  memo: Dict[str, Node]) -> Node:
+    """Factor one OR over the (already factored) ``edges``."""
+    terms: Dict[str, List] = {}  # product key -> [weight, product]
+    for w, ch in edges:
+        for w2, g in (ch.edges() if ch.kind == OR else ((1.0, ch),)):
+            _add_term(terms, w * w2, g)
+    while len(terms) > 1:
+        best = _best_group(terms)
+        if best is None:
+            break
+        group, shared = best
+        total = sum(terms[k][0] for k in group)
+        inner: List[Edge] = []
+        for k in group:
+            w, n = terms.pop(k)
+            inner.append((w / total, store.make_and(
+                [f for f in _factors(n) if f.key not in shared])))
+        rest = _factor_union(inner, store, memo)
+        common = [f for f in _factors(n) if f.key in shared]
+        _add_term(terms, total, store.make_and(common + list(_factors(rest))))
+    out = store.make_or([(w, n) for w, n in terms.values()])
+    memo.setdefault(out.key, out)
+    return out
+
+
+def _add_term(terms: Dict[str, List], w: float, n: Node) -> None:
+    got = terms.get(n.key)
+    if got is None:
+        terms[n.key] = [w, n]
+    else:
+        got[0] += w
+
+
+def _cost(m: int) -> int:
+    return 1 + m if m >= 2 else 0
+
+
+def _best_group(terms: Dict[str, List]
+                ) -> Optional[Tuple[Tuple[str, ...], FrozenSet[str]]]:
+    """The group of products with the largest positive local gain, as the
+    keys of its products and the keys of their common factors."""
+    sets = {k: frozenset(f.key for f in _factors(n))
+            for k, (_, n) in terms.items()}
+    holders: Dict[str, List[str]] = {}
+    for k, fs in sets.items():
+        for f in fs:
+            holders.setdefault(f, []).append(k)
+    best = None
+    best_gain = 0
+    tried = set()
+    for fkey in sorted(holders):
+        group = tuple(holders[fkey])
+        if len(group) < 2 or group in tried:
+            continue
+        tried.add(group)
+        shared = frozenset.intersection(*[sets[k] for k in group])
+        x = len(shared)
+        gain = sum(_cost(len(sets[k])) - _cost(len(sets[k]) - x)
+                   for k in group) - x - 4
+        if gain > best_gain:
+            best, best_gain = (group, shared), gain
+    return best

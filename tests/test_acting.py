@@ -293,7 +293,7 @@ class TestNormalize:
             s = normalize(s)
             for _ in range(3):
                 s = apply_action(s, *_random_step(rng)).state
-            # the optimizer's nested ANDs are not in the warm memo
+            # the optimizer's factored nodes are new to the warm memo
             s = greedy_optimize(s)
             warm = normalize(s)
             fresh = Store()

@@ -10,8 +10,6 @@ from aobs.bdd import (
     ValueOutOfRange,
     bdd_apply,
     bdd_apply_action,
-    bdd_exists,
-    bdd_not,
     bdd_size,
     encode_action,
     encode_condition,
@@ -35,7 +33,7 @@ def _truth_table(manager, f, num_bools):
 class TestApply:
     def test_contradiction(self, manager):
         x = manager.var(0)
-        assert bdd_apply(manager, "and", x, bdd_not(manager, x)) is manager.false
+        assert bdd_apply(manager, "and", x, manager.negate(x)) is manager.false
 
     def test_or_identity(self, manager):
         f = bdd_apply(manager, "and", manager.var(0), manager.var(1))
@@ -62,11 +60,11 @@ class TestApply:
 class TestNotExists:
     def test_double_negation(self, manager):
         f = bdd_apply(manager, "or", manager.var(0), manager.var(2))
-        assert bdd_not(manager, bdd_not(manager, f)) is f
+        assert manager.negate(manager.negate(f)) is f
 
     def test_exists_drops_variable(self, manager):
         xy = bdd_apply(manager, "and", manager.var(0), manager.var(1))
-        assert bdd_exists(manager, {0}, xy) is manager.var(1)
+        assert manager.exists({0}, xy) is manager.var(1)
 
     def test_projection_keeps_other_constraints(self):
         vmap = BoolVarMap(3, 3)
@@ -75,7 +73,7 @@ class TestNotExists:
         for state in [{0: 0, 1: 0, 2: 0}, {0: 0, 1: 1, 2: 0}]:
             f = bdd_apply(manager, "or", f, encode_state(manager, vmap, state))
         dropped = vmap.var_indices(1) + vmap.var_indices(2)
-        got = bdd_exists(manager, dropped, f)
+        got = manager.exists(dropped, f)
         assert got is encode_condition(manager, vmap, Condition.of({0: [0]}))
 
 

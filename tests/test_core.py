@@ -102,6 +102,15 @@ class TestMakeOr:
         with pytest.raises(AobsError):
             store.make_or([(0.0, store.make_lit(0, 0))])
 
+    def test_tiny_weights_keep_relative_precision(self, store):
+        # keyed to 12 decimal places, both weights read 0.000000000000 and
+        # the second union came back with the first one's weights
+        a, b = store.make_lit(0, 0), store.make_lit(0, 1)
+        first = store.make_or([(1e-14, a), (1 - 1e-14, b)])
+        second = store.make_or([(4e-14, a), (1 - 4e-14, b)])
+        assert second is not first
+        assert dict(zip(second.children, second.weights))[a] == 4e-14
+
 
 class TestVarSubspace:
     def test_root(self, three_var_state):

@@ -1,101 +1,22 @@
-"""Greedy factoring of shared AND children."""
+"""Greedy factoring of shared products out of unions."""
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from aobs.acting import apply_action
+from aobs.acting import apply_action, normalize
 from aobs.bench import ExperimentConfig, gen_experiment
-from aobs.core import (
-    AND, LIT, Aobs, Store, from_physical_state, iter_nodes, size_metric,
-)
-from aobs.oracle import tab_equal
+from aobs.core import LIT, Aobs, Store, from_physical_state, size_metric
+from aobs.oracle import tab_apply_action, tab_equal
 from aobs.optimize import greedy_optimize
 
-from conftest import enum_canonical, random_aobs
-
-
-def _reference_best(root, threshold):
-    """Full-rescan pair selection: of the reachable AND pairs sharing more
-    than ``threshold`` children, the largest intersection, ties going to the
-    larger, then lower-keyed first node and then the lower-keyed second."""
-    ands = [n for n in iter_nodes(root) if n.kind == AND and len(n.children) >= 2]
-    ands.sort(key=lambda n: (-len(n.children), n.key))
-    by_child = {}
-    for n in ands:
-        for ch in n.children:
-            by_child.setdefault(ch.key, []).append(n)
-    child_sets = {n.key: frozenset(c.key for c in n.children) for n in ands}
-    by_key = {n.key: n for n in ands}
-    best = None
-    best_size = threshold
-    for a in ands:
-        if len(a.children) <= best_size:
-            break
-        partners = {b.key for ch in a.children for b in by_child[ch.key]
-                    if b.key != a.key}
-        for bkey in sorted(partners):
-            inter = child_sets[a.key] & child_sets[bkey]
-            if len(inter) > best_size:
-                best_size = len(inter)
-                best = (a, by_key[bkey], inter)
-    return best
-
-
-def _reference_rebuild(node, targets, inter, store, memo):
-    """Rebuild every node, moving ``inter`` of each target into a shared AND."""
-    got = memo.get(node.key)
-    if got is not None:
-        return got
-    if node.kind == LIT:
-        out = node
-    elif node.kind == AND:
-        kids = [_reference_rebuild(ch, targets, inter, store, memo)
-                for ch in node.children]
-        if node.key in targets:
-            shared = store.make_and(
-                [k for k, ch in zip(kids, node.children) if ch.key in inter])
-            out = store.make_and(
-                [k for k, ch in zip(kids, node.children) if ch.key not in inter]
-                + [shared])
-        else:
-            out = store.make_and(kids)
-    else:
-        out = store.make_or(
-            [(w, _reference_rebuild(ch, targets, inter, store, memo))
-             for w, ch in node.edges()])
-    memo[node.key] = out
-    return out
-
-
-def _reference_optimize(s, threshold=2):
-    """The optimizer as one full rescan and one whole-graph rebuild per
-    extraction: the sequence the incremental optimizer must reproduce."""
-    root = s.root
-    for _ in range(10 * len(list(iter_nodes(root))) + 100):
-        found = _reference_best(root, threshold)
-        if found is None:
-            break
-        a, b, inter = found
-        new_root = _reference_rebuild(root, {a.key, b.key}, inter, s.store, {})
-        if new_root.key == root.key:
-            break
-        root = new_root
-    return Aobs(root, s.store, s.universe, s.var_names)
-
-
-def _assert_matches_reference(s, threshold=2):
-    want = _reference_optimize(s, threshold)
-    got = greedy_optimize(s, threshold=threshold)
-    assert got.root.key == want.root.key
-    assert size_metric(got) == size_metric(want)
-    return got
+from conftest import assert_normal_form, enum_canonical, random_aobs
 
 
 def _random_dag(rng, num_vars):
     """A random state whose AND nodes share many children over several
     levels: a variable takes one of three substates, and substates built
-    over a block of variables are reused at random."""
+    over a block of variables are reused at random.  Inner OR weights are
+    not normalized, so the state's mass is not 1."""
     store = Store()
     menus = {}
     for v in range(num_vars):
@@ -137,112 +58,158 @@ def _two_ands(store, values_a, values_b):
     return Aobs(root, store, tuple(range(len(values_a))))
 
 
-class TestGreedyOptimize:
-    def test_shared_pair_extracted_at_low_threshold(self, store):
-        # ANDs {a=0,b=0,c=0} and {a=0,b=0,c=1} share two children
-        s = _two_ands(store, (0, 0, 0), (0, 0, 1))
-        out = greedy_optimize(s, threshold=1)
-        shared = [
-            n for n in iter_nodes(out.root)
-            if n.kind == AND and n.omega == frozenset({0, 1})
-        ]
-        assert len(shared) == 1
-        parents = [
-            n for n in iter_nodes(out.root)
-            if n.kind == AND and shared[0] in n.children
-        ]
-        assert len(parents) == 2
-        assert tab_equal(enum_canonical(out), enum_canonical(s))
+def _assert_exact(s, out):
+    """Same distribution as ``s``, and no larger."""
+    assert size_metric(out) <= size_metric(s)
+    assert tab_equal(enum_canonical(out), enum_canonical(s))
 
+
+# one OR of products over five variables; each factor is a literal or a
+# fixed union of two literals, so products share factors often
+_PRODUCTS = st.lists(
+    st.tuples(st.integers(1, 9), st.tuples(*[st.integers(0, 3)] * 5)),
+    min_size=1, max_size=12,
+)
+
+
+class TestGreedyOptimize:
     def test_triple_extracted_at_default_threshold(self, store):
+        # OR(AND(a0,b0,c0,d0), AND(a0,b0,c0,d1)) -> AND(a0,b0,c0,OR(d0,d1))
         s = _two_ands(store, (0, 0, 0, 0), (0, 0, 0, 1))
-        before = size_metric(s)
+        assert size_metric(s) == 23
         out = greedy_optimize(s)
+        d = store.make_or([(0.5, store.make_lit(3, 0)),
+                           (0.5, store.make_lit(3, 1))])
+        assert out.root is store.make_and(
+            [store.make_lit(v, 0) for v in range(3)] + [d])
+        assert size_metric(out) == 18
         assert tab_equal(enum_canonical(out), enum_canonical(s))
-        shared = [
-            n for n in iter_nodes(out.root)
-            if n.kind == AND and n.omega == frozenset({0, 1, 2})
-        ]
-        assert len(shared) == 1
-        assert size_metric(out) <= before
 
     def test_no_shared_children_unchanged(self, store):
         s = _two_ands(store, (0, 0), (1, 1))
         assert greedy_optimize(s).root is s.root
 
-    def test_small_intersection_below_default_threshold(self, store):
-        s = _two_ands(store, (0, 0, 0), (0, 0, 1))
+    def test_negative_gain_unchanged(self, store):
+        # X = {a0}, so the gain is (2 - 1) * 1 - 4 = -3
+        s = _two_ands(store, (0, 0, 0), (0, 1, 1))
         assert greedy_optimize(s).root is s.root
 
-    def test_threshold_validation(self, three_var_state):
-        with pytest.raises(ValueError):
-            greedy_optimize(three_var_state, threshold=0)
+    def test_break_even_is_exact(self, store):
+        # next to a gain of 5 on variables 0-3, the gain of -3 on variables
+        # 4-6 is not taken, although the call shrinks the graph as a whole
+        left = _two_ands(store, (0, 0, 0, 0), (0, 0, 0, 1))
+        right = store.make_or([
+            (0.5, store.make_and([store.make_lit(v, u)
+                                  for v, u in zip((4, 5, 6), vals)]))
+            for vals in ((0, 0, 0), (0, 1, 1))])
+        s = Aobs(store.make_and([left.root, right]), store, tuple(range(7)))
+        out = greedy_optimize(s)
+        assert out.root is store.make_and(
+            list(greedy_optimize(left).root.children) + [right])
+        _assert_exact(s, out)
+
+    def test_kept_only_if_size_does_not_grow(self, store):
+        # OR(p1, p2) gains 5 locally, but p1 and p2 stay reachable through
+        # the other two unions, so factoring it grows the graph by 3
+        lit = store.make_lit
+        p1, p2, p4, p5 = (store.make_and([lit(v, u) for v, u in enumerate(vals)])
+                          for vals in ((0, 0, 0, 0), (0, 0, 0, 1),
+                                       (1, 1, 1, 1), (2, 2, 2, 2)))
+        unions = [store.make_or([(0.5, a), (0.5, b)])
+                  for a, b in ((p1, p2), (p1, p4), (p2, p5))]
+        root = store.make_or([(w, store.make_and([lit(4, u), o]))
+                              for w, u, o in zip((0.2, 0.3, 0.5), range(3),
+                                                 unions)])
+        s = Aobs(root, store, tuple(range(5)))
+        assert greedy_optimize(s) is s
+        assert greedy_optimize(Aobs(unions[0], store, (0, 1, 2, 3))).root \
+            is not unions[0]
+
+    def test_ties_go_to_lowest_factor_key(self, store):
+        # p is all zeros; it shares the five lowest-keyed zero literals (set
+        # a) with q and the other five (set b) with r, a gain of 1 either way
+        zeros = sorted((store.make_lit(v, 0) for v in range(10)),
+                       key=lambda n: n.key)
+        a = {n.var for n in zeros[:5]}
+        p, q, r = (
+            store.make_and([store.make_lit(v, int(v in ones))
+                            for v in range(10)])
+            for ones in (set(), set(range(10)) - a, a))
+        s = Aobs(store.make_or([(0.2, p), (0.3, q), (0.5, r)]), store,
+                 tuple(range(10)))
+        out = greedy_optimize(s)
+        grouped = next(ch for ch in out.root.children if zeros[0] in ch.children)
+        assert {n.var for n in grouped.children if n.kind == LIT} == a
+        _assert_exact(s, out)
 
     def test_never_grows_and_preserves_semantics(self):
         rng = random.Random(43)
         for _ in range(60):
             s, _ = random_aobs(rng, num_vars=5, max_rows=8)
-            out = greedy_optimize(s)
-            assert size_metric(out) <= size_metric(s)
-            assert tab_equal(enum_canonical(out), enum_canonical(s))
+            _assert_exact(s, greedy_optimize(s))
 
-
-class TestMatchesFullRescan:
-    """The incremental optimizer picks the same pairs in the same order as a
-    full rescan per extraction, so it yields the same root node."""
-
-    @pytest.mark.parametrize("threshold", [1, 2, 3])
-    def test_random_states(self, threshold):
-        rng = random.Random(100 + threshold)
-        for _ in range(40):
-            s, _ = random_aobs(rng, num_vars=6, num_values=2, max_rows=12)
-            _assert_matches_reference(s, threshold)
+    def test_output_in_normal_form(self):
+        rng = random.Random(44)
+        for num_values in (2, 3):
+            for _ in range(40):
+                s, _ = random_aobs(rng, num_vars=6, num_values=num_values,
+                                   max_rows=16)
+                s = normalize(s)
+                out = greedy_optimize(s)
+                assert_normal_form(out)
+                _assert_exact(s, out)
 
     @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), num_vars=st.integers(3, 8),
-           threshold=st.integers(1, 3))
-    def test_random_dags(self, seed, num_vars, threshold):
+    @given(seed=st.integers(0, 2**32 - 1), num_vars=st.integers(3, 8))
+    def test_random_dags(self, seed, num_vars):
         s = _random_dag(random.Random(seed), num_vars)
-        out = _assert_matches_reference(s, threshold)
-        assert tab_equal(enum_canonical(out), enum_canonical(s))
+        _assert_exact(s, greedy_optimize(s))
 
-    def test_subset_node_is_its_own_shared_node(self, store):
-        # a's children are all shared with b, so a stays and b points to it
-        x, y, z = (store.make_lit(v, 0) for v in range(3))
-        a = store.make_and([x, y, z])
-        b = store.make_and([x, y, z, store.make_lit(3, 0)])
-        c = store.make_and([a, store.make_lit(3, 1)])
-        s = Aobs(store.make_or([(0.5, b), (0.5, c)]), store, (0, 1, 2, 3))
-        out = _assert_matches_reference(s)
-        reachable = list(iter_nodes(out.root))
-        assert a in reachable
-        assert b not in reachable
-        assert sum(a in n.children for n in reachable) == 2
-        assert tab_equal(enum_canonical(out), enum_canonical(s))
+    @settings(max_examples=200, deadline=None)
+    @given(products=_PRODUCTS)
+    def test_unions_of_products(self, products):
+        store = Store()
+        menus = []
+        for v in range(5):
+            lits = [store.make_lit(v, u) for u in range(3)]
+            menus.append(lits + [store.make_or([(0.4, lits[0]),
+                                                (0.6, lits[1])])])
+        total = sum(w for w, _ in products)
+        root = store.make_or([
+            (w / total, store.make_and([menus[v][i] for v, i in enumerate(pick)]))
+            for w, pick in products
+        ])
+        s = Aobs(root, store, tuple(range(5)))
+        out = greedy_optimize(s)
+        assert_normal_form(out)
+        _assert_exact(s, out)
 
-    def test_rebuilt_node_collides_with_reachable_one(self, store):
-        # moving x, y, z of b1 into a shared AND rebuilds b1 as r, which the
-        # root already holds, so the two OR edges merge
-        x, y, z = (store.make_lit(v, 0) for v in range(3))
-        p, q = store.make_lit(3, 0), store.make_lit(3, 1)
-        b1 = store.make_and([x, y, z, p])
-        b2 = store.make_and([x, y, z, q])
-        r = store.make_and([store.make_and([x, y, z]), p])
-        s = Aobs(store.make_or([(0.3, b1), (0.3, b2), (0.4, r)]), store,
-                 (0, 1, 2, 3))
-        out = _assert_matches_reference(s)
-        assert len(out.root.children) == 2
-        assert r in out.root.children
-        assert tab_equal(enum_canonical(out), enum_canonical(s))
+    def test_warm_memo_matches_fresh_store(self):
+        cfg = ExperimentConfig(num_vars=20, num_values=3, num_actions=20,
+                               condition_arity=1)
+        script = gen_experiment(cfg, 5)
+        state = from_physical_state(Store(), script.initial, range(cfg.num_vars))
+        for condition, action in script.steps:
+            plain = apply_action(state, condition, action).state
+            state = greedy_optimize(plain)
+            fresh = Store()
+            cold = greedy_optimize(
+                Aobs(fresh.reintern(plain.root), fresh, plain.universe))
+            assert cold.root.key == state.root.key
+        assert len(state.store.factored) > 0
 
     def test_bench_script(self):
-        cfg = ExperimentConfig(num_vars=30, num_values=4, num_actions=20,
+        cfg = ExperimentConfig(num_vars=10, num_values=3, num_actions=20,
                                condition_arity=1)
         script = gen_experiment(cfg, 3)
         state = from_physical_state(Store(), script.initial, range(cfg.num_vars))
+        tab = enum_canonical(state)
         changed = 0
         for condition, action in script.steps:
             plain = apply_action(state, condition, action).state
-            state = _assert_matches_reference(plain)
+            state = greedy_optimize(plain)
+            tab = tab_apply_action(tab, condition, action)
+            assert tab_equal(enum_canonical(state), tab)
+            assert_normal_form(state)
             changed += state.root is not plain.root
         assert changed > 0
