@@ -12,7 +12,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import bdd as bddlib
 from .acting import apply_action
@@ -117,6 +117,28 @@ def gen_experiment(cfg: ExperimentConfig, seed: int) -> ExperimentScript:
         )
         steps.append((condition, Action(avars, outcomes)))
     return ExperimentScript(initial, tuple(steps))
+
+
+def random_case_configs(
+    seed: int, cases: int, optimize: bool
+) -> Iterator[Tuple[int, ExperimentConfig]]:
+    """The randomized verification suite: ``cases`` (case seed, config)
+    pairs of small random shapes, drawn from ``seed``."""
+    rng = random.Random(seed)
+    for _ in range(cases):
+        case_seed = rng.randrange(2**32)
+        crng = random.Random(case_seed)
+        num_vars = crng.randint(2, 8)
+        yield case_seed, ExperimentConfig(
+            num_vars=num_vars,
+            num_values=crng.randint(2, 4),
+            num_actions=crng.randint(1, 10),
+            effects_per_action=crng.randint(1, 3),
+            assigns_per_effect=crng.randint(1, min(3, num_vars)),
+            condition_arity=crng.randint(1, min(3, num_vars)),
+            oracle_cap=10**6,
+            optimize=optimize,
+        )
 
 
 def run_experiment(

@@ -1,6 +1,23 @@
 """Command-line surface: benchmark runs, verification, evaluation, acting,
 and DOT export, plus the JSON document formats they exchange.
 
+A state document holds a ``universe`` list of variable names and one of
+three bodies:
+
+* ``nodes``, the node table that ``aobs act`` writes.  Each entry is
+  ``["lit", name, value]``, ``["and", [i, ...]]`` or
+  ``["or", [w, ...], [i, ...]]``; every ``i`` is the index of an earlier
+  entry and the last entry is the root.  A node shared in the graph is
+  written and read once, and the table has no depth limit.
+* ``root``, one nested node: ``{"lit": [name, value]}``, ``{"and": [...]}``
+  or ``{"or": {"weights": [...], "children": [...]}}``.  Shared nodes are
+  spelled out again wherever they occur, and ``json.load`` itself recurses,
+  so documents nested deeper than about 495 ANDs exit 2.
+* ``rows``, a list of ``[probability, assignment]`` pairs.
+
+Variable values, table indices, condition values and action values must
+be JSON integers; probabilities and weights must be JSON numbers.
+
 Exit codes: 0 success, 1 verification failure, 2 malformed input.
 """
 from __future__ import annotations
@@ -8,9 +25,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import random
 import sys
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .acting import apply_action
 from .bench import (
@@ -19,6 +35,7 @@ from .bench import (
     OracleMismatch,
     fit_exponent,
     gen_experiment,
+    random_case_configs,
     run_experiment,
     run_seeds,
     summarize_compression,
@@ -33,6 +50,7 @@ from .core import (
     Store,
     from_tabular,
     iter_nodes,
+    postorder,
     size_metric,
 )
 from .oracle import Action, Condition
@@ -46,22 +64,85 @@ class SchemaError(AobsError):
 # ---------------------------------------------------------------------------
 # JSON state / condition / action documents
 
-def _node_to_json(node: Node, names: Sequence[str]) -> Any:
-    if node.kind == LIT:
-        return {"lit": [names[node.var], node.value]}
-    if node.kind == AND:
-        return {"and": [_node_to_json(c, names) for c in node.children]}
-    return {
-        "or": {
-            "weights": list(node.weights),
-            "children": [_node_to_json(c, names) for c in node.children],
-        }
-    }
+def _integer(x: Any, what: str) -> int:
+    """``x`` if it is a JSON integer; booleans, floats and strings are not."""
+    if type(x) is not int:  # exact type: bool is a subclass of int
+        raise SchemaError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _number(x: Any, what: str) -> float:
+    """``x`` as a float if it is a JSON number (not a boolean or string)."""
+    if type(x) is not float and type(x) is not int:
+        raise SchemaError(f"{what} must be a number, got {x!r}")
+    return float(x)
+
+
+def _variable(name: Any, index: Dict[str, int]) -> int:
+    if not isinstance(name, str) or name not in index:
+        raise SchemaError(f"unknown variable {name!r}")
+    return index[name]
 
 
 def state_to_json(s: Aobs) -> Dict[str, Any]:
-    names = [s.name_of(v) for v in s.universe]
-    return {"universe": names, "root": _node_to_json(s.root, names)}
+    """The node-table document of ``s``: each reachable node once, children
+    before parents, so the root is the last entry."""
+    name = {v: s.name_of(v) for v in s.universe}
+    position: Dict[str, int] = {}
+    nodes: List[Any] = []
+    for node in postorder(s.root):
+        position[node.key] = len(nodes)
+        if node.kind == LIT:
+            nodes.append(["lit", name[node.var], node.value])
+            continue
+        kids = [position[c.key] for c in node.children]
+        if node.kind == AND:
+            nodes.append(["and", kids])
+        else:
+            nodes.append(["or", list(node.weights), kids])
+    return {"universe": [name[v] for v in s.universe], "nodes": nodes}
+
+
+def _earlier(refs: Any, built: List[Node]) -> List[Node]:
+    """The already built entries that the index list ``refs`` names."""
+    n = len(built)
+    if not isinstance(refs, list):
+        raise SchemaError(f"node {n}: children must be a list of indices")
+    kids = []
+    for i in refs:
+        if not 0 <= _integer(i, "child index") < n:
+            raise SchemaError(f"node {n}: child index {i} is not an earlier node")
+        kids.append(built[i])
+    return kids
+
+
+def _table_root(entries: Any, index: Dict[str, int], store: Store) -> Node:
+    """Intern a node table in one pass: entries refer only to earlier ones,
+    so every child is built before its parent."""
+    if not isinstance(entries, list) or not entries:
+        raise SchemaError("'nodes' must be a non-empty list")
+    built: List[Node] = []
+    for entry in entries:
+        kind = entry[0] if isinstance(entry, list) and entry else None
+        if kind == "lit" and len(entry) == 3:
+            node = store.make_lit(_variable(entry[1], index),
+                                  _integer(entry[2], "literal value"))
+        elif kind == "and" and len(entry) == 2:
+            node = store.make_and(_earlier(entry[1], built))
+        elif kind == "or" and len(entry) == 3:
+            weights, kids = entry[1], _earlier(entry[2], built)
+            if not isinstance(weights, list) or len(weights) != len(kids):
+                raise SchemaError(
+                    f"node {len(built)}: an or needs one weight per child")
+            node = store.make_or([(_number(w, "weight"), k)
+                                  for w, k in zip(weights, kids)])
+        else:
+            raise SchemaError(
+                f"node {len(built)} must be ['lit', name, value], "
+                f"['and', children] or ['or', weights, children], "
+                f"got {entry!r}")
+        built.append(node)
+    return built[-1]
 
 
 def _node_from_json(obj: Any, index: Dict[str, int], store: Store) -> Node:
@@ -69,13 +150,10 @@ def _node_from_json(obj: Any, index: Dict[str, int], store: Store) -> Node:
         raise SchemaError(f"node must be a single-key object, got {obj!r}")
     if "lit" in obj:
         spec = obj["lit"]
-        if (not isinstance(spec, list) or len(spec) != 2
-                or not isinstance(spec[1], int)):
+        if not isinstance(spec, list) or len(spec) != 2:
             raise SchemaError(f"lit must be [name, integer], got {spec!r}")
-        name, value = spec
-        if name not in index:
-            raise SchemaError(f"unknown variable {name!r}")
-        return store.make_lit(index[name], value)
+        return store.make_lit(_variable(spec[0], index),
+                              _integer(spec[1], "literal value"))
     if "and" in obj:
         kids = obj["and"]
         if not isinstance(kids, list):
@@ -85,52 +163,64 @@ def _node_from_json(obj: Any, index: Dict[str, int], store: Store) -> Node:
         spec = obj["or"]
         if (not isinstance(spec, dict)
                 or set(spec) != {"weights", "children"}
+                or not isinstance(spec["weights"], list)
+                or not isinstance(spec["children"], list)
                 or len(spec["weights"]) != len(spec["children"])):
             raise SchemaError("or must hold parallel 'weights' and 'children'")
         return store.make_or([
-            (float(w), _node_from_json(k, index, store))
+            (_number(w, "weight"), _node_from_json(k, index, store))
             for w, k in zip(spec["weights"], spec["children"])
         ])
     raise SchemaError(f"unknown node kind in {obj!r}")
 
 
+def _rows(rows: Any,
+          index: Dict[str, int]) -> List[Tuple[float, Dict[int, int]]]:
+    if not isinstance(rows, list):
+        raise SchemaError("'rows' must be a list")
+    out = []
+    for row in rows:
+        if (not isinstance(row, list) or len(row) != 2
+                or not isinstance(row[1], dict)):
+            raise SchemaError("each row must be [probability, assignment]")
+        p, assignment = row
+        out.append((
+            _number(p, "row probability"),
+            {_variable(name, index): _integer(v, "row value")
+             for name, v in assignment.items()},
+        ))
+    return out
+
+
 def state_from_json(doc: Any, store: Optional[Store] = None) -> Aobs:
-    """Parse a state document: ``universe`` plus either a nested ``root`` node
-    or a tabular ``rows`` alternative."""
+    """Parse a state document: ``universe`` plus a ``nodes`` table, a nested
+    ``root`` node or a tabular ``rows`` list (see the module docstring)."""
     if store is None:
         store = Store()
     if not isinstance(doc, dict) or "universe" not in doc:
         raise SchemaError("state document needs a 'universe' list")
     names = doc["universe"]
     if (not isinstance(names, list) or not names
+            or not all(isinstance(name, str) for name in names)
             or len(set(names)) != len(names)):
         raise SchemaError("'universe' must be a non-empty list of unique names")
     index = {name: i for i, name in enumerate(names)}
     universe = tuple(range(len(names)))
-    if "root" in doc:
-        try:
+    try:
+        if "nodes" in doc:
+            root = _table_root(doc["nodes"], index, store)
+        elif "root" in doc:
             root = _node_from_json(doc["root"], index, store)
-        except AobsError as exc:
-            raise SchemaError(str(exc)) from exc
-        return Aobs(root, store, universe, tuple(names))
-    if "rows" in doc:
-        rows = []
-        for row in doc["rows"]:
-            if not isinstance(row, list) or len(row) != 2:
-                raise SchemaError("each row must be [probability, assignment]")
-            p, assignment = row
-            try:
-                rows.append((
-                    float(p),
-                    {index[name]: int(v) for name, v in assignment.items()},
-                ))
-            except KeyError as exc:
-                raise SchemaError(f"unknown variable {exc}") from exc
-        try:
+        elif "rows" in doc:
+            rows = _rows(doc["rows"], index)
             return from_tabular(store, rows, universe, tuple(names))
-        except AobsError as exc:
-            raise SchemaError(str(exc)) from exc
-    raise SchemaError("state document needs 'root' or 'rows'")
+        else:
+            raise SchemaError("state document needs 'nodes', 'root' or 'rows'")
+        return Aobs(root, store, universe, tuple(names))
+    except SchemaError:
+        raise
+    except AobsError as exc:  # structural errors in the document's graph
+        raise SchemaError(str(exc)) from exc
 
 
 def condition_from_json(doc: Any, s: Aobs) -> Condition:
@@ -143,7 +233,8 @@ def condition_from_json(doc: Any, s: Aobs) -> Condition:
             raise SchemaError(f"condition on unknown variable {name!r}")
         if not isinstance(values, list) or not values:
             raise SchemaError(f"allowed values for {name!r} must be a non-empty list")
-        constraints[index[name]] = frozenset(int(v) for v in values)
+        constraints[index[name]] = frozenset(
+            _integer(v, "condition value") for v in values)
     return Condition(constraints)
 
 
@@ -154,21 +245,24 @@ def action_from_json(doc: Any, s: Aobs) -> Action:
     outcomes = doc["outcomes"]
     if not isinstance(outcomes, list) or not outcomes:
         raise SchemaError("'outcomes' must be a non-empty list")
-    first = outcomes[0]
-    if not isinstance(first, list) or len(first) != 2:
-        raise SchemaError("each outcome must be [probability, assignment]")
-    names = sorted(first[1])
+    names = None
+    rows = []
+    for outcome in outcomes:
+        if (not isinstance(outcome, list) or len(outcome) != 2
+                or not isinstance(outcome[1], dict)):
+            raise SchemaError("each outcome must be [probability, assignment]")
+        p, assignment = outcome
+        if names is None:
+            names = sorted(assignment)
+        elif sorted(assignment) != names:
+            raise SchemaError("outcomes must all assign the same variables")
+        rows.append((_number(p, "outcome probability"),
+                     tuple(_integer(assignment[n], "action value")
+                           for n in names)))
     try:
         avars = tuple(index[n] for n in names)
     except KeyError as exc:
         raise SchemaError(f"action on unknown variable {exc}") from exc
-    rows = []
-    for outcome in outcomes:
-        if (not isinstance(outcome, list) or len(outcome) != 2
-                or sorted(outcome[1]) != names):
-            raise SchemaError("outcomes must all assign the same variables")
-        p, assignment = outcome
-        rows.append((float(p), tuple(int(assignment[n]) for n in names)))
     try:
         return Action(avars, tuple(rows))
     except AobsError as exc:
@@ -257,22 +351,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    rng = random.Random(args.seed)
     failures = 0
     first_failure = None
-    for case in range(args.cases):
-        case_seed = rng.randrange(2**32)
-        crng = random.Random(case_seed)
-        num_vars = crng.randint(2, 8)
-        cfg = ExperimentConfig(
-            num_vars=num_vars,
-            num_values=crng.randint(2, 4),
-            num_actions=crng.randint(1, 10),
-            effects_per_action=crng.randint(1, 3),
-            assigns_per_effect=crng.randint(1, min(3, num_vars)),
-            condition_arity=crng.randint(1, min(3, num_vars)),
-            oracle_cap=10**6,
-        )
+    for case_seed, cfg in random_case_configs(args.seed, args.cases,
+                                              optimize=True):
         try:
             run_experiment(gen_experiment(cfg, case_seed), cfg, seed=case_seed)
         except OracleMismatch:
@@ -302,7 +384,7 @@ def cmd_act(args: argparse.Namespace) -> int:
     result = apply_action(state, condition, action).state
     after = size_metric(result)
     with open(args.out, "w") as fh:
-        json.dump(state_to_json(result), fh, indent=2)
+        fh.write(json.dumps(state_to_json(result)))
         fh.write("\n")
     print(f"size before: {before}")
     print(f"size after: {after}")

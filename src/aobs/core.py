@@ -13,6 +13,7 @@ subgraphs are shared automatically.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -186,12 +187,15 @@ class Store:
 
         Duplicate child nodes are merged by summing their weights.  A single
         child with weight 1 collapses to the child itself.  Children must all
-        range over the same variable set and weights must be positive.
+        range over the same variable set and weights must be positive and
+        finite.
         """
         merged: Dict[str, Tuple[float, Node]] = {}
         for w, c in children:
-            if w <= 0:
-                raise AobsError(f"OR edge weight must be positive, got {w}")
+            if not 0.0 < w < math.inf:  # also false for NaN
+                raise AobsError(
+                    f"OR edge weight must be positive and finite, got {w}"
+                )
             prev = merged.get(c.key)
             merged[c.key] = (prev[0] + w if prev else w, c)
         if not merged:
@@ -246,6 +250,32 @@ def iter_nodes(root: Node) -> Iterator[Node]:
             if child.key not in seen:
                 seen.add(child.key)
                 stack.append(child)
+
+
+def postorder(root: Node) -> List[Node]:
+    """The unique nodes reachable from ``root``, each after all of its
+    children, so ``root`` comes last.
+
+    The walk keeps its own stack, so a graph of any depth is walked without
+    recursion.
+    """
+    seen = {root.key}
+    order: List[Node] = []
+    stack = [(root, iter(root.children))]
+    while stack:
+        node, kids = stack[-1]
+        for child in kids:
+            if child.key not in seen:
+                # the nodes on the stack are ancestors of ``node``, which a
+                # DAG never reaches again, so a node met a second time is
+                # already in ``order``
+                seen.add(child.key)
+                stack.append((child, iter(child.children)))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    return order
 
 
 def count_states(n: Node) -> int:

@@ -24,6 +24,7 @@ from aobs.bench import (
     MetricsRow,
     fit_exponent,
     gen_experiment,
+    random_case_configs,
     run_experiment,
     run_seeds,
     summarize_compression,
@@ -97,25 +98,6 @@ def _enum(state):
     return tab_canonical(enumerate_states(state.root, cap=10**6, merge=True))
 
 
-def _random_case_configs(cases):
-    """The randomized verification suite's (seed, config) stream."""
-    rng = random.Random(0)
-    for _ in range(cases):
-        case_seed = rng.randrange(2**32)
-        crng = random.Random(case_seed)
-        num_vars = crng.randint(2, 8)
-        yield case_seed, ExperimentConfig(
-            num_vars=num_vars,
-            num_values=crng.randint(2, 4),
-            num_actions=crng.randint(1, 10),
-            effects_per_action=crng.randint(1, 3),
-            assigns_per_effect=crng.randint(1, min(3, num_vars)),
-            condition_arity=crng.randint(1, min(3, num_vars)),
-            oracle_cap=10**6,
-            optimize=False,
-        )
-
-
 def _normal_form_ok(state, eps=1e-9):
     for node in iter_nodes(state.root):
         if node.kind == AND:
@@ -175,7 +157,7 @@ def pipeline_stats():
         "support_mismatches": 0,
         "worst_mass_error": 0.0,
     }
-    for case_seed, cfg in _random_case_configs(RANDOM_CASES):
+    for case_seed, cfg in random_case_configs(0, RANDOM_CASES, optimize=False):
         script = gen_experiment(cfg, case_seed)
         store = Store()
         state = from_physical_state(
@@ -277,7 +259,8 @@ class TestRandomizedEquivalence:
     def test_randomized_oracle_equivalence(self):
         t0 = time.perf_counter()
         failures = 0
-        for case_seed, cfg in _random_case_configs(RANDOM_CASES):
+        for case_seed, cfg in random_case_configs(0, RANDOM_CASES,
+                                                  optimize=False):
             try:
                 run_experiment(gen_experiment(cfg, case_seed), cfg,
                                seed=case_seed)

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aobs.cli import (
     CSV_HEADER,
@@ -15,9 +16,10 @@ from aobs.cli import (
     state_to_json,
     to_dot,
 )
+from aobs.core import Aobs, Store, iter_nodes
 from aobs.oracle import Condition, tab_equal, tab_prob
 
-from conftest import enum_canonical, random_tabular
+from conftest import enum_canonical, random_dag, random_tabular
 
 THREE_VAR_STATE = {
     "universe": ["a", "b", "c"],
@@ -28,6 +30,21 @@ THREE_VAR_STATE = {
         {"or": {"weights": [0.7, 0.3],
                 "children": [{"lit": ["c", 0]}, {"lit": ["c", 1]}]}},
     ]},
+}
+
+# the same state as a node table: children first, the root last
+THREE_VAR_TABLE = {
+    "universe": ["a", "b", "c"],
+    "nodes": [
+        ["lit", "a", 0],
+        ["lit", "b", 0],
+        ["lit", "b", 1],
+        ["or", [0.4, 0.6], [1, 2]],
+        ["lit", "c", 0],
+        ["lit", "c", 1],
+        ["or", [0.7, 0.3], [4, 5]],
+        ["and", [0, 3, 6]],
+    ],
 }
 
 TWO_ROW_STATE = {
@@ -47,9 +64,38 @@ def _write(path, doc):
 
 class TestStateDocuments:
     def test_round_trip_same_ref(self):
+        # the nested form, the table form and the written table of one
+        # state intern to one root
         s = state_from_json(THREE_VAR_STATE)
-        again = state_from_json(state_to_json(s), s.store)
+        assert state_from_json(THREE_VAR_TABLE, s.store).root is s.root
+        written = state_to_json(s)
+        assert set(written) == {"universe", "nodes"}
+        again = state_from_json(written, s.store)
         assert again.root is s.root
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_vars=st.integers(1, 8))
+    def test_table_round_trip(self, seed, num_vars):
+        s = random_dag(random.Random(seed), num_vars)
+        doc = json.loads(json.dumps(state_to_json(s)))
+        assert len(doc["nodes"]) == sum(1 for _ in iter_nodes(s.root))
+        assert state_from_json(doc, s.store).root is s.root
+        assert state_from_json(doc).root.key == s.root.key
+
+    def test_thousand_level_dag_round_trip(self):
+        # each level is an OR over two ANDs sharing the level below, so the
+        # graph is 2,000 nodes deep and its nested tree has 2**1000 leaves
+        store = Store()
+        node = store.make_or([(0.5, store.make_lit(0, 0)),
+                              (0.5, store.make_lit(0, 1))])
+        for v in range(1, 1000):
+            node = store.make_or([
+                (0.5, store.make_and([store.make_lit(v, 0), node])),
+                (0.5, store.make_and([store.make_lit(v, 1), node])),
+            ])
+        s = Aobs(node, store, tuple(range(1000)))
+        text = json.dumps(state_to_json(s))
+        assert state_from_json(json.loads(text), store).root is s.root
 
     def test_rows_alternative(self):
         s = state_from_json(TWO_ROW_STATE)
@@ -61,6 +107,11 @@ class TestStateDocuments:
     def test_missing_universe(self):
         with pytest.raises(SchemaError):
             state_from_json({"root": {"lit": ["a", 0]}})
+
+    @pytest.mark.parametrize("universe", [[], ["a", "a"], [["a"]], "a"])
+    def test_bad_universe(self, universe):
+        with pytest.raises(SchemaError):
+            state_from_json({"universe": universe, "nodes": [["lit", "a", 0]]})
 
     def test_unknown_node_kind(self):
         with pytest.raises(SchemaError):
@@ -157,6 +208,51 @@ class TestEvalCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("input error:")
 
+    @pytest.mark.parametrize("nodes", [
+        pytest.param([["and", [1]], ["lit", "a", 0]], id="forward-reference"),
+        pytest.param([["lit", "a", 0], ["and", [1]]], id="self-reference"),
+        pytest.param([["lit", "a", 0], ["and", [-1]]], id="negative-index"),
+        pytest.param([["lit", "a", 0], ["and", [2]]], id="index-out-of-range"),
+        pytest.param([["lit", "a", 0], ["lit", "a", 1],
+                      ["or", [0.5, 0.5], [0, True]]], id="true-index"),
+        pytest.param([["lit", "a", 0], ["lit", "a", 1],
+                      ["or", [0.5, 0.5], [0, 1.0]]], id="float-index"),
+        pytest.param([["lit", "a", 0], ["xor", [0]]], id="unknown-kind"),
+        pytest.param([["lit", "a", 0], ["lit", "a", 1],
+                      ["or", [1.0], [0, 1]]], id="weights-children-mismatch"),
+        pytest.param([["lit", "a", 0], ["lit", "a", 1],
+                      ["or", ["0.5", 0.5], [0, 1]]], id="string-weight"),
+        pytest.param([], id="empty-nodes"),
+        pytest.param([{"lit": ["a", 0]}], id="entry-not-a-list"),
+        pytest.param([["lit", "a"]], id="short-lit"),
+        pytest.param([["lit", "q", 0]], id="unknown-variable"),
+        pytest.param([["lit", ["a"], 0]], id="unhashable-name"),
+        pytest.param([["and", []]], id="root-misses-variables"),
+        pytest.param({"0": ["lit", "a", 0]}, id="nodes-not-a-list"),
+    ])
+    def test_malformed_table_exit_2(self, tmp_path, capsys, nodes):
+        doc = {"universe": ["a"], "nodes": nodes}
+        rc = main(["eval", _write(tmp_path / "s.json", doc),
+                   _write(tmp_path / "c.json", {})])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("layout", ["root", "nodes"])
+    def test_non_finite_weight_exit_2(self, tmp_path, capsys, weight, layout):
+        if layout == "root":
+            doc = {"universe": ["a"], "root": {"or": {
+                "weights": [weight, 0.5],
+                "children": [{"lit": ["a", 0]}, {"lit": ["a", 1]}]}}}
+        else:
+            doc = {"universe": ["a"], "nodes": [
+                ["lit", "a", 0], ["lit", "a", 1],
+                ["or", [weight, 0.5], [0, 1]]]}
+        rc = main(["eval", _write(tmp_path / "s.json", doc),
+                   _write(tmp_path / "c.json", {"a": [0]})])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
     def test_thousand_row_document(self, tmp_path, capsys):
         # a union chain of this many rows overflowed the recursion limit
         rows = random_tabular(random.Random(5), 50, 4, 1053)
@@ -201,6 +297,52 @@ class TestActCommand:
         result = state_from_json(json.loads(out.read_text()))
         assert tab_equal(enum_canonical(result),
                          enum_canonical(state_from_json(TWO_ROW_STATE)))
+
+    def test_writes_table(self, tmp_path):
+        out = tmp_path / "out.json"
+        rc = main(["act",
+                   _write(tmp_path / "s.json", THREE_VAR_TABLE),
+                   _write(tmp_path / "c.json", {"b": [1]}),
+                   _write(tmp_path / "a.json", {"outcomes": [[1.0, {"c": 1}]]}),
+                   "--out", str(out)])
+        assert rc == 0
+        text = out.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert set(json.loads(text)) == {"universe", "nodes"}
+
+    @pytest.mark.parametrize("state, condition, action", [
+        pytest.param({"universe": ["X"], "root": {"lit": ["X", True]}}, {},
+                     {"outcomes": [[1.0, {"X": 0}]]}, id="nested-lit-true"),
+        pytest.param({"universe": ["X"], "root": {"lit": ["X", 1.0]}}, {},
+                     {"outcomes": [[1.0, {"X": 0}]]}, id="nested-lit-float"),
+        pytest.param({"universe": ["X"], "nodes": [["lit", "X", "1"]]}, {},
+                     {"outcomes": [[1.0, {"X": 0}]]}, id="table-lit-string"),
+        pytest.param({"universe": ["X"], "rows": [[1.0, {"X": 1.9}]]}, {},
+                     {"outcomes": [[1.0, {"X": 0}]]}, id="row-value-float"),
+        pytest.param({"universe": ["X"], "rows": [[1.0, {"X": False}]]}, {},
+                     {"outcomes": [[1.0, {"X": 0}]]}, id="row-value-false"),
+        pytest.param(TWO_ROW_STATE, {"Y": [1.9]}, OVERWRITE_YZ,
+                     id="condition-float"),
+        pytest.param(TWO_ROW_STATE, {"Y": [True]}, OVERWRITE_YZ,
+                     id="condition-true"),
+        pytest.param(TWO_ROW_STATE, {"Y": ["1"]}, OVERWRITE_YZ,
+                     id="condition-string"),
+        pytest.param(TWO_ROW_STATE, {}, {"outcomes": [[1.0, {"Y": 1.9}]]},
+                     id="action-float"),
+        pytest.param(TWO_ROW_STATE, {}, {"outcomes": [[1.0, {"Y": True}]]},
+                     id="action-true"),
+        pytest.param(TWO_ROW_STATE, {}, {"outcomes": [[1.0, {"Y": "2"}]]},
+                     id="action-string"),
+    ])
+    def test_non_integer_value_exit_2(self, tmp_path, capsys, state,
+                                      condition, action):
+        rc = main(["act",
+                   _write(tmp_path / "s.json", state),
+                   _write(tmp_path / "c.json", condition),
+                   _write(tmp_path / "a.json", action),
+                   "--out", str(tmp_path / "out.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("input error:")
 
     def test_bad_action_mass_exit_2(self, tmp_path):
         bad = {"outcomes": [[0.7, {"Y": 2}], [0.2, {"Y": 0}]]}

@@ -20,12 +20,13 @@ from aobs.core import (
     from_physical_state,
     from_tabular,
     iter_nodes,
+    postorder,
     size_metric,
     union_roots,
 )
 from aobs.oracle import tab_canonical, tab_equal
 
-from conftest import enum_canonical, random_aobs, random_tabular
+from conftest import enum_canonical, random_aobs, random_dag, random_tabular
 
 FOUR_ROW_TABLE = [
     (0.28, ((0, 0), (1, 0), (2, 0))),
@@ -102,6 +103,13 @@ class TestMakeOr:
         with pytest.raises(AobsError):
             store.make_or([(0.0, store.make_lit(0, 0))])
 
+    @pytest.mark.parametrize("w", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, store, w):
+        # NaN fails every comparison, so a test of w <= 0 alone let it in
+        with pytest.raises(AobsError):
+            store.make_or([(w, store.make_lit(0, 0)),
+                           (0.5, store.make_lit(0, 1))])
+
     def test_tiny_weights_keep_relative_precision(self, store):
         # keyed to 12 decimal places, both weights read 0.000000000000 and
         # the second union came back with the first one's weights
@@ -166,6 +174,29 @@ class TestCountStates:
         for _ in range(30):
             s, _ = random_aobs(rng)
             assert count_states(s.root) == len(enumerate_states(s.root))
+
+
+class TestPostorder:
+    def test_children_first_each_node_once(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            s = random_dag(rng, 6)
+            order = postorder(s.root)
+            position = {n.key: i for i, n in enumerate(order)}
+            assert len(position) == len(order)
+            assert set(position) == {n.key for n in iter_nodes(s.root)}
+            assert order[-1] is s.root
+            assert all(position[c.key] < i
+                       for i, n in enumerate(order) for c in n.children)
+
+    def test_deep_chain(self, store):
+        # deeper than the interpreter's recursion limit
+        node = store.make_lit(0, 0)
+        for v in range(1, 3000):
+            node = store.make_and([store.make_lit(v, 0), node])
+        order = postorder(node)
+        assert len(order) == 2 * 3000 - 1
+        assert order[-1] is node
 
 
 def _walk_size(g):

@@ -9,44 +9,9 @@ from aobs.core import LIT, Aobs, Store, from_physical_state, size_metric
 from aobs.oracle import tab_apply_action, tab_equal
 from aobs.optimize import greedy_optimize
 
-from conftest import assert_normal_form, enum_canonical, random_aobs
-
-
-def _random_dag(rng, num_vars):
-    """A random state whose AND nodes share many children over several
-    levels: a variable takes one of three substates, and substates built
-    over a block of variables are reused at random.  Inner OR weights are
-    not normalized, so the state's mass is not 1."""
-    store = Store()
-    menus = {}
-    for v in range(num_vars):
-        lits = [store.make_lit(v, 0), store.make_lit(v, 1)]
-        menus[(v,)] = lits + [store.make_or([(0.3, lits[0]), (0.7, lits[1])])]
-    pools = {}
-
-    def build(block, depth):
-        if len(block) == 1:
-            return rng.choice(menus[block])
-        pool = pools.setdefault(block, [])
-        if pool and rng.random() < 0.3:
-            return rng.choice(pool)
-        if depth > 0 and rng.random() < 0.4:
-            node = store.make_or([(rng.random() + 0.1, build(block, depth - 1))
-                                  for _ in range(rng.randint(2, 3))])
-        else:
-            cuts = sorted(rng.sample(range(1, len(block)),
-                                     rng.randint(len(block) // 2, len(block) - 1)))
-            parts = [block[i:j] for i, j in zip([0] + cuts, cuts + [len(block)])]
-            node = store.make_and([build(part, max(depth - 1, 0))
-                                   for part in parts])
-        pool.append(node)
-        return node
-
-    weights = [rng.random() + 0.1 for _ in range(4)]
-    total = sum(weights)
-    universe = tuple(range(num_vars))
-    root = store.make_or([(w / total, build(universe, 3)) for w in weights])
-    return Aobs(root, store, universe)
+from conftest import (
+    assert_normal_form, enum_canonical, random_aobs, random_dag,
+)
 
 
 def _two_ands(store, values_a, values_b):
@@ -162,7 +127,7 @@ class TestGreedyOptimize:
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), num_vars=st.integers(3, 8))
     def test_random_dags(self, seed, num_vars):
-        s = _random_dag(random.Random(seed), num_vars)
+        s = random_dag(random.Random(seed), num_vars)
         _assert_exact(s, greedy_optimize(s))
 
     @settings(max_examples=200, deadline=None)
