@@ -7,9 +7,10 @@ part, graft the action's outcome subgraph, and normalize the result.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .core import (
     AND,
@@ -20,6 +21,7 @@ from .core import (
     AobsError,
     Node,
     Store,
+    fold,
 )
 from .oracle import Action, Condition
 from .query import probability
@@ -39,39 +41,36 @@ class MassLeak(AobsError):
     """Normalization left the root with total mass other than 1."""
 
 
-def _label(node: Node, c: Condition, labels: LabelMap) -> str:
-    got = labels.get(node.key)
-    if got is not None:
-        return got
-    if node.kind == LIT:
-        out = INCLUDED if c.allows(node.var, node.value) else EXCLUDED
-    elif node.kind == AND:
-        # all children are labeled even after an excluded one, so the map
-        # covers every reachable node
-        out = INCLUDED
-        for child in node.children:
-            cl = _label(child, c, labels)
-            if cl == EXCLUDED:
-                out = EXCLUDED
-            elif cl == MIXED and out != EXCLUDED:
-                out = MIXED
-        # the empty AND has no constrained literals, hence included
-    else:
-        has_inc = has_exc = False
-        for child in node.children:
-            cl = _label(child, c, labels)
-            if cl in (EXCLUDED, MIXED):
-                has_exc = True
-            if cl in (INCLUDED, MIXED):
-                has_inc = True
-        if has_inc and has_exc:
-            out = MIXED
-        elif has_inc:
+def _labeler(c: Condition, labels: LabelMap) -> Callable[[Node], str]:
+    """``label(node)``: the label of ``node``, labelling every node below it
+    that ``labels`` lacks."""
+    allowed = c.allowed
+
+    def leaf(node: Node) -> Optional[str]:
+        if node.kind != LIT:
+            return None
+        vals = allowed.get(node.var)
+        return INCLUDED if vals is None or node.value in vals else EXCLUDED
+
+    def step(node: Node) -> str:
+        if node.kind == AND:
+            # the empty AND has no constrained literals, hence included
             out = INCLUDED
-        else:
-            out = EXCLUDED
-    labels[node.key] = out
-    return out
+            for ch in node.children:
+                cl = labels[ch.key]
+                if cl == EXCLUDED:
+                    return EXCLUDED
+                if cl == MIXED:
+                    out = MIXED
+            return out
+        # an OR whose children agree has their label, else it is mixed
+        out = labels[node.children[0].key]
+        for ch in node.children:
+            if labels[ch.key] != out:
+                return MIXED
+        return out
+
+    return functools.partial(fold, memo=labels, step=step, leaf=leaf)
 
 
 def label_nodes(root: Node, c: Condition) -> LabelMap:
@@ -81,7 +80,7 @@ def label_nodes(root: Node, c: Condition) -> LabelMap:
     excluded when none of it does, mixed otherwise.  Keys are node digests.
     """
     labels: LabelMap = {}
-    _label(root, c, labels)
+    _labeler(c, labels)(root)
     return labels
 
 
@@ -97,7 +96,7 @@ def find_minimal_subgraphs(
     covers the action and condition variables; it is minimal when no child also
     qualifies.  Within an AND at most one child can cover the full union (its
     children are variable-disjoint); within an OR every included/mixed child is
-    explored.
+    explored.  They are listed in depth-first order.
     """
     need = avars | c.variables
     out: List[Node] = []
@@ -106,58 +105,72 @@ def find_minimal_subgraphs(
     def qualifies(n: Node) -> bool:
         return labels.get(n.key) in (INCLUDED, MIXED) and need <= n.omega
 
-    def descend(n: Node) -> None:
+    stack = [root] if qualifies(root) else []
+    while stack:
+        n = stack.pop()
         if n.key in seen:
-            return
+            continue
         seen.add(n.key)
         inner = [ch for ch in n.children if qualifies(ch)]
-        if not inner:
+        if inner:
+            stack.extend(reversed(inner))
+        else:
             out.append(n)
-            return
-        for ch in inner:
-            descend(ch)
-
-    if qualifies(root):
-        descend(root)
     return out
 
 
-def isolate(n: Node, c: Condition, labels: LabelMap, store: Store) -> Node:
+def isolate(n: Node, c: Condition, labels: LabelMap, store: Store,
+            memo: Optional[Dict[str, Node]] = None) -> Node:
     """Rewrite a mixed node into an equivalent OR with pure children.
 
-    Mixed OR children are isolated recursively and their edges spliced in with
+    Mixed OR children are isolated first and their edges spliced in with
     multiplied weights.  A mixed AND becomes an OR over one fully-included term
     plus disjoint telescoped excluded terms, so the edge weights still sum to
-    the node's original mass.
+    the node's original mass.  ``memo`` maps node keys to isolated nodes (a
+    pure node to itself); isolating depends only on the node and the
+    condition, so all isolations of one action can share one memo.
     """
-    if _label(n, c, labels) != MIXED:
+    label = _labeler(c, labels)
+    if label(n) != MIXED:
         raise NotMixed(f"cannot isolate a node labeled {labels.get(n.key)}")
+    iso: Dict[str, Node] = {} if memo is None else memo
 
-    if n.kind == OR:
-        edges: List[Tuple[float, Node]] = []
-        for w, ch in n.edges():
-            if _label(ch, c, labels) == MIXED:
-                iso = _pure_or(ch, c, labels, store)
-                edges.extend((w * w2, g) for w2, g in iso.edges())
-            else:
-                edges.append((w, ch))
-        return store.make_or(edges)
+    def leaf(node: Node) -> Optional[Node]:
+        return node if labels[node.key] != MIXED else None
 
-    # mixed AND: split its mixed OR parts into included/excluded halves
+    def step(node: Node) -> Node:
+        if node.kind == OR:
+            # an OR is pure once its mixed children are split
+            if all(labels[g.key] != MIXED for g in node.children):
+                return node
+            edges: List[Tuple[float, Node]] = []
+            for w, ch in node.edges():
+                if labels[ch.key] == MIXED:
+                    edges.extend((w * w2, g) for w2, g in iso[ch.key].edges())
+                else:
+                    edges.append((w, ch))
+            return store.make_or(edges)
+        return _split_and(node, labels, label, iso, store)
+
+    return fold(n, iso, step, leaf)
+
+
+def _split_and(n: Node, labels: LabelMap, label: Callable[[Node], str],
+               iso: Dict[str, Node], store: Store) -> Node:
+    """The mixed AND ``n`` as an OR with pure children, its mixed children
+    isolated in ``iso``: split each of them into included/excluded halves."""
     fixed: List[Node] = []
     parts: List[Tuple[Node, Node, Node, float]] = []  # (inc, exc, full, m)
     for ch in n.children:
-        cl = _label(ch, c, labels)
+        cl = labels[ch.key]
         if cl == EXCLUDED:
             raise AobsError("mixed AND node with an excluded child")
         if cl == INCLUDED:
             fixed.append(ch)
             continue
-        pure = _pure_or(ch, c, labels, store)
-        inc = [(w, g) for w, g in pure.edges()
-               if _label(g, c, labels) == INCLUDED]
-        exc = [(w, g) for w, g in pure.edges()
-               if _label(g, c, labels) == EXCLUDED]
+        pure = iso[ch.key]
+        inc = [(w, g) for w, g in pure.edges() if label(g) == INCLUDED]
+        exc = [(w, g) for w, g in pure.edges() if label(g) == EXCLUDED]
         total = sum(w for w, _ in pure.edges())
         inc_mass = sum(w for w, _ in inc)
         parts.append((
@@ -187,15 +200,6 @@ def isolate(n: Node, c: Condition, labels: LabelMap, store: Store) -> Node:
     return store.make_or(terms)
 
 
-def _pure_or(ch: Node, c: Condition, labels: LabelMap, store: Store) -> Node:
-    """An OR equivalent to ``ch`` whose children are all pure."""
-    if ch.kind == OR and all(
-        _label(g, c, labels) != MIXED for g in ch.children
-    ):
-        return ch
-    return isolate(ch, c, labels, store)
-
-
 def erase_action_vars(
     n: Node,
     avars: FrozenSet[int],
@@ -211,31 +215,16 @@ def erase_action_vars(
     maps node keys to erased nodes; erasing depends only on the node and
     ``avars``, so all grafts of one action can share one memo.
     """
-    return _erase(n, avars, store, {} if memo is None else memo)
+    erased: Dict[str, Node] = {} if memo is None else memo
 
+    def leaf(node: Node) -> Optional[Node]:
+        if avars.isdisjoint(node.omega):
+            return node
+        if node.omega <= avars:
+            return store.empty_and()
+        return None
 
-# The recursive walks that hold a store (``_erase``, ``_normal``, ``_rebuild``)
-# are module-level functions rather than closures: a closure that calls itself
-# is a reference cycle, which would keep the store alive until the next full
-# garbage collection instead of freeing it with its last state.
-
-def _erase(node: Node, avars: FrozenSet[int], store: Store,
-           memo: Dict[str, Node]) -> Node:
-    if avars.isdisjoint(node.omega):
-        return node
-    got = memo.get(node.key)
-    if got is not None:
-        return got
-    if node.omega <= avars:
-        out = store.empty_and()
-    elif node.kind == AND:
-        out = store.make_and([_erase(ch, avars, store, memo)
-                              for ch in node.children])
-    else:
-        out = store.make_or([(w, _erase(ch, avars, store, memo))
-                             for w, ch in node.edges()])
-    memo[node.key] = out
-    return out
+    return fold(n, erased, store.rebuilder(erased), leaf)
 
 
 def action_subgraph(store: Store, a: Action) -> Node:
@@ -268,48 +257,45 @@ def normalize(s: Aobs) -> Aobs:
     so they miss and are spliced as before.  An entry never goes stale:
     interned nodes are immutable and the store never drops one.
     """
-    scale, root = _normal(s.root, s.store, s.store.normal)
+    store = s.store
+    memo = store.normal
+
+    def step(node: Node) -> Tuple[float, Node]:
+        if node.kind == LIT:
+            out = (1.0, node)
+        elif node.kind == AND:
+            scale = 1.0
+            parts: List[Node] = []
+            same = True
+            for ch in node.children:
+                sc, nn = memo[ch.key]
+                scale *= sc
+                if nn.kind == AND:
+                    parts.extend(nn.children)
+                    same = False
+                else:
+                    parts.append(nn)
+                    same = same and nn is ch
+            out = (scale, node if same else store.make_and(parts))
+        else:
+            edges: List[Tuple[float, Node]] = []
+            for w, ch in node.edges():
+                sc, nn = memo[ch.key]
+                ww = w * sc
+                if nn.kind == OR:
+                    edges.extend((ww * w2, g) for w2, g in nn.edges())
+                else:
+                    edges.append((ww, nn))
+            total = sum(w for w, _ in edges)
+            out = (total, store.make_or([(w / total, g) for w, g in edges]))
+        # an output is in normal form with unit mass: its own fixed point
+        memo.setdefault(out[1].key, (1.0, out[1]))
+        return out
+
+    scale, root = fold(s.root, memo, step)
     if abs(scale - 1.0) > EPS_P:
         raise MassLeak(f"root mass is {scale}, expected 1")
     return Aobs(root, s.store, s.universe, s.var_names)
-
-
-def _normal(node: Node, store: Store,
-            memo: Dict[str, Tuple[float, Node]]) -> Tuple[float, Node]:
-    got = memo.get(node.key)
-    if got is not None:
-        return got
-    if node.kind == LIT:
-        out = (1.0, node)
-    elif node.kind == AND:
-        scale = 1.0
-        parts: List[Node] = []
-        same = True
-        for ch in node.children:
-            sc, nn = _normal(ch, store, memo)
-            scale *= sc
-            if nn.kind == AND:
-                parts.extend(nn.children)
-                same = False
-            else:
-                parts.append(nn)
-                same = same and nn is ch
-        out = (scale, node if same else store.make_and(parts))
-    else:
-        edges: List[Tuple[float, Node]] = []
-        for w, ch in node.edges():
-            sc, nn = _normal(ch, store, memo)
-            ww = w * sc
-            if nn.kind == OR:
-                edges.extend((ww * w2, g) for w2, g in nn.edges())
-            else:
-                edges.append((ww, nn))
-        total = sum(w for w, _ in edges)
-        out = (total, store.make_or([(w / total, g) for w, g in edges]))
-    memo[node.key] = out
-    # an output is in normal form with unit mass: its own fixed point
-    memo.setdefault(out[1].key, (1.0, out[1]))
-    return out
 
 
 @dataclass
@@ -333,15 +319,18 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     a.check_within(s.universe)
     store = s.store
     labels: LabelMap = {}
-    root_label = _label(s.root, c, labels)
+    label = _labeler(c, labels)
+    root_label = label(s.root)
     selected = probability(s, c)
     if root_label == EXCLUDED:
         return ApplyResult(s, 0.0)
 
     avars = a.variables
+    need = avars | c.variables
     act_node = action_subgraph(store, a)
     minimal = find_minimal_subgraphs(s.root, c, avars, labels)
     erased: Dict[str, Node] = {}
+    isolated: Dict[str, Node] = {}
 
     def graft(part: Node) -> Node:
         return store.make_and([erase_action_vars(part, avars, store, erased),
@@ -353,36 +342,24 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
         if labels[n.key] == INCLUDED:
             rebuilt[n.key] = graft(n)
         else:
-            iso = isolate(n, c, labels, store)
+            iso = isolate(n, c, labels, store, isolated)
             edges = []
             for w, ch in iso.edges():
-                if _label(ch, c, labels) == INCLUDED:
+                if label(ch) == INCLUDED:
                     ch = graft(ch)
                 edges.append((w, ch))
             rebuilt[n.key] = store.make_or(edges)
 
-    new_root = _rebuild(s.root, avars | c.variables, labels, store, rebuilt)
-    result = normalize(Aobs(new_root, store, s.universe, s.var_names))
-    return ApplyResult(result, selected)
-
-
-def _rebuild(node: Node, need: FrozenSet[int], labels: LabelMap, store: Store,
-             rebuilt: Dict[str, Node]) -> Node:
-    got = rebuilt.get(node.key)
-    if got is not None:
-        return got
     # Only ancestors of minimal subgraphs change, and every such ancestor
     # covers ``need`` and is included or mixed: an AND ancestor's other
     # children are disjoint from the minimal subgraph's variables, which
     # contain the condition's, so they are included.  Any other node is kept
     # as is.  A qualifying literal is minimal, so it is in ``rebuilt`` already.
-    if not need <= node.omega or labels[node.key] == EXCLUDED:
-        return node
-    if node.kind == AND:
-        out = store.make_and([_rebuild(ch, need, labels, store, rebuilt)
-                              for ch in node.children])
-    else:
-        out = store.make_or([(w, _rebuild(ch, need, labels, store, rebuilt))
-                             for w, ch in node.edges()])
-    rebuilt[node.key] = out
-    return out
+    def kept(node: Node) -> Optional[Node]:
+        if not need <= node.omega or labels[node.key] == EXCLUDED:
+            return node
+        return None
+
+    new_root = fold(s.root, rebuilt, store.rebuilder(rebuilt), kept)
+    result = normalize(Aobs(new_root, store, s.universe, s.var_names))
+    return ApplyResult(result, selected)

@@ -11,8 +11,9 @@ three bodies:
   written and read once, and the table has no depth limit.
 * ``root``, one nested node: ``{"lit": [name, value]}``, ``{"and": [...]}``
   or ``{"or": {"weights": [...], "children": [...]}}``.  Shared nodes are
-  spelled out again wherever they occur, and ``json.load`` itself recurses,
-  so documents nested deeper than about 495 ANDs exit 2.
+  spelled out again wherever they occur.  This is the only body with a
+  depth limit: ``json.load`` and the reader recurse, so documents nested
+  deeper than about 495 ANDs exit 2.
 * ``rows``, a list of ``[probability, assignment]`` pairs.
 
 Variable values, table indices, condition values and action values must
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -49,8 +51,8 @@ from .core import (
     Node,
     Store,
     from_tabular,
+    fold,
     iter_nodes,
-    postorder,
     size_metric,
 )
 from .oracle import Action, Condition
@@ -90,16 +92,17 @@ def state_to_json(s: Aobs) -> Dict[str, Any]:
     name = {v: s.name_of(v) for v in s.universe}
     position: Dict[str, int] = {}
     nodes: List[Any] = []
-    for node in postorder(s.root):
-        position[node.key] = len(nodes)
+
+    def step(node: Node) -> int:
         if node.kind == LIT:
             nodes.append(["lit", name[node.var], node.value])
-            continue
-        kids = [position[c.key] for c in node.children]
-        if node.kind == AND:
-            nodes.append(["and", kids])
         else:
-            nodes.append(["or", list(node.weights), kids])
+            kids = [position[c.key] for c in node.children]
+            nodes.append(["and", kids] if node.kind == AND
+                         else ["or", list(node.weights), kids])
+        return len(nodes) - 1
+
+    fold(s.root, position, step)
     return {"universe": [name[v] for v in s.universe], "nodes": nodes}
 
 
@@ -210,7 +213,12 @@ def state_from_json(doc: Any, store: Optional[Store] = None) -> Aobs:
         if "nodes" in doc:
             root = _table_root(doc["nodes"], index, store)
         elif "root" in doc:
-            root = _node_from_json(doc["root"], index, store)
+            try:
+                root = _node_from_json(doc["root"], index, store)
+            except RecursionError:
+                raise SchemaError(
+                    "'root' is nested too deeply to read; "
+                    "write the state as a 'nodes' table") from None
         elif "rows" in doc:
             rows = _rows(doc["rows"], index)
             return from_tabular(store, rows, universe, tuple(names))
@@ -408,9 +416,14 @@ def _load(path: str) -> Any:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"cannot read {path}: nested too deeply") from None
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``aobs`` argument parser, built once per process: every call
+    returns the same parser, which callers must not modify."""
     parser = argparse.ArgumentParser(
         prog="aobs",
         description="And-Or belief state toolkit",
@@ -465,10 +478,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("input error: document nested too deeply to process",
-              file=sys.stderr)
         return 2
     except AobsError as exc:
         print(f"error: {exc}", file=sys.stderr)

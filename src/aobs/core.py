@@ -16,7 +16,10 @@ import hashlib
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+    Tuple, TypeVar,
+)
 
 #: global tolerance for probability-mass checks
 EPS_P = 1e-9
@@ -32,6 +35,8 @@ OR = "or"
 
 # A partial physical state: sorted tuple of (variable, value) pairs.
 StateTuple = Tuple[Tuple[int, int], ...]
+
+T = TypeVar("T")
 
 
 class AobsError(Exception):
@@ -219,24 +224,23 @@ class Store:
             node = self._intern(Node(OR, None, None, kids, weights, key, omega))
         return node
 
+    def rebuilder(self, results: Mapping[str, Node]) -> Callable[[Node], Node]:
+        """A :func:`fold` step that builds a node in this store over its
+        children's ``results``."""
+        def step(node: Node) -> Node:
+            if node.kind == AND:
+                return self.make_and([results[c.key] for c in node.children])
+            if node.kind == OR:
+                return self.make_or([(w, results[c.key]) for w, c
+                                     in zip(node.weights, node.children)])
+            return self.make_lit(node.var, node.value)
+
+        return step
+
     def reintern(self, node: Node) -> Node:
         """Copy a node (and its subgraph) from another store into this one."""
         memo: Dict[str, Node] = {}
-
-        def rec(n: Node) -> Node:
-            got = memo.get(n.key)
-            if got is not None:
-                return got
-            if n.kind == LIT:
-                out = self.make_lit(n.var, n.value)
-            elif n.kind == AND:
-                out = self.make_and([rec(c) for c in n.children])
-            else:
-                out = self.make_or([(w, rec(c)) for w, c in n.edges()])
-            memo[n.key] = out
-            return out
-
-        return rec(node)
+        return fold(node, memo, self.rebuilder(memo))
 
 
 def iter_nodes(root: Node) -> Iterator[Node]:
@@ -252,30 +256,51 @@ def iter_nodes(root: Node) -> Iterator[Node]:
                 stack.append(child)
 
 
-def postorder(root: Node) -> List[Node]:
-    """The unique nodes reachable from ``root``, each after all of its
-    children, so ``root`` comes last.
+def fold(root: Node, memo: Dict[str, T], step: Callable[[Node], T],
+         leaf: Optional[Callable[[Node], Optional[T]]] = None) -> T:
+    """Fold the DAG below ``root`` bottom-up and return ``memo[root.key]``.
 
-    The walk keeps its own stack, so a graph of any depth is walked without
-    recursion.
+    Each unique node ``n`` reachable from ``root`` and not yet in ``memo`` is
+    stepped once, after all of its children, as ``memo[n.key] = step(n)``;
+    ``step`` reads its children's results from ``memo``.  ``memo`` is also
+    the visited set: a node already in it, from this walk or an earlier
+    one, is neither stepped again nor descended into.  If ``leaf(n)`` is not
+    None, it is ``n``'s result and ``n``'s children are not visited.
+
+    Nodes are stepped in the order a recursive walk over the children in
+    order would step them, but the walk keeps its own stack (a node, a
+    ``None`` marker, then its children), so a graph of any depth is folded
+    without recursion.
     """
-    seen = {root.key}
-    order: List[Node] = []
-    stack = [(root, iter(root.children))]
+    if root.key in memo:
+        return memo[root.key]
+    if leaf is not None:
+        out = leaf(root)
+        if out is not None:
+            memo[root.key] = out
+            return out
+    stack: List[Optional[Node]] = [root]
+    pop = stack.pop
+    push = stack.append
     while stack:
-        node, kids = stack[-1]
-        for child in kids:
-            if child.key not in seen:
-                # the nodes on the stack are ancestors of ``node``, which a
-                # DAG never reaches again, so a node met a second time is
-                # already in ``order``
-                seen.add(child.key)
-                stack.append((child, iter(child.children)))
-                break
-        else:
-            stack.pop()
-            order.append(node)
-    return order
+        node = pop()
+        if node is None:  # the marker: the node below it has its children
+            node = pop()
+            memo[node.key] = step(node)
+        elif node.key not in memo:  # a node may be pushed more than once
+            if not node.children:
+                memo[node.key] = step(node)
+                continue
+            push(node)
+            push(None)
+            for child in reversed(node.children):
+                key = child.key
+                if key not in memo:
+                    if leaf is None or (out := leaf(child)) is None:
+                        push(child)
+                    else:
+                        memo[key] = out
+    return memo[root.key]
 
 
 def count_states(n: Node) -> int:
@@ -285,22 +310,15 @@ def count_states(n: Node) -> int:
     """
     memo: Dict[str, int] = {}
 
-    def rec(node: Node) -> int:
-        got = memo.get(node.key)
-        if got is not None:
-            return got
-        if node.kind == LIT:
-            out = 1
-        elif node.kind == AND:
-            out = 1
-            for c in node.children:
-                out *= rec(c)
-        else:
-            out = sum(rec(c) for c in node.children)
-        memo[node.key] = out
+    def step(node: Node) -> int:
+        if node.kind == OR:
+            return sum([memo[c.key] for c in node.children])
+        out = 1  # also for a literal
+        for c in node.children:
+            out *= memo[c.key]
         return out
 
-    return rec(n)
+    return fold(n, memo, step)
 
 
 def _merge_assign(a: StateTuple, b: StateTuple) -> StateTuple:
@@ -317,41 +335,53 @@ def enumerate_states(
     Duplicate states are kept as-is unless ``merge`` is set (merging early is
     equivalent to merging the final table and keeps intermediates small).
     """
+    return list(_expand(n, cap, merge))
+
+
+def _expand(
+    n: Node, cap: int, merge: bool,
+    allows: Optional[Callable[[int, int], bool]] = None,
+) -> List[Tuple[float, StateTuple]]:
+    """:func:`enumerate_states` with only the literals that ``allows``
+    accepts (all if it is None): the rows of the states they select."""
     memo: Dict[str, List[Tuple[float, StateTuple]]] = {}
 
     def check(size: int) -> None:
         if size > cap:
             raise ExpansionTooLarge(f"expansion exceeds cap of {cap} rows")
 
-    def rec(node: Node) -> List[Tuple[float, StateTuple]]:
-        got = memo.get(node.key)
-        if got is not None:
-            return got
-        rows: List[Tuple[float, StateTuple]]
+    def step(node: Node) -> List[Tuple[float, StateTuple]]:
         if node.kind == LIT:
-            rows = [(1.0, ((node.var, node.value),))]
-        elif node.kind == AND:
+            if allows is None or allows(node.var, node.value):
+                return [(1.0, ((node.var, node.value),))]
+            return []
+        if node.kind == AND:
             rows = [(1.0, ())]
             for c in node.children:
-                sub = rec(c)
+                sub = memo[c.key]
                 check(len(rows) * len(sub))
                 rows = [
                     (p * q, _merge_assign(s, t)) for p, s in rows for q, t in sub
                 ]
                 if merge:
                     rows = _merge_rows(rows)
-        else:
-            rows = []
-            for w, c in node.edges():
-                sub = rec(c)
-                check(len(rows) + len(sub))
-                rows.extend((w * p, s) for p, s in sub)
-            if merge:
-                rows = _merge_rows(rows)
-        memo[node.key] = rows
-        return rows
+            return rows
+        rows = []
+        for w, c in node.edges():
+            sub = memo[c.key]
+            check(len(rows) + len(sub))
+            rows.extend((w * p, s) for p, s in sub)
+        return _merge_rows(rows) if merge else rows
 
-    return list(rec(n))
+    def leaf(node: Node) -> Optional[List[Tuple[float, StateTuple]]]:
+        # an AND over a literal the filter rejects selects nothing
+        if node.kind == AND and any(
+                ch.kind == LIT and not allows(ch.var, ch.value)
+                for ch in node.children):
+            return []
+        return None
+
+    return fold(n, memo, step, None if allows is None else leaf)
 
 
 def _merge_rows(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .core import AND, LIT, OR, Aobs, Node, Store, size_metric
+from .core import AND, LIT, OR, Aobs, Node, Store, fold, size_metric
 
 Edge = Tuple[float, Node]
 
@@ -45,35 +45,30 @@ def greedy_optimize(s: Aobs) -> Aobs:
     store's ``factored`` table across calls, each output as its own fixed
     point, so a call costs only the part of the graph built since the last.
     """
-    root = _factor(s.root, s.store, s.store.factored)
-    if root is s.root or size_metric(
-            Aobs(root, s.store, s.universe)) > size_metric(s):
-        return s
-    return Aobs(root, s.store, s.universe, s.var_names)
+    store = s.store
+    memo = store.factored
 
-
-# Module-level rather than closures: a closure that calls itself is a
-# reference cycle that keeps the store alive until the next full collection.
-
-def _factor(node: Node, store: Store, memo: Dict[str, Node]) -> Node:
-    got = memo.get(node.key)
-    if got is not None:
-        return got
-    if node.kind == LIT:
-        out = node
-    elif node.kind == AND:
-        kids = [_factor(ch, store, memo) for ch in node.children]
-        if all(k is ch and k.kind != AND for k, ch in zip(kids, node.children)):
+    def step(node: Node) -> Node:
+        if node.kind == LIT:
             out = node
+        elif node.kind == AND:
+            kids = [memo[ch.key] for ch in node.children]
+            if all(k is ch and k.kind != AND
+                   for k, ch in zip(kids, node.children)):
+                out = node
+            else:
+                out = store.make_and([f for k in kids for f in _factors(k)])
         else:
-            out = store.make_and([f for k in kids for f in _factors(k)])
-    else:
-        out = _factor_union(
-            [(w, _factor(ch, store, memo)) for w, ch in node.edges()],
-            store, memo)
-    memo[node.key] = out
-    memo.setdefault(out.key, out)
-    return out
+            out = _factor_union([(w, memo[ch.key]) for w, ch in node.edges()],
+                                store, memo)
+        memo.setdefault(out.key, out)
+        return out
+
+    root = fold(s.root, memo, step)
+    if root is s.root or size_metric(
+            Aobs(root, store, s.universe)) > size_metric(s):
+        return s
+    return Aobs(root, store, s.universe, s.var_names)
 
 
 def _factors(n: Node) -> Sequence[Node]:

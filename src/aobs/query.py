@@ -2,17 +2,9 @@
 selection."""
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Optional
 
-from .core import (
-    AND,
-    LIT,
-    Aobs,
-    Node,
-    StateTuple,
-    _merge_assign,
-    ExpansionTooLarge,
-)
+from .core import AND, LIT, Aobs, Node, _expand, fold
 from .oracle import Condition, TabularPBS, tab_canonical
 
 
@@ -21,73 +13,46 @@ def probability(s: Aobs, c: Condition) -> float:
 
     Evaluated in one pass over the DAG: literals contribute 0 or 1, AND nodes
     multiply, OR nodes take the weighted sum.  Shared subgraphs are evaluated
-    once per query.
+    once per query, and an AND with a literal child that the condition
+    rejects is 0 without visiting its other children.
     """
     c.check_within(s.universe)
+    allowed = c.allowed
     memo: Dict[str, float] = {}
 
-    def rec(node: Node) -> float:
-        got = memo.get(node.key)
-        if got is not None:
-            return got
-        if node.kind == LIT:
-            out = 1.0 if c.allows(node.var, node.value) else 0.0
-        elif node.kind == AND:
+    def leaf(node: Node) -> Optional[float]:
+        if node.kind == AND:
+            # the literal children are settled here, so they are not visited
+            for ch in node.children:
+                if ch.kind == LIT:
+                    vals = allowed.get(ch.var)
+                    if vals is not None and ch.value not in vals:
+                        return 0.0
+                    memo[ch.key] = 1.0
+        elif node.kind == LIT:
+            vals = allowed.get(node.var)
+            return 1.0 if vals is None or node.value in vals else 0.0
+        return None
+
+    def step(node: Node) -> float:
+        if node.kind == AND:
             out = 1.0
             for ch in node.children:
-                out *= rec(ch)
-                if out == 0.0:
-                    break
-        else:
-            out = sum(w * rec(ch) for w, ch in node.edges())
-        memo[node.key] = out
-        return out
+                out *= memo[ch.key]
+            return out
+        return sum([w * memo[ch.key]
+                    for w, ch in zip(node.weights, node.children)])
 
-    p = rec(s.root)
+    p = fold(s.root, memo, step, leaf)
     return min(max(p, 0.0), 1.0)
 
 
 def select_substate(s: Aobs, c: Condition, cap: int = 10**6) -> TabularPBS:
-    """The satisfying physical states with their (unnormalized) masses.
+    """The satisfying physical states with their (unnormalized) masses: the
+    expansion of the state over the literals the condition allows.
 
     The total mass of the returned canonical collection equals
     ``probability(s, c)``.
     """
     c.check_within(s.universe)
-    memo: Dict[str, List[Tuple[float, StateTuple]]] = {}
-
-    def check(size: int) -> None:
-        if size > cap:
-            raise ExpansionTooLarge(f"selection exceeds cap of {cap} rows")
-
-    def rec(node: Node) -> List[Tuple[float, StateTuple]]:
-        got = memo.get(node.key)
-        if got is not None:
-            return got
-        rows: List[Tuple[float, StateTuple]]
-        if node.kind == LIT:
-            if c.allows(node.var, node.value):
-                rows = [(1.0, ((node.var, node.value),))]
-            else:
-                rows = []
-        elif node.kind == AND:
-            rows = [(1.0, ())]
-            for ch in node.children:
-                sub = rec(ch)
-                if not sub:
-                    rows = []
-                    break
-                check(len(rows) * len(sub))
-                rows = [
-                    (p * q, _merge_assign(a, b)) for p, a in rows for q, b in sub
-                ]
-        else:
-            rows = []
-            for w, ch in node.edges():
-                sub = rec(ch)
-                check(len(rows) + len(sub))
-                rows.extend((w * p, a) for p, a in sub)
-        memo[node.key] = rows
-        return rows
-
-    return tab_canonical(rec(s.root))
+    return tab_canonical(_expand(s.root, cap, False, c.allows))

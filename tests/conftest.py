@@ -135,3 +135,18 @@ def random_dag(rng, num_vars):
     universe = tuple(range(num_vars))
     root = store.make_or([(w / total, build(universe, 3)) for w in weights])
     return Aobs(root, store, universe)
+
+
+def level_chain(store, levels):
+    """A state over ``levels`` uniform independent variables, built as a
+    chain: level ``v`` is an OR over ``v = 0`` and ``v = 1``, each an AND
+    with the level below, so the graph is about ``2 * levels`` nodes deep
+    and its tree expansion has ``2 ** levels`` leaves."""
+    node = store.make_or([(0.5, store.make_lit(0, 0)),
+                          (0.5, store.make_lit(0, 1))])
+    for v in range(1, levels):
+        node = store.make_or([
+            (0.5, store.make_and([store.make_lit(v, 0), node])),
+            (0.5, store.make_and([store.make_lit(v, 1), node])),
+        ])
+    return Aobs(node, store, tuple(range(levels)))

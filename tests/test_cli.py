@@ -10,16 +10,17 @@ from aobs.cli import (
     CSV_HEADER,
     SchemaError,
     action_from_json,
+    build_parser,
     condition_from_json,
     main,
     state_from_json,
     state_to_json,
     to_dot,
 )
-from aobs.core import Aobs, Store, iter_nodes
+from aobs.core import Store, iter_nodes
 from aobs.oracle import Condition, tab_equal, tab_prob
 
-from conftest import enum_canonical, random_dag, random_tabular
+from conftest import enum_canonical, level_chain, random_dag, random_tabular
 
 THREE_VAR_STATE = {
     "universe": ["a", "b", "c"],
@@ -85,17 +86,9 @@ class TestStateDocuments:
     def test_thousand_level_dag_round_trip(self):
         # each level is an OR over two ANDs sharing the level below, so the
         # graph is 2,000 nodes deep and its nested tree has 2**1000 leaves
-        store = Store()
-        node = store.make_or([(0.5, store.make_lit(0, 0)),
-                              (0.5, store.make_lit(0, 1))])
-        for v in range(1, 1000):
-            node = store.make_or([
-                (0.5, store.make_and([store.make_lit(v, 0), node])),
-                (0.5, store.make_and([store.make_lit(v, 1), node])),
-            ])
-        s = Aobs(node, store, tuple(range(1000)))
+        s = level_chain(Store(), 1000)
         text = json.dumps(state_to_json(s))
-        assert state_from_json(json.loads(text), store).root is s.root
+        assert state_from_json(json.loads(text), s.store).root is s.root
 
     def test_rows_alternative(self):
         s = state_from_json(TWO_ROW_STATE)
@@ -207,6 +200,24 @@ class TestEvalCommand:
         rc = main(["eval", str(path), _write(tmp_path / "c.json", {"a": [0]})])
         assert rc == 2
         assert capsys.readouterr().err.startswith("input error:")
+
+    def test_nested_root_too_deep_for_the_reader(self):
+        # json.load is not involved: the nested reader itself is too deep
+        root = {"lit": ["a", 0]}
+        for _ in range(5000):
+            root = {"and": [root]}
+        with pytest.raises(SchemaError, match="nested too deeply"):
+            state_from_json({"universe": ["a"], "root": root})
+
+    def test_library_recursion_error_is_not_blamed_on_input(
+            self, tmp_path, monkeypatch):
+        def deep(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("aobs.cli.probability", deep)
+        with pytest.raises(RecursionError):
+            main(["eval", _write(tmp_path / "s.json", THREE_VAR_STATE),
+                  _write(tmp_path / "c.json", {})])
 
     @pytest.mark.parametrize("nodes", [
         pytest.param([["and", [1]], ["lit", "a", 0]], id="forward-reference"),
@@ -397,6 +408,17 @@ class TestBenchCommand:
             main(["bench", "--vars", "4", "--values", "2", "--actions", "3",
                   "--seeds", "0", "--out", str(tmp_path / "run.csv")])
         assert exc.value.code == 2
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_keeps_usage_errors(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["eval"])
+            assert exc.value.code == 2
 
 
 class TestVerifyCommand:

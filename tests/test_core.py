@@ -18,9 +18,9 @@ from aobs.core import (
     count_states,
     enumerate_states,
     from_physical_state,
+    fold,
     from_tabular,
     iter_nodes,
-    postorder,
     size_metric,
     union_roots,
 )
@@ -176,12 +176,24 @@ class TestCountStates:
             assert count_states(s.root) == len(enumerate_states(s.root))
 
 
-class TestPostorder:
+def _postorder(root, leaf=None):
+    """The nodes ``fold`` steps, in the order it steps them."""
+    order = []
+
+    def step(node):
+        order.append(node)
+        return len(order) - 1
+
+    fold(root, {}, step, leaf)
+    return order
+
+
+class TestFold:
     def test_children_first_each_node_once(self):
         rng = random.Random(3)
         for _ in range(20):
             s = random_dag(rng, 6)
-            order = postorder(s.root)
+            order = _postorder(s.root)
             position = {n.key: i for i, n in enumerate(order)}
             assert len(position) == len(order)
             assert set(position) == {n.key for n in iter_nodes(s.root)}
@@ -189,14 +201,78 @@ class TestPostorder:
             assert all(position[c.key] < i
                        for i, n in enumerate(order) for c in n.children)
 
+    def test_steps_in_recursive_order(self):
+        # normalize and greedy_optimize record extra memo entries as they
+        # step, so their results depend on the order of the steps
+        def recursive(node, seen, order):
+            if node.key not in seen:
+                for c in node.children:
+                    recursive(c, seen, order)
+                seen.add(node.key)
+                order.append(node)
+            return order
+
+        rng = random.Random(4)
+        for _ in range(20):
+            s = random_dag(rng, 6)
+            assert _postorder(s.root) == recursive(s.root, set(), [])
+
     def test_deep_chain(self, store):
         # deeper than the interpreter's recursion limit
         node = store.make_lit(0, 0)
         for v in range(1, 3000):
             node = store.make_and([store.make_lit(v, 0), node])
-        order = postorder(node)
+        order = _postorder(node)
         assert len(order) == 2 * 3000 - 1
         assert order[-1] is node
+
+    def test_leaf_answered_nodes_are_not_descended(self, three_var_state):
+        root = three_var_state.root  # AND(a=0, OR over b, OR over c)
+        memo = {}
+        stepped = []
+
+        def step(node):
+            stepped.append(node)
+            return "stepped"
+
+        got = fold(root, memo, step,
+                   lambda n: "cut" if n.kind == OR else None)
+        assert got == "stepped"
+        assert [n.kind for n in stepped] == [LIT, AND]
+        assert sorted(memo.values()) == ["cut", "cut", "stepped", "stepped"]
+
+    def test_leaf_cuts_random_dags(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            s = random_dag(rng, 6)
+            cut = {n.key for n in iter_nodes(s.root)
+                   if n is not s.root and n.kind == OR}
+            # the nodes reachable from the root without passing a cut one
+            free, stack = set(), [s.root]
+            while stack:
+                n = stack.pop()
+                if n.key not in free:
+                    free.add(n.key)
+                    stack.extend(c for c in n.children if c.key not in cut)
+            stepped = []
+
+            def step(node):
+                stepped.append(node.key)
+
+            fold(s.root, {}, step, lambda n: n.key in cut or None)
+            assert sorted(stepped) == sorted(free)
+
+    def test_memo_entries_are_not_revisited(self, three_var_state):
+        root = three_var_state.root
+        memo = {c.key: "given" for c in root.children}
+        stepped = []
+
+        def step(node):
+            stepped.append(node)
+            return "stepped"
+
+        assert fold(root, memo, step) == "stepped"
+        assert stepped == [root]
 
 
 def _walk_size(g):
