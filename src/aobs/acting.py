@@ -7,10 +7,9 @@ part, graft the action's outcome subgraph, and normalize the result.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .core import (
     AND,
@@ -24,13 +23,22 @@ from .core import (
     fold,
 )
 from .oracle import Action, Condition
-from .query import probability
 
 INCLUDED = "I"
 EXCLUDED = "E"
 MIXED = "M"
 
-LabelMap = Dict[str, str]
+
+class LabelMap(Dict[str, str]):
+    """Node key -> label, filled in by one condition pass (:func:`_label`).
+
+    The pass does not descend below a node whose variables avoid the
+    condition's, so the nodes under it are missing; like it, they are
+    included, and that is what they read.
+    """
+
+    def __missing__(self, key: str) -> str:
+        return INCLUDED
 
 
 class NotMixed(AobsError):
@@ -41,46 +49,67 @@ class MassLeak(AobsError):
     """Normalization left the root with total mass other than 1."""
 
 
-def _labeler(c: Condition, labels: LabelMap) -> Callable[[Node], str]:
-    """``label(node)``: the label of ``node``, labelling every node below it
-    that ``labels`` lacks."""
+def _label(root: Node, c: Condition, labels: LabelMap) -> Tuple[str, float]:
+    """The label of ``root`` and the mass the condition selects in it, in one
+    pass that labels the nodes below it into ``labels``.
+
+    An included node selects its ``mass``, an excluded one 0, and a mixed
+    one the mass its step records.  A node whose variables avoid the
+    condition's is included without visiting its children.
+    """
     allowed = c.allowed
+    cvars = c.variables
+    mixed: Dict[str, float] = {}  # node key -> selected mass, mixed nodes
+
+    def selected(node: Node) -> float:
+        if labels[node.key] == INCLUDED:
+            return node.mass
+        return mixed.get(node.key, 0.0)
 
     def leaf(node: Node) -> Optional[str]:
+        if cvars.isdisjoint(node.omega):
+            return INCLUDED
         if node.kind != LIT:
             return None
-        vals = allowed.get(node.var)
-        return INCLUDED if vals is None or node.value in vals else EXCLUDED
+        return INCLUDED if node.value in allowed[node.var] else EXCLUDED
 
     def step(node: Node) -> str:
+        kids = node.children
         if node.kind == AND:
-            # the empty AND has no constrained literals, hence included
             out = INCLUDED
-            for ch in node.children:
+            for ch in kids:
                 cl = labels[ch.key]
                 if cl == EXCLUDED:
                     return EXCLUDED
                 if cl == MIXED:
                     out = MIXED
+            if out == MIXED:
+                mixed[node.key] = math.prod([selected(ch) for ch in kids])
             return out
         # an OR whose children agree has their label, else it is mixed
-        out = labels[node.children[0].key]
-        for ch in node.children:
+        out = labels[kids[0].key]
+        for ch in kids:
             if labels[ch.key] != out:
-                return MIXED
+                out = MIXED
+                break
+        if out == MIXED:
+            mixed[node.key] = sum([w * selected(ch) for w, ch
+                                   in zip(node.weights, kids)])
         return out
 
-    return functools.partial(fold, memo=labels, step=step, leaf=leaf)
+    return fold(root, labels, step, leaf), selected(root)
 
 
 def label_nodes(root: Node, c: Condition) -> LabelMap:
-    """Label every reachable node as included, excluded, or mixed.
+    """Label the reachable nodes as included, excluded, or mixed.
 
     A node is included when all of its substate satisfies the condition,
     excluded when none of it does, mixed otherwise.  Keys are node digests.
+    Nodes below one whose variables avoid the condition's are left out of
+    the map and read included.
     """
-    labels: LabelMap = {}
-    _labeler(c, labels)(root)
+    labels = LabelMap()
+    _label(root, c, labels)
     return labels
 
 
@@ -103,7 +132,7 @@ def find_minimal_subgraphs(
     seen: set = set()
 
     def qualifies(n: Node) -> bool:
-        return labels.get(n.key) in (INCLUDED, MIXED) and need <= n.omega
+        return labels[n.key] != EXCLUDED and need <= n.omega
 
     stack = [root] if qualifies(root) else []
     while stack:
@@ -119,20 +148,22 @@ def find_minimal_subgraphs(
     return out
 
 
-def isolate(n: Node, c: Condition, labels: LabelMap, store: Store,
+def isolate(n: Node, labels: LabelMap, store: Store,
             memo: Optional[Dict[str, Node]] = None) -> Node:
     """Rewrite a mixed node into an equivalent OR with pure children.
 
-    Mixed OR children are isolated first and their edges spliced in with
-    multiplied weights.  A mixed AND becomes an OR over one fully-included term
-    plus disjoint telescoped excluded terms, so the edge weights still sum to
-    the node's original mass.  ``memo`` maps node keys to isolated nodes (a
-    pure node to itself); isolating depends only on the node and the
-    condition, so all isolations of one action can share one memo.
+    ``labels`` holds the condition's labels of ``n`` and the nodes below it;
+    the label of each term it builds is added to it, so every edge of the
+    result is labeled.  Mixed OR children are isolated first and their edges
+    spliced in with multiplied weights.  A mixed AND becomes an OR over one
+    fully-included term plus disjoint telescoped excluded terms, so the edge
+    weights still sum to the node's original mass.  ``memo`` maps node keys
+    to isolated nodes (a pure node to itself); isolating depends only on the
+    node and the condition, so all isolations of one action can share one
+    memo.
     """
-    label = _labeler(c, labels)
-    if label(n) != MIXED:
-        raise NotMixed(f"cannot isolate a node labeled {labels.get(n.key)}")
+    if labels[n.key] != MIXED:
+        raise NotMixed(f"cannot isolate a node labeled {labels[n.key]}")
     iso: Dict[str, Node] = {} if memo is None else memo
 
     def leaf(node: Node) -> Optional[Node]:
@@ -150,15 +181,16 @@ def isolate(n: Node, c: Condition, labels: LabelMap, store: Store,
                 else:
                     edges.append((w, ch))
             return store.make_or(edges)
-        return _split_and(node, labels, label, iso, store)
+        return _split_and(node, labels, iso, store)
 
     return fold(n, iso, step, leaf)
 
 
-def _split_and(n: Node, labels: LabelMap, label: Callable[[Node], str],
-               iso: Dict[str, Node], store: Store) -> Node:
+def _split_and(n: Node, labels: LabelMap, iso: Dict[str, Node],
+               store: Store) -> Node:
     """The mixed AND ``n`` as an OR with pure children, its mixed children
-    isolated in ``iso``: split each of them into included/excluded halves."""
+    isolated in ``iso``: split each of them into included/excluded halves.
+    The terms' labels are added to ``labels``."""
     fixed: List[Node] = []
     parts: List[Tuple[Node, Node, Node, float]] = []  # (inc, exc, full, m)
     for ch in n.children:
@@ -169,8 +201,8 @@ def _split_and(n: Node, labels: LabelMap, label: Callable[[Node], str],
             fixed.append(ch)
             continue
         pure = iso[ch.key]
-        inc = [(w, g) for w, g in pure.edges() if label(g) == INCLUDED]
-        exc = [(w, g) for w, g in pure.edges() if label(g) == EXCLUDED]
+        inc = [(w, g) for w, g in pure.edges() if labels[g.key] == INCLUDED]
+        exc = [(w, g) for w, g in pure.edges() if labels[g.key] == EXCLUDED]
         total = sum(w for w, _ in pure.edges())
         inc_mass = sum(w for w, _ in inc)
         parts.append((
@@ -183,10 +215,9 @@ def _split_and(n: Node, labels: LabelMap, label: Callable[[Node], str],
     k = len(parts)
     terms: List[Tuple[float, Node]] = []
     included_mass = math.prod(m for _, _, _, m in parts)
-    terms.append((
-        included_mass,
-        store.make_and(fixed + [inc for inc, _, _, _ in parts]),
-    ))
+    term = store.make_and(fixed + [inc for inc, _, _, _ in parts])
+    labels[term.key] = INCLUDED
+    terms.append((included_mass, term))
     prefix = 1.0
     for i in range(k):
         inc_i, exc_i, _, m_i = parts[i]
@@ -195,7 +226,9 @@ def _split_and(n: Node, labels: LabelMap, label: Callable[[Node], str],
         children.extend(parts[j][0] for j in range(i))
         children.append(exc_i)
         children.extend(parts[j][2] for j in range(i + 1, k))
-        terms.append((weight, store.make_and(children)))
+        term = store.make_and(children)
+        labels[term.key] = EXCLUDED
+        terms.append((weight, term))
         prefix *= m_i
     return store.make_or(terms)
 
@@ -318,10 +351,8 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     c.check_within(s.universe)
     a.check_within(s.universe)
     store = s.store
-    labels: LabelMap = {}
-    label = _labeler(c, labels)
-    root_label = label(s.root)
-    selected = probability(s, c)
+    labels = LabelMap()
+    root_label, selected = _label(s.root, c, labels)
     if root_label == EXCLUDED:
         return ApplyResult(s, 0.0)
 
@@ -342,10 +373,10 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
         if labels[n.key] == INCLUDED:
             rebuilt[n.key] = graft(n)
         else:
-            iso = isolate(n, c, labels, store, isolated)
+            iso = isolate(n, labels, store, isolated)
             edges = []
             for w, ch in iso.edges():
-                if label(ch) == INCLUDED:
+                if labels[ch.key] == INCLUDED:
                     ch = graft(ch)
                 edges.append((w, ch))
             rebuilt[n.key] = store.make_or(edges)
@@ -362,4 +393,4 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
 
     new_root = fold(s.root, rebuilt, store.rebuilder(rebuilt), kept)
     result = normalize(Aobs(new_root, store, s.universe, s.var_names))
-    return ApplyResult(result, selected)
+    return ApplyResult(result, min(selected, 1.0))  # as `probability` clamps

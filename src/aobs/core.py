@@ -73,12 +73,18 @@ class Node:
     ``children`` is a tuple of child nodes; for OR nodes ``weights`` is a
     parallel tuple of edge probabilities, otherwise it is empty.  ``key`` is a
     canonical structural digest: two structurally identical subgraphs always
-    carry equal keys, which is what the store interns on.
+    carry equal keys, which is what the store interns on.  ``omega`` is the
+    node's variable set.  ``mass`` is the total mass of its substate: 1 for a
+    literal, the product of the children's masses for an AND, and the
+    weighted sum ``sum(w * child.mass)`` for an OR, so it is 1 only where
+    the OR weights below sum to 1.  A condition on none of ``omega`` selects
+    exactly ``mass``.
     """
 
-    __slots__ = ("kind", "var", "value", "children", "weights", "key", "omega")
+    __slots__ = ("kind", "var", "value", "children", "weights", "key", "omega",
+                 "mass")
 
-    def __init__(self, kind, var, value, children, weights, key, omega):
+    def __init__(self, kind, var, value, children, weights, key, omega, mass):
         self.kind = kind
         self.var = var
         self.value = value
@@ -86,6 +92,7 @@ class Node:
         self.weights = weights
         self.key = key
         self.omega = omega
+        self.mass = mass
 
     def __hash__(self) -> int:
         return hash(self.key)
@@ -152,7 +159,7 @@ class Store:
         node = self._nodes.get(key)
         if node is None:
             node = self._intern(
-                Node(LIT, var, value, (), (), key, frozenset((var,)))
+                Node(LIT, var, value, (), (), key, frozenset((var,)), 1.0)
             )
         return node
 
@@ -180,7 +187,9 @@ class Store:
         key = _digest("A|" + "|".join([c.key for c in kept]))
         node = self._nodes.get(key)
         if node is None:
-            node = self._intern(Node(AND, None, None, tuple(kept), (), key, omega))
+            mass = math.prod([c.mass for c in kept], start=1.0)
+            node = self._intern(
+                Node(AND, None, None, tuple(kept), (), key, omega, mass))
         return node
 
     def empty_and(self) -> Node:
@@ -221,7 +230,9 @@ class Store:
         if node is None:
             weights = tuple(w for w, _ in pairs)
             kids = tuple(c for _, c in pairs)
-            node = self._intern(Node(OR, None, None, kids, weights, key, omega))
+            mass = sum([w * c.mass for w, c in pairs])
+            node = self._intern(
+                Node(OR, None, None, kids, weights, key, omega, mass))
         return node
 
     def rebuilder(self, results: Mapping[str, Node]) -> Callable[[Node], Node]:

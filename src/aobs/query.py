@@ -13,14 +13,18 @@ def probability(s: Aobs, c: Condition) -> float:
 
     Evaluated in one pass over the DAG: literals contribute 0 or 1, AND nodes
     multiply, OR nodes take the weighted sum.  Shared subgraphs are evaluated
-    once per query, and an AND with a literal child that the condition
-    rejects is 0 without visiting its other children.
+    once per query.  A node whose variables avoid the condition's is its own
+    ``mass`` and an AND with a literal child that the condition rejects is 0,
+    both without visiting the node's children.
     """
     c.check_within(s.universe)
     allowed = c.allowed
+    cvars = c.variables
     memo: Dict[str, float] = {}
 
     def leaf(node: Node) -> Optional[float]:
+        if cvars.isdisjoint(node.omega):
+            return node.mass
         if node.kind == AND:
             # the literal children are settled here, so they are not visited
             for ch in node.children:
@@ -29,9 +33,8 @@ def probability(s: Aobs, c: Condition) -> float:
                     if vals is not None and ch.value not in vals:
                         return 0.0
                     memo[ch.key] = 1.0
-        elif node.kind == LIT:
-            vals = allowed.get(node.var)
-            return 1.0 if vals is None or node.value in vals else 0.0
+        elif node.kind == LIT:  # on a condition variable
+            return 1.0 if node.value in allowed[node.var] else 0.0
         return None
 
     def step(node: Node) -> float:

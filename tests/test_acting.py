@@ -108,6 +108,35 @@ class TestLabelNodes:
                     assert labels[node.key] == MIXED
 
 
+    def test_skips_what_the_condition_cannot_see(self):
+        # factoring pulls the OR over b out of the union; a condition on a
+        # labels that OR included without visiting its literals
+        rows = [(p * q, {0: a, 1: b, 2: a})
+                for a, p in ((0, 0.3), (1, 0.7)) for b, q in ((0, 0.4), (1, 0.6))]
+        s = greedy_optimize(normalize(from_tabular(Store(), rows, (0, 1, 2))))
+        c = Condition.of({0: [0]})
+        labels = label_nodes(s.root, c)
+        skipped = [n for n in iter_nodes(s.root) if n.key not in labels]
+        assert {(n.var, n.value) for n in skipped} == {(1, 0), (1, 1)}
+        for n in skipped:
+            assert labels[n.key] == INCLUDED
+
+    def test_skipped_nodes_avoid_the_condition(self):
+        rng = random.Random(5)
+        pruned = 0
+        for _ in range(40):
+            s, _ = random_aobs(rng, num_vars=5, num_values=2, max_rows=10)
+            s = greedy_optimize(normalize(s))
+            c = Condition.of({rng.randrange(5): [0]})
+            labels = label_nodes(s.root, c)
+            skipped = [n for n in iter_nodes(s.root) if n.key not in labels]
+            for n in skipped:
+                assert c.variables.isdisjoint(n.omega)
+                assert labels[n.key] == INCLUDED
+            pruned += bool(skipped)
+        assert pruned >= 10
+
+
 class TestFindMinimalSubgraphs:
     def test_selected_literal_is_minimal(self, three_var_state):
         # the included literal itself covers the variable union, so the
@@ -124,6 +153,14 @@ class TestFindMinimalSubgraphs:
             three_var_state.root, c, frozenset({0, 1, 2}), labels
         )
         assert got == [three_var_state.root]
+
+    def test_empty_condition_reaches_below_the_root(self, three_var_state):
+        # the pass labels only the root; the nodes below it still qualify
+        c = Condition.of({})
+        labels = label_nodes(three_var_state.root, c)
+        got = find_minimal_subgraphs(three_var_state.root, c, frozenset({1}),
+                                     labels)
+        assert sorted((n.var, n.value) for n in got) == [(1, 0), (1, 1)]
 
     def test_excluded_root_yields_nothing(self, three_var_state):
         c = Condition.of({0: [1]})
@@ -154,7 +191,7 @@ class TestIsolate:
                            (0.6, store.make_lit(1, 1))]),
         ])
         labels = label_nodes(n, c)
-        out = isolate(n, c, labels, store)
+        out = isolate(n, labels, store)
         assert out.kind == OR
         relabeled = label_nodes(out, c)
         weights = {
@@ -171,14 +208,14 @@ class TestIsolate:
             (0.6, store.make_and([store.make_lit(0, 0), store.make_lit(1, 1)])),
         ])
         labels = label_nodes(n, c)
-        assert isolate(n, c, labels, store) is n
+        assert isolate(n, labels, store) is n
 
     def test_not_mixed_rejected(self, store):
         c = _cond_b1()
         n = store.make_lit(1, 1)
         labels = label_nodes(n, c)
         with pytest.raises(NotMixed):
-            isolate(n, c, labels, store)
+            isolate(n, labels, store)
 
     def test_soundness_on_random_graphs(self):
         rng = random.Random(29)
@@ -192,7 +229,7 @@ class TestIsolate:
             labels = label_nodes(s.root, c)
             if labels[s.root.key] != MIXED:
                 continue
-            out = isolate(s.root, c, labels, s.store)
+            out = isolate(s.root, labels, s.store)
             assert out.kind == OR
             relabeled = label_nodes(out, c)
             for ch in out.children:
@@ -366,6 +403,24 @@ class TestApplyAction:
                 assert tab_equal(enum_canonical(s), tab)
                 assert abs(total_mass(s) - 1.0) < 1e-9
                 assert_normal_form(s)
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_empty_condition_against_oracle(self, optimize):
+        # the root avoids the empty condition's variables, so the labelling
+        # pass answers it alone and every other node reads included
+        rng = random.Random(47)
+        c = Condition.of({})
+        for _ in range(40):
+            s, _ = random_aobs(rng, max_rows=8)
+            s = normalize(s)
+            if optimize:
+                s = greedy_optimize(s)
+            _, a = _random_step(rng)
+            res = apply_action(s, c, a)
+            assert res.selected_mass == pytest.approx(1.0, abs=1e-12)
+            expected = tab_apply_action(enum_canonical(s), c, a)
+            assert tab_equal(enum_canonical(res.state), expected)
+            assert_normal_form(res.state)
 
     def test_optimized_state_against_oracle(self):
         rng = random.Random(43)

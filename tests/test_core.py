@@ -26,7 +26,9 @@ from aobs.core import (
 )
 from aobs.oracle import tab_canonical, tab_equal
 
-from conftest import enum_canonical, random_aobs, random_dag, random_tabular
+from conftest import (
+    enum_canonical, random_aobs, random_dag, random_tabular, total_mass,
+)
 
 FOUR_ROW_TABLE = [
     (0.28, ((0, 0), (1, 0), (2, 0))),
@@ -129,6 +131,25 @@ class TestVarSubspace:
         assert {n.omega for n in ors} == {
             frozenset({1}), frozenset({2})
         }
+
+
+class TestNodeMass:
+    def test_unit_leaves(self, store):
+        assert store.make_lit(0, 0).mass == 1.0
+        assert store.empty_and().mass == 1.0
+
+    def test_matches_expansion_on_random_dags(self):
+        # random_dag leaves its inner OR weights unnormalized, so most
+        # subgraphs carry a mass other than 1
+        rng = random.Random(31)
+        off_one = 0
+        for _ in range(20):
+            s = random_dag(rng, rng.randint(3, 7))
+            for node in iter_nodes(s.root):
+                sub = Aobs(node, s.store, tuple(sorted(node.omega)))
+                assert node.mass == pytest.approx(total_mass(sub), rel=1e-12)
+                off_one += abs(node.mass - 1.0) > 1e-6
+        assert off_one > 20
 
 
 class TestEnumerateStates:

@@ -1,11 +1,13 @@
-"""Semantic invariants over random states: rewriting a state never changes
-the probability of a condition, and acting never changes the total mass."""
+"""Semantic invariants over random states: a condition's probability is the
+mass of the rows it selects, rewriting a state never changes it, and acting
+never changes the total mass."""
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aobs.acting import apply_action, normalize
+from aobs.core import enumerate_states
 from aobs.optimize import greedy_optimize
 from aobs.oracle import Action, Condition
 from aobs.query import probability
@@ -40,6 +42,19 @@ def test_normalize_keeps_probability(seed):
         c = _condition(rng, 5, 3)
         assert probability(out, c) == pytest.approx(probability(s, c),
                                                     abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, num_vars=st.integers(3, 8))
+def test_probability_is_the_selected_rows_mass(seed, num_vars):
+    rng = random.Random(seed)
+    s = random_dag(rng, num_vars)  # OR weights below the root unnormalized
+    rows = enumerate_states(s.root, merge=True)
+    for _ in range(3):
+        c = _condition(rng, num_vars, 2)
+        selected = sum(p for p, state in rows if c.satisfied_by(state))
+        assert probability(s, c) == pytest.approx(min(selected, 1.0),
+                                                  abs=1e-9)
 
 
 @settings(max_examples=150, deadline=None)
