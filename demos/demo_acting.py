@@ -4,7 +4,7 @@ condition.
 An action overwrites a fixed set of variables with one of several outcomes.
 When a condition selects only part of the belief, the graph is rewritten so
 the selected part receives the action while the rest passes through
-unchanged, and the result is renormalized in place.
+unchanged, and the total mass stays 1.
 """
 from aobs import (
     Action,

@@ -3,7 +3,9 @@
 The pipeline keeps the DAG compact: label nodes against the condition, locate
 the minimal subgraphs covering the action and condition variables, isolate the
 selected part of mixed subgraphs, erase the action variables from the included
-part, graft the action's outcome subgraph, and normalize the result.
+part, graft the action's outcome subgraph, and rebuild the ancestors.  The
+store keeps every node it builds in normal form, and each step preserves
+mass, so the result needs no normalizing pass.
 """
 from __future__ import annotations
 
@@ -46,7 +48,8 @@ class NotMixed(AobsError):
 
 
 class MassLeak(AobsError):
-    """Normalization left the root with total mass other than 1."""
+    """An action or normalization left the root with total mass other
+    than 1."""
 
 
 def _label(root: Node, c: Condition, labels: LabelMap) -> Tuple[str, float]:
@@ -154,13 +157,13 @@ def isolate(n: Node, labels: LabelMap, store: Store,
 
     ``labels`` holds the condition's labels of ``n`` and the nodes below it;
     the label of each term it builds is added to it, so every edge of the
-    result is labeled.  Mixed OR children are isolated first and their edges
-    spliced in with multiplied weights.  A mixed AND becomes an OR over one
-    fully-included term plus disjoint telescoped excluded terms, so the edge
-    weights still sum to the node's original mass.  ``memo`` maps node keys
-    to isolated nodes (a pure node to itself); isolating depends only on the
-    node and the condition, so all isolations of one action can share one
-    memo.
+    result is labeled.  An OR's mixed children are isolated first, and the
+    store splices their edges in with multiplied weights.  A mixed AND
+    becomes an OR over one fully-included term plus disjoint telescoped
+    excluded terms, so the edge weights still sum to the node's original
+    mass.  ``memo`` maps node keys to isolated nodes (a pure node to
+    itself); isolating depends only on the node and the condition, so all
+    isolations of one action can share one memo.
     """
     if labels[n.key] != MIXED:
         raise NotMixed(f"cannot isolate a node labeled {labels[n.key]}")
@@ -174,13 +177,7 @@ def isolate(n: Node, labels: LabelMap, store: Store,
             # an OR is pure once its mixed children are split
             if all(labels[g.key] != MIXED for g in node.children):
                 return node
-            edges: List[Tuple[float, Node]] = []
-            for w, ch in node.edges():
-                if labels[ch.key] == MIXED:
-                    edges.extend((w * w2, g) for w2, g in iso[ch.key].edges())
-                else:
-                    edges.append((w, ch))
-            return store.make_or(edges)
+            return store.make_or([(w, iso[ch.key]) for w, ch in node.edges()])
         return _split_and(node, labels, iso, store)
 
     return fold(n, iso, step, leaf)
@@ -205,9 +202,12 @@ def _split_and(n: Node, labels: LabelMap, iso: Dict[str, Node],
         exc = [(w, g) for w, g in pure.edges() if labels[g.key] == EXCLUDED]
         total = sum(w for w, _ in pure.edges())
         inc_mass = sum(w for w, _ in inc)
+        # each half is scaled by its own sum: ``total - inc_mass`` cancels
+        # when the excluded half is small, and its OR would keep the error
+        exc_mass = sum(w for w, _ in exc)
         parts.append((
             store.make_or([(w / inc_mass, g) for w, g in inc]),
-            store.make_or([(w / (total - inc_mass), g) for w, g in exc]),
+            store.make_or([(w / exc_mass, g) for w, g in exc]),
             store.make_or([(w / total, g) for w, g in pure.edges()]),
             inc_mass / total,
         ))
@@ -274,56 +274,27 @@ def action_subgraph(store: Store, a: Action) -> Node:
 
 
 def normalize(s: Aobs) -> Aobs:
-    """Bring a belief state into normal form without changing its semantics.
+    """Rescale a belief state so that every OR has unit mass, without
+    changing its semantics.
 
-    AND children of AND nodes are spliced in, OR children of OR nodes are
-    spliced with multiplied weights, and every OR is rescaled to unit mass
-    with the excess pushed up into the nearest ancestor OR edge.  The scale
-    arriving at the root must be 1.
-
-    Results are memoized in the store's ``normal`` table across calls, as
-    (scale, normal node) per node key.  Each output not yet in the table is
-    recorded as its own fixed point ``(1.0, out)``, so a subgraph that an
-    earlier call produced is a lookup, and an AND whose children all
-    normalize to themselves (none an AND) is returned as itself without
-    re-interning.  Nested ANDs that the optimizer builds were never an output,
-    so they miss and are spliced as before.  An entry never goes stale:
-    interned nodes are immutable and the store never drops one.
+    Every OR is rescaled to unit weight with the excess pushed up into the
+    nearest ancestor OR edge; the scale arriving at the root must be 1.  The
+    store keeps every node spliced, so this is only needed for states built
+    with OR weights that do not sum to 1, before :func:`apply_action`.
     """
     store = s.store
-    memo = store.normal
+    memo: Dict[str, Tuple[float, Node]] = {}
 
     def step(node: Node) -> Tuple[float, Node]:
         if node.kind == LIT:
-            out = (1.0, node)
-        elif node.kind == AND:
-            scale = 1.0
-            parts: List[Node] = []
-            same = True
-            for ch in node.children:
-                sc, nn = memo[ch.key]
-                scale *= sc
-                if nn.kind == AND:
-                    parts.extend(nn.children)
-                    same = False
-                else:
-                    parts.append(nn)
-                    same = same and nn is ch
-            out = (scale, node if same else store.make_and(parts))
-        else:
-            edges: List[Tuple[float, Node]] = []
-            for w, ch in node.edges():
-                sc, nn = memo[ch.key]
-                ww = w * sc
-                if nn.kind == OR:
-                    edges.extend((ww * w2, g) for w2, g in nn.edges())
-                else:
-                    edges.append((ww, nn))
-            total = sum(w for w, _ in edges)
-            out = (total, store.make_or([(w / total, g) for w, g in edges]))
-        # an output is in normal form with unit mass: its own fixed point
-        memo.setdefault(out[1].key, (1.0, out[1]))
-        return out
+            return 1.0, node
+        parts = [memo[ch.key] for ch in node.children]
+        if node.kind == AND:
+            return (math.prod([sc for sc, _ in parts]),
+                    store.make_and([nn for _, nn in parts]))
+        edges = [(w * sc, nn) for w, (sc, nn) in zip(node.weights, parts)]
+        total = sum([w for w, _ in edges])
+        return total, store.make_or([(w / total, nn) for w, nn in edges])
 
     scale, root = fold(s.root, memo, step)
     if abs(scale - 1.0) > EPS_P:
@@ -345,8 +316,14 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
 
     The belief state is rewritten persistently: minimal subgraphs are replaced
     (isolating mixed ones first), the action subgraph is grafted over the
-    erased action variables, ancestors are rebuilt along affected paths, and
-    the result is normalized.  Total mass is preserved.
+    erased action variables, and ancestors are rebuilt along affected paths.
+    Total mass is preserved.
+
+    Every OR of ``s`` must have unit weight, as every constructor and every
+    pipeline output has; call :func:`normalize` first on a state built
+    otherwise.  The store splices as it builds and each step preserves mass,
+    so the result is in normal form; :class:`MassLeak` is raised if its root
+    mass is not 1.
     """
     c.check_within(s.universe)
     a.check_within(s.universe)
@@ -392,5 +369,7 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
         return None
 
     new_root = fold(s.root, rebuilt, store.rebuilder(rebuilt), kept)
-    result = normalize(Aobs(new_root, store, s.universe, s.var_names))
+    if abs(new_root.mass - 1.0) > EPS_P:
+        raise MassLeak(f"root mass is {new_root.mass}, expected 1")
+    result = Aobs(new_root, store, s.universe, s.var_names)
     return ApplyResult(result, min(selected, 1.0))  # as `probability` clamps

@@ -143,10 +143,6 @@ class BddManager:
         return f is self.true
 
 
-def bdd_apply(manager: BddManager, op: str, a: BddNode, b: BddNode) -> BddNode:
-    return manager.apply(op, a, b)
-
-
 def bdd_size(f: BddNode) -> int:
     """Count of reachable internal nodes; terminals are excluded."""
     seen = set()

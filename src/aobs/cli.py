@@ -17,7 +17,8 @@ three bodies:
 * ``rows``, a list of ``[probability, assignment]`` pairs.
 
 Variable values, table indices, condition values and action values must
-be JSON integers; probabilities and weights must be JSON numbers.
+be JSON integers; probabilities and weights must be JSON numbers.  ``aobs
+eval`` and ``aobs act`` take only states of total mass 1.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input.
 """
@@ -44,6 +45,7 @@ from .bench import (
 )
 from .core import (
     AND,
+    EPS_P,
     LIT,
     OR,
     Aobs,
@@ -377,15 +379,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _unit_state(path: str) -> Aobs:
+    """The state document at ``path``, which must have total mass 1."""
+    state = state_from_json(_load(path))
+    if abs(state.root.mass - 1.0) > EPS_P:
+        raise SchemaError(f"state mass is {state.root.mass}, expected 1")
+    return state
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
-    state = state_from_json(_load(args.state))
+    state = _unit_state(args.state)
     condition = condition_from_json(_load(args.condition), state)
     print(f"{probability(state, condition):.12g}")
     return 0
 
 
 def cmd_act(args: argparse.Namespace) -> int:
-    state = state_from_json(_load(args.state))
+    state = _unit_state(args.state)
     condition = condition_from_json(_load(args.condition), state)
     action = action_from_json(_load(args.action), state)
     before = size_metric(state)

@@ -132,19 +132,20 @@ class Store:
 
     Construction validates the structural invariants (AND disjointness, OR
     subspace equality, positive weights) and returns the canonical node for a
-    given structure, so identical subgraphs are physically shared.
+    given structure, so identical subgraphs are physically shared.  It also
+    keeps every node in normal form: an AND child of an AND and an OR child
+    of an OR are spliced into their parent (the OR's edge weights
+    multiplied), so graphs equal up to associativity share one node.
 
-    ``normal`` is the normalize memo of :func:`aobs.acting.normalize`: node
-    key -> (scale, normal-form node), and ``factored`` the memo of
-    :func:`aobs.optimize.greedy_optimize`: node key -> factored node.  Both
-    are kept across calls.  Interned nodes are immutable and the store never
-    drops one, so an entry never goes stale; a future ``Store.collect`` that
-    drops nodes must prune both tables too, or they keep those nodes alive.
+    ``factored`` is the memo of :func:`aobs.optimize.greedy_optimize`: node
+    key -> factored node, kept across calls.  Interned nodes are immutable
+    and the store never drops one, so an entry never goes stale; a future
+    ``Store.collect`` that drops nodes must prune it too, or it keeps those
+    nodes alive.
     """
 
     def __init__(self) -> None:
         self._nodes: Dict[str, Node] = {}
-        self.normal: Dict[str, Tuple[float, Node]] = {}
         self.factored: Dict[str, Node] = {}
 
     def __len__(self) -> int:
@@ -166,11 +167,17 @@ class Store:
     def make_and(self, children: Iterable[Node]) -> Node:
         """Intern the Cartesian product of ``children``.
 
-        Empty-AND children (the identity substate) are dropped; a singleton
-        collapses to the child itself; an empty input yields the canonical
-        empty-AND node with unit mass and no variables.
+        AND children are spliced in, so empty-AND children (the identity
+        substate) drop out; a singleton collapses to the child itself; an
+        empty input yields the canonical empty-AND node with unit mass and no
+        variables.
         """
-        kept = [c for c in children if c.children or c.kind != AND]
+        kept = []
+        for c in children:
+            if c.kind == AND:
+                kept.extend(c.children)
+            else:
+                kept.append(c)
         if len(kept) == 1:
             return kept[0]
         omega = frozenset().union(*[c.omega for c in kept])
@@ -199,7 +206,8 @@ class Store:
     def make_or(self, children: Iterable[Tuple[float, Node]]) -> Node:
         """Intern the weighted union of ``children``.
 
-        Duplicate child nodes are merged by summing their weights.  A single
+        OR children are spliced in with their edge weights multiplied, and
+        duplicate child nodes are merged by summing their weights.  A single
         child with weight 1 collapses to the child itself.  Children must all
         range over the same variable set and weights must be positive and
         finite.
@@ -210,8 +218,11 @@ class Store:
                 raise AobsError(
                     f"OR edge weight must be positive and finite, got {w}"
                 )
-            prev = merged.get(c.key)
-            merged[c.key] = (prev[0] + w if prev else w, c)
+            spliced = (zip([w * v for v in c.weights], c.children)
+                       if c.kind == OR else ((w, c),))
+            for v, g in spliced:
+                prev = merged.get(g.key)
+                merged[g.key] = (prev[0] + v if prev else v, g)
         if not merged:
             raise AobsError("OR node requires at least one child")
         pairs = sorted(merged.values(), key=lambda wc: wc[1].key)
@@ -318,6 +329,9 @@ def count_states(n: Node) -> int:
     """Number of (probability, state) rows a full expansion would produce.
 
     Duplicates are counted exactly as :func:`enumerate_states` would emit them.
+    The store merges duplicate children of an OR, also those that splicing
+    a nested OR brings together, so a nested union counts each of its
+    distinct grandchildren once.
     """
     memo: Dict[str, int] = {}
 
@@ -491,26 +505,20 @@ def from_tabular(
     universe: Sequence[int],
     var_names: Optional[Sequence[str]] = None,
 ) -> Aobs:
-    """Build a belief state as a balanced tree of unions of physical states.
+    """Build a belief state as one union of physical states.
 
-    Rows are united pairwise, level by level, so the tree is ceil(log2 rows)
-    ORs deep.  The result is correct but not minimal; building a minimal graph
-    from a tabular state is out of scope.  Pass the result through the greedy
-    optimizer to recover sharing.
+    Each row's probability is divided by the rows' total, so the root has
+    unit mass.  The result is correct but not minimal; building a minimal
+    graph from a tabular state is out of scope.  Pass the result through the
+    greedy optimizer to recover sharing.
     """
     if not rows:
         raise AobsError("tabular belief state needs at least one row")
     total = sum(p for p, _ in rows)
     if abs(total - 1.0) > 1e-6:
         raise AobsError(f"tabular probabilities sum to {total}, expected 1")
-    level = [(p, from_physical_state(store, state, universe, var_names))
-             for p, state in rows]
-    while len(level) > 1:
-        paired = [
-            (pa + pb, union_roots(a, b, pa / (pa + pb)))
-            for (pa, a), (pb, b) in zip(level[::2], level[1::2])
-        ]
-        if len(level) % 2:
-            paired.append(level[-1])
-        level = paired
-    return level[0][1]
+    root = store.make_or([
+        (p / total, from_physical_state(store, state, universe).root)
+        for p, state in rows])
+    return Aobs(root, store, tuple(universe),
+                tuple(var_names) if var_names is not None else None)

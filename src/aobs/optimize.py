@@ -3,8 +3,8 @@
 Every child of an OR is a product of factors.  When several children share
 factors ``X``, the group becomes one edge to ``AND(X, OR(remainders))``, since
 ``sum_i w_i (X x R_i) = X x sum_i w_i R_i``: algebraic factoring of a sum of
-products.  The output has no AND under an AND and no OR under an OR, so the
-``normalize`` of a later action keeps the factoring.
+products.  The store splices as it builds, so the output has no AND under an
+AND and no OR under an OR, and a later action keeps the factoring.
 """
 from __future__ import annotations
 
@@ -35,9 +35,9 @@ def greedy_optimize(s: Aobs) -> Aobs:
     ``R_i`` of two or more factors this gain is ``(|G| - 1) * |X| - 4``.  The
     best positive group is taken, ties going to the lowest factor key, its
     inner OR is factored the same way, and this repeats until no group
-    gains.  AND children of ANDs and OR children of ORs are spliced in as
-    the nodes are built, so a unit-mass input in normal form gives an output
-    in normal form; other inputs are accepted too.
+    gains.  The store splices AND children of ANDs and OR children of ORs as
+    it builds the nodes, so the output is in normal form; OR weights are
+    kept, so a unit-mass input gives a unit-mass output.
 
     Products may be shared elsewhere in the DAG, so a local gain does not
     guarantee a global one: the result is kept only if ``size_metric`` does
@@ -53,11 +53,10 @@ def greedy_optimize(s: Aobs) -> Aobs:
             out = node
         elif node.kind == AND:
             kids = [memo[ch.key] for ch in node.children]
-            if all(k is ch and k.kind != AND
-                   for k, ch in zip(kids, node.children)):
+            if all(k is ch for k, ch in zip(kids, node.children)):
                 out = node
             else:
-                out = store.make_and([f for k in kids for f in _factors(k)])
+                out = store.make_and(kids)
         else:
             out = _factor_union([(w, memo[ch.key]) for w, ch in node.edges()],
                                 store, memo)
@@ -95,7 +94,7 @@ def _factor_union(edges: List[Edge], store: Store,
                 [f for f in _factors(n) if f.key not in shared])))
         rest = _factor_union(inner, store, memo)
         common = [f for f in _factors(n) if f.key in shared]
-        _add_term(terms, total, store.make_and(common + list(_factors(rest))))
+        _add_term(terms, total, store.make_and(common + [rest]))
     out = store.make_or([(w, n) for w, n in terms.values()])
     memo.setdefault(out.key, out)
     return out

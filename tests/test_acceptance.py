@@ -13,7 +13,6 @@ from aobs.acting import apply_action
 from aobs.bdd import (
     BddManager,
     BoolVarMap,
-    bdd_apply,
     bdd_apply_action,
     encode_action,
     encode_condition,
@@ -411,7 +410,7 @@ class TestBddCanonicity:
                         cube = manager.node(k, manager.false, cube)
                     else:
                         cube = manager.node(k, cube, manager.false)
-                f = bdd_apply(manager, "or", f, cube)
+                f = manager.apply("or", f, cube)
             known = tables[n]
             if table in known:
                 ok = ok and known[table] is f

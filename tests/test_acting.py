@@ -25,9 +25,11 @@ from aobs.core import (
     Aobs,
     Store,
     enumerate_states,
+    from_physical_state,
     from_tabular,
     iter_nodes,
 )
+from aobs.bench import ExperimentConfig, gen_experiment
 from aobs.optimize import greedy_optimize
 from aobs.oracle import (
     Action,
@@ -237,6 +239,25 @@ class TestIsolate:
             assert tab_equal(_node_enum(out), _node_enum(s.root))
             checked += 1
 
+    def test_small_excluded_half_has_unit_weight(self):
+        # the excluded half of a mixed AND child is an OR that no later
+        # pass rescales; dividing it by total - included cancels when it is
+        # small, and its weights kept a relative error of about 1e-10
+        rng = random.Random(37)
+        c = Condition.of({0: [0]})
+        for _ in range(50):
+            store = Store()
+            tail = [rng.random() * 1e-6 for _ in range(3)]
+            a = store.make_or([(1.0 - sum(tail), store.make_lit(0, 0))] + [
+                (w, store.make_lit(0, u)) for u, w in enumerate(tail, 1)])
+            n = store.make_and([a, store.make_lit(1, 0)])
+            labels = label_nodes(n, c)
+            out = isolate(n, labels, store)
+            for _, term in out.edges():
+                if labels[term.key] == EXCLUDED:
+                    half = next(g for g in term.children if g.kind == OR)
+                    assert abs(sum(half.weights) - 1.0) <= 1e-15
+
 
 class TestEraseActionVars:
     def test_partial(self, store):
@@ -330,7 +351,7 @@ class TestNormalize:
             s = normalize(s)
             for _ in range(3):
                 s = apply_action(s, *_random_step(rng)).state
-            # the optimizer's factored nodes are new to the warm memo
+            # the optimizer's factored nodes are new to normalize
             s = greedy_optimize(s)
             warm = normalize(s)
             fresh = Store()
@@ -444,6 +465,45 @@ class TestApplyAction:
                            Action((1,), ((1.0, (0,)),)))
         assert res.state.root.kind == AND
         assert any(ch is or_c for ch in res.state.root.children)
+
+    def test_unnormalized_input_raises_mass_leak(self, store):
+        # apply_action expects unit-weight ORs, and normalize brings them
+        # there; here the root has mass 1, but the OR over b has mass 0.8,
+        # which erasing b would drop
+        b = store.make_or([(0.5, store.make_lit(1, 0)),
+                           (0.3, store.make_lit(1, 1))])
+        root = store.make_or([
+            (0.5, store.make_and([store.make_lit(0, 0), b])),
+            (0.6, store.make_and([store.make_lit(0, 1), store.make_lit(1, 0)])),
+        ])
+        s = Aobs(root, store, (0, 1))
+        c, a = Condition.of({0: [0]}), Action((1,), ((1.0, (1,)),))
+        with pytest.raises(MassLeak):
+            apply_action(s, c, a)
+        res = apply_action(normalize(s), c, a)
+        assert tab_equal(enum_canonical(res.state),
+                         tab_apply_action(enum_canonical(normalize(s)), c, a))
+        assert_normal_form(res.state)
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_long_run_keeps_unit_weights(self, optimize):
+        # no pass rescales an action's result, so rounding must not build
+        # up: 3,000 one-variable actions on 6 binary variables
+        cfg = ExperimentConfig(num_vars=6, num_values=2, num_actions=3000,
+                               effects_per_action=2, assigns_per_effect=1,
+                               condition_arity=1, oracle_cap=1)
+        script = gen_experiment(cfg, 3)
+        s = from_physical_state(Store(), script.initial, tuple(range(6)))
+        fired = 0
+        for c, a in script.steps:
+            res = apply_action(s, c, a)
+            fired += res.selected_mass > 0
+            s = greedy_optimize(res.state) if optimize else res.state
+            assert abs(s.root.mass - 1.0) <= 1e-12
+            for node in iter_nodes(s.root):
+                if node.kind == OR:
+                    assert abs(sum(node.weights) - 1.0) <= 1e-9
+        assert fired > 2000
 
     def test_selected_mass_matches_oracle(self, two_var_right):
         res = apply_action(

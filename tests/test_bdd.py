@@ -8,7 +8,6 @@ from aobs.bdd import (
     BddManager,
     BoolVarMap,
     ValueOutOfRange,
-    bdd_apply,
     bdd_apply_action,
     bdd_size,
     encode_action,
@@ -33,11 +32,11 @@ def _truth_table(manager, f, num_bools):
 class TestApply:
     def test_contradiction(self, manager):
         x = manager.var(0)
-        assert bdd_apply(manager, "and", x, manager.negate(x)) is manager.false
+        assert manager.apply("and", x, manager.negate(x)) is manager.false
 
     def test_or_identity(self, manager):
-        f = bdd_apply(manager, "and", manager.var(0), manager.var(1))
-        assert bdd_apply(manager, "or", f, manager.false) is f
+        f = manager.apply("and", manager.var(0), manager.var(1))
+        assert manager.apply("or", f, manager.false) is f
 
     def test_support_factorizes_to_one_constraint(self):
         # a three-variable support with b, c unconstrained reduces to the
@@ -47,8 +46,8 @@ class TestApply:
         f = manager.false
         for b in range(2):
             for c in range(2):
-                f = bdd_apply(
-                    manager, "or", f,
+                f = manager.apply(
+                    "or", f,
                     encode_state(manager, vmap, {0: 0, 1: b, 2: c}),
                 )
         g = encode_condition(
@@ -59,11 +58,11 @@ class TestApply:
 
 class TestNotExists:
     def test_double_negation(self, manager):
-        f = bdd_apply(manager, "or", manager.var(0), manager.var(2))
+        f = manager.apply("or", manager.var(0), manager.var(2))
         assert manager.negate(manager.negate(f)) is f
 
     def test_exists_drops_variable(self, manager):
-        xy = bdd_apply(manager, "and", manager.var(0), manager.var(1))
+        xy = manager.apply("and", manager.var(0), manager.var(1))
         assert manager.exists({0}, xy) is manager.var(1)
 
     def test_projection_keeps_other_constraints(self):
@@ -71,7 +70,7 @@ class TestNotExists:
         manager = BddManager(vmap.num_bools)
         f = manager.false
         for state in [{0: 0, 1: 0, 2: 0}, {0: 0, 1: 1, 2: 0}]:
-            f = bdd_apply(manager, "or", f, encode_state(manager, vmap, state))
+            f = manager.apply("or", f, encode_state(manager, vmap, state))
         dropped = vmap.var_indices(1) + vmap.var_indices(2)
         got = manager.exists(dropped, f)
         assert got is encode_condition(manager, vmap, Condition.of({0: [0]}))
@@ -83,8 +82,8 @@ class TestEncodings:
         manager = BddManager(vmap.num_bools)
         a = Action((1, 2), ((0.7, (2, 1)), (0.3, (2, 0))))
         f = encode_action(manager, vmap, a)
-        expected = bdd_apply(
-            manager, "or",
+        expected = manager.apply(
+            "or",
             encode_state(manager, vmap, {1: 2, 2: 1}),
             encode_state(manager, vmap, {1: 2, 2: 0}),
         )
@@ -124,8 +123,8 @@ class TestApplyAction:
     def test_unconditional_overwrite(self):
         vmap = BoolVarMap(3, 3)
         manager = BddManager(vmap.num_bools)
-        b = bdd_apply(
-            manager, "or",
+        b = manager.apply(
+            "or",
             encode_state(manager, vmap, {0: 0, 1: 0, 2: 0}),
             encode_state(manager, vmap, {0: 0, 1: 1, 2: 0}),
         )
@@ -156,8 +155,8 @@ class TestApplyAction:
             }
             b = manager.false
             for values in support:
-                b = bdd_apply(
-                    manager, "or", b,
+                b = manager.apply(
+                    "or", b,
                     encode_state(manager, vmap, dict(enumerate(values))),
                 )
             c = Condition.of({0: rng.sample(range(3), rng.randint(1, 2))})
@@ -190,8 +189,8 @@ class TestSizeAndCanonicity:
         f = manager.false
         for b in range(2):
             for c in range(2):
-                f = bdd_apply(
-                    manager, "or", f,
+                f = manager.apply(
+                    "or", f,
                     encode_state(manager, vmap, {0: 0, 1: b, 2: c}),
                 )
 
@@ -223,7 +222,7 @@ class TestSizeAndCanonicity:
                         cube = manager.node(k, manager.false, cube)
                     else:
                         cube = manager.node(k, cube, manager.false)
-                f = bdd_apply(manager, "or", f, cube)
+                f = manager.apply("or", f, cube)
             assert _truth_table(manager, f, n) == table
             if table in seen:
                 assert seen[table] is f

@@ -365,6 +365,34 @@ class TestActCommand:
         assert rc == 2
 
 
+class TestStateMass:
+    # OR(0.5: a=0, 0.8: a=1) x b=0 has mass 1.3; read, it is a legal state
+    HEAVY = {"universe": ["a", "b"], "nodes": [
+        ["lit", "a", 0], ["lit", "a", 1], ["or", [0.5, 0.8], [0, 1]],
+        ["lit", "b", 0], ["and", [2, 3]]]}
+
+    def test_reader_keeps_the_mass(self):
+        assert state_from_json(self.HEAVY).root.mass == pytest.approx(1.3)
+
+    def test_eval_exit_2(self, tmp_path, capsys):
+        rc = main(["eval", _write(tmp_path / "s.json", self.HEAVY),
+                   _write(tmp_path / "c.json", {"b": [0]})])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: state mass is 1.3")
+
+    def test_act_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        rc = main(["act", _write(tmp_path / "s.json", self.HEAVY),
+                   _write(tmp_path / "c.json", {"a": [1]}),
+                   _write(tmp_path / "a.json", {"outcomes": [[1.0, {"b": 1}]]}),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("input error: state mass")
+        assert not out.exists()
+
+
 class TestExportDotCommand:
     def test_to_file_and_stable(self, tmp_path, capsys):
         spath = _write(tmp_path / "s.json", THREE_VAR_STATE)

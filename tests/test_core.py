@@ -2,7 +2,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from aobs.acting import apply_action
 from aobs.core import (
     AND,
     LIT,
@@ -14,6 +16,7 @@ from aobs.core import (
     MismatchedSubspaces,
     PartialAssignment,
     ExpansionTooLarge,
+    WEIGHT_DIGITS,
     Store,
     count_states,
     enumerate_states,
@@ -24,10 +27,11 @@ from aobs.core import (
     size_metric,
     union_roots,
 )
-from aobs.oracle import tab_canonical, tab_equal
+from aobs.oracle import Action, Condition, tab_canonical, tab_equal
 
 from conftest import (
-    enum_canonical, random_aobs, random_dag, random_tabular, total_mass,
+    assert_normal_form, enum_canonical, level_chain, random_aobs, random_dag,
+    random_tabular, total_mass,
 )
 
 FOUR_ROW_TABLE = [
@@ -120,6 +124,93 @@ class TestMakeOr:
         second = store.make_or([(4e-14, a), (1 - 4e-14, b)])
         assert second is not first
         assert dict(zip(second.children, second.weights))[a] == 4e-14
+
+    @settings(max_examples=300, deadline=None)
+    @given(w=st.floats(1e-14, 1.0), v=st.floats(1e-14, 1.0),
+           rel=st.floats(-2e-11, 2e-11))
+    def test_weights_intern_by_their_rendering(self, w, v, rel):
+        # splicing multiplies weights; a key keeps WEIGHT_DIGITS significant
+        # digits of each, so two unions share a node exactly when those agree
+        store = Store()
+        a, b = store.make_lit(0, 0), store.make_lit(0, 1)
+        w2 = w * (1.0 + rel)
+        first = store.make_or([(w, a), (v, b)])
+        second = store.make_or([(w2, a), (v, b)])
+        fmt = f".{WEIGHT_DIGITS - 1}e"
+        assert (first is second) == (format(w, fmt) == format(w2, fmt))
+
+
+class TestNormalForm:
+    """The store splices as it builds: no AND under an AND, no OR under an
+    OR."""
+
+    def test_and_is_associative(self, store):
+        a, b, c = (store.make_lit(v, 0) for v in range(3))
+        left = store.make_and([store.make_and([a, b]), c])
+        assert left is store.make_and([a, store.make_and([b, c])])
+        assert left.children == tuple(sorted((a, b, c), key=lambda n: n.key))
+
+    def test_or_over_or_is_the_flat_or(self, store):
+        a, b, c = (store.make_lit(0, u) for u in range(3))
+        inner = store.make_or([(0.25, a), (0.75, b)])
+        nested = store.make_or([(0.4, inner), (0.6, c)])
+        assert nested is store.make_or([(0.1, a), (0.3, b), (0.6, c)])
+        assert dict(zip(nested.children, nested.weights)) == pytest.approx(
+            {a: 0.4 * 0.25, b: 0.4 * 0.75, c: 0.6})
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_vars=st.integers(1, 5))
+    def test_random_nested_constructions(self, seed, num_vars):
+        rng = random.Random(seed)
+        desc = _describe(rng, tuple(range(num_vars)), 3)
+        store = Store()
+        root = _build(store, desc)
+        for node in iter_nodes(root):
+            assert all(ch.kind != node.kind for ch in node.children
+                       if node.kind != LIT)
+            sub = Aobs(node, store, tuple(sorted(node.omega)))
+            assert node.mass == pytest.approx(total_mass(sub), rel=1e-12)
+        got = enum_canonical(Aobs(root, store, tuple(range(num_vars))))
+        assert tab_equal(got, tab_canonical(_expand(desc)), eps=1e-12)
+
+
+def _describe(rng, block, depth):
+    """A random nested description over the variables ``block``: ANDs may
+    sit under ANDs (with empty ones among them) and ORs under ORs, weights
+    need not sum to 1."""
+    if depth > 0 and rng.random() < 0.45:
+        return ("or", [(rng.uniform(0.05, 2.0), _describe(rng, block, depth - 1))
+                       for _ in range(rng.randint(1, 3))])
+    if len(block) == 1 and (depth == 0 or rng.random() < 0.5):
+        return ("lit", block[0], rng.randrange(2))
+    cuts = sorted(rng.sample(range(1, len(block)),
+                             rng.randint(0, len(block) - 1)))
+    parts = [block[i:j] for i, j in zip([0] + cuts, cuts + [len(block)])]
+    kids = [_describe(rng, part, max(depth - 1, 0)) for part in parts]
+    if rng.random() < 0.2:
+        kids.append(("and", []))
+    return ("and", kids)
+
+
+def _build(store, desc):
+    if desc[0] == "lit":
+        return store.make_lit(desc[1], desc[2])
+    if desc[0] == "and":
+        return store.make_and([_build(store, d) for d in desc[1]])
+    return store.make_or([(w, _build(store, d)) for w, d in desc[1]])
+
+
+def _expand(desc):
+    """The (probability, state) rows of a description, expanded directly."""
+    if desc[0] == "lit":
+        return [(1.0, ((desc[1], desc[2]),))]
+    if desc[0] == "and":
+        rows = [(1.0, ())]
+        for d in desc[1]:
+            rows = [(p * q, tuple(sorted(s + t)))
+                    for p, s in rows for q, t in _expand(d)]
+        return rows
+    return [(w * p, s) for w, d in desc[1] for p, s in _expand(d)]
 
 
 class TestVarSubspace:
@@ -223,8 +314,8 @@ class TestFold:
                        for i, n in enumerate(order) for c in n.children)
 
     def test_steps_in_recursive_order(self):
-        # normalize and greedy_optimize record extra memo entries as they
-        # step, so their results depend on the order of the steps
+        # greedy_optimize records extra memo entries as it steps, so its
+        # results depend on the order of the steps
         def recursive(node, seen, order):
             if node.key not in seen:
                 for c in node.children:
@@ -239,13 +330,17 @@ class TestFold:
             assert _postorder(s.root) == recursive(s.root, set(), [])
 
     def test_deep_chain(self, store):
-        # deeper than the interpreter's recursion limit
-        node = store.make_lit(0, 0)
-        for v in range(1, 3000):
-            node = store.make_and([store.make_lit(v, 0), node])
-        order = _postorder(node)
-        assert len(order) == 2 * 3000 - 1
-        assert order[-1] is node
+        # 3,000 nodes deep, deeper than the interpreter's recursion limit;
+        # alternating ORs and ANDs, which the store cannot splice together
+        root = level_chain(store, 1500).root
+        order = _postorder(root)
+        assert len(order) == 5 * 1500 - 2
+        position = {n.key: i for i, n in enumerate(order)}
+        assert len(position) == len(order)
+        assert set(position) == {n.key for n in iter_nodes(root)}
+        assert order[-1] is root
+        assert all(position[c.key] < i
+                   for i, n in enumerate(order) for c in n.children)
 
     def test_leaf_answered_nodes_are_not_descended(self, three_var_state):
         root = three_var_state.root  # AND(a=0, OR over b, OR over c)
@@ -432,7 +527,19 @@ class TestTabularRoundTrip:
         while any(n.kind == OR for n in level):
             depth += 1
             level = [ch for n in level if n.kind == OR for ch in n.children]
-        assert depth == 11  # ceil(log2(1053)) unions deep
+        assert depth == 1  # one union over the rows
+
+    def test_rows_off_one_give_unit_mass(self, store):
+        # the rows sum to 1 + 5e-7, which the check accepts; an action runs
+        # on the state without a rescaling pass, so its root must be exact
+        rows = [(0.2, {0: 0, 1: 0}), (0.3, {0: 0, 1: 1}),
+                (0.5 + 5e-7, {0: 1, 1: 1})]
+        s = from_tabular(store, rows, (0, 1))
+        assert abs(s.root.mass - 1.0) <= 1e-12
+        res = apply_action(s, Condition.of({0: [0]}),
+                           Action((1,), ((0.5, (0,)), (0.5, (1,)))))
+        assert res.selected_mass > 0
+        assert_normal_form(res.state)
 
     def test_empty_rejected(self, store):
         with pytest.raises(AobsError):
