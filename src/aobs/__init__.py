@@ -29,7 +29,6 @@ from .oracle import Action, Condition, tab_apply_action, tab_canonical, tab_equa
 from .acting import (
     ApplyResult,
     MassLeak,
-    NotMixed,
     apply_action,
     normalize,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "MismatchedSubspaces",
     "MismatchedUniverse",
     "Node",
-    "NotMixed",
     "OverlappingSubspaces",
     "PartialAssignment",
     "Store",

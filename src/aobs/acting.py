@@ -1,11 +1,13 @@
 """Applying a probabilistic action to a condition-selected belief substate.
 
 The pipeline keeps the DAG compact: label nodes against the condition, locate
-the minimal subgraphs covering the action and condition variables, isolate the
-selected part of mixed subgraphs, erase the action variables from the included
-part, graft the action's outcome subgraph, and rebuild the ancestors.  The
-store keeps every node it builds in normal form, and each step preserves
-mass, so the result needs no normalizing pass.
+the minimal subgraphs covering the action and condition variables, split each
+into the products the condition selects and the edges it excludes, graft the
+action's outcome subgraph onto each product with the action variables erased,
+and rebuild the ancestors.  A split hands its caller edge lists and
+products not yet interned, so a selected product is interned only once it is
+grafted.  The store keeps every node it builds in normal form, and each step
+preserves mass, so the result needs no normalizing pass.
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ from .core import (
     AND,
     EPS_P,
     LIT,
-    OR,
     Aobs,
     AobsError,
     Node,
@@ -30,6 +31,10 @@ INCLUDED = "I"
 EXCLUDED = "E"
 MIXED = "M"
 
+Edge = Tuple[float, Node]
+Product = Tuple[float, List[Node]]  # its factors are not yet interned
+Split = Tuple[List[Product], List[Edge]]  # see :func:`isolate`
+
 
 class LabelMap(Dict[str, str]):
     """Node key -> label, filled in by one condition pass (:func:`_label`).
@@ -41,10 +46,6 @@ class LabelMap(Dict[str, str]):
 
     def __missing__(self, key: str) -> str:
         return INCLUDED
-
-
-class NotMixed(AobsError):
-    """Isolation was requested for a node that is not labeled mixed."""
 
 
 class MassLeak(AobsError):
@@ -152,44 +153,52 @@ def find_minimal_subgraphs(
 
 
 def isolate(n: Node, labels: LabelMap, store: Store,
-            memo: Optional[Dict[str, Node]] = None) -> Node:
-    """Rewrite a mixed node into an equivalent OR with pure children.
+            memo: Optional[Dict[str, Split]] = None) -> Split:
+    """Split ``n`` into ``(included, excluded)``: the ``(weight, factors)``
+    products the condition selects, not yet interned, and the ``(weight,
+    node)`` edges it excludes.  Over unit-weight ORs, their OR is ``n``.
 
-    ``labels`` holds the condition's labels of ``n`` and the nodes below it;
-    the label of each term it builds is added to it, so every edge of the
-    result is labeled.  An OR's mixed children are isolated first, and the
-    store splices their edges in with multiplied weights.  A mixed AND
-    becomes an OR over one fully-included term plus disjoint telescoped
-    excluded terms, so the edge weights still sum to the node's original
-    mass.  ``memo`` maps node keys to isolated nodes (a pure node to
-    itself); isolating depends only on the node and the condition, so all
-    isolations of one action can share one memo.
+    ``labels`` holds the condition's labels of ``n`` and the nodes below it.
+    A pure node is its own one edge, a mixed OR takes in its children's
+    edges with the weights multiplied, and a mixed AND is split by
+    :func:`_split_and`.  ``memo`` maps node keys to splits; splitting
+    depends only on the node and the condition, so all isolations of one
+    action can share one memo.
     """
-    if labels[n.key] != MIXED:
-        raise NotMixed(f"cannot isolate a node labeled {labels[n.key]}")
-    iso: Dict[str, Node] = {} if memo is None else memo
+    splits: Dict[str, Split] = {} if memo is None else memo
 
-    def leaf(node: Node) -> Optional[Node]:
-        return node if labels[node.key] != MIXED else None
+    def leaf(node: Node) -> Optional[Split]:
+        label = labels[node.key]
+        if label == INCLUDED:
+            return [(1.0, [node])], []
+        if label == EXCLUDED:
+            return [], [(1.0, node)]
+        return None
 
-    def step(node: Node) -> Node:
-        if node.kind == OR:
-            # an OR is pure once its mixed children are split
-            if all(labels[g.key] != MIXED for g in node.children):
-                return node
-            return store.make_or([(w, iso[ch.key]) for w, ch in node.edges()])
-        return _split_and(node, labels, iso, store)
+    def step(node: Node) -> Split:
+        if node.kind == AND:
+            return _split_and(node, labels, splits, store)
+        inc: List[Product] = []
+        exc: List[Edge] = []
+        for w, ch in zip(node.weights, node.children):
+            ch_inc, ch_exc = splits[ch.key]
+            inc += [(w * v, f) for v, f in ch_inc]
+            exc += [(w * v, g) for v, g in ch_exc]
+        return inc, exc
 
-    return fold(n, iso, step, leaf)
+    return fold(n, splits, step, leaf)
 
 
-def _split_and(n: Node, labels: LabelMap, iso: Dict[str, Node],
-               store: Store) -> Node:
-    """The mixed AND ``n`` as an OR with pure children, its mixed children
-    isolated in ``iso``: split each of them into included/excluded halves.
-    The terms' labels are added to ``labels``."""
+def _split_and(n: Node, labels: LabelMap, splits: Dict[str, Split],
+               store: Store) -> Split:
+    """The split of the mixed AND ``n``, its mixed children split in
+    ``splits``.  The included product holds the included children and the
+    included half of each mixed child.  Excluded term ``i`` swaps the
+    included half of mixed child ``i`` for its excluded half, and those of
+    the mixed children after it for their full unions."""
     fixed: List[Node] = []
-    parts: List[Tuple[Node, Node, Node, float]] = []  # (inc, exc, full, m)
+    parts: List[Tuple[List[Node], float, Node]] = []  # (inc half, share, exc)
+    fulls: List[Node] = []  # the full union of each mixed child but the first
     for ch in n.children:
         cl = labels[ch.key]
         if cl == EXCLUDED:
@@ -197,40 +206,31 @@ def _split_and(n: Node, labels: LabelMap, iso: Dict[str, Node],
         if cl == INCLUDED:
             fixed.append(ch)
             continue
-        pure = iso[ch.key]
-        inc = [(w, g) for w, g in pure.edges() if labels[g.key] == INCLUDED]
-        exc = [(w, g) for w, g in pure.edges() if labels[g.key] == EXCLUDED]
-        total = sum(w for w, _ in pure.edges())
-        inc_mass = sum(w for w, _ in inc)
+        inc, exc = splits[ch.key]
         # each half is scaled by its own sum: ``total - inc_mass`` cancels
         # when the excluded half is small, and its OR would keep the error
-        exc_mass = sum(w for w, _ in exc)
-        parts.append((
-            store.make_or([(w / inc_mass, g) for w, g in inc]),
-            store.make_or([(w / exc_mass, g) for w, g in exc]),
-            store.make_or([(w / total, g) for w, g in pure.edges()]),
-            inc_mass / total,
-        ))
+        inc_mass = sum([w for w, _ in inc])
+        exc_mass = sum([w for w, _ in exc])
+        total = inc_mass + exc_mass
+        # a lone product is spliced into its parent, not interned
+        half = inc[0][1] if len(inc) == 1 else [store.make_or(
+            [(w / inc_mass, store.make_and(f)) for w, f in inc])]
+        if parts:  # only the terms of earlier children use it
+            fulls.append(store.make_or(
+                [(w / total, store.make_and(f)) for w, f in inc]
+                + [(w / total, g) for w, g in exc]))
+        parts.append((half, inc_mass / total,
+                      store.make_or([(w / exc_mass, g) for w, g in exc])))
 
-    k = len(parts)
-    terms: List[Tuple[float, Node]] = []
-    included_mass = math.prod(m for _, _, _, m in parts)
-    term = store.make_and(fixed + [inc for inc, _, _, _ in parts])
-    labels[term.key] = INCLUDED
-    terms.append((included_mass, term))
+    excluded: List[Edge] = []
+    factors = fixed  # the included children and halves so far
     prefix = 1.0
-    for i in range(k):
-        inc_i, exc_i, _, m_i = parts[i]
-        weight = prefix * (1.0 - m_i)
-        children = list(fixed)
-        children.extend(parts[j][0] for j in range(i))
-        children.append(exc_i)
-        children.extend(parts[j][2] for j in range(i + 1, k))
-        term = store.make_and(children)
-        labels[term.key] = EXCLUDED
-        terms.append((weight, term))
-        prefix *= m_i
-    return store.make_or(terms)
+    for i, (half, share, exc_half) in enumerate(parts):
+        term = store.make_and(factors + [exc_half] + fulls[i:])
+        excluded.append((prefix * (1.0 - share), term))
+        factors = factors + half
+        prefix *= share
+    return [(prefix, factors)], excluded
 
 
 def erase_action_vars(
@@ -314,10 +314,11 @@ class ApplyResult:
 def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     """Apply a state-independent action to the condition-selected substate.
 
-    The belief state is rewritten persistently: minimal subgraphs are replaced
-    (isolating mixed ones first), the action subgraph is grafted over the
-    erased action variables, and ancestors are rebuilt along affected paths.
-    Total mass is preserved.
+    The belief state is rewritten persistently.  Each minimal subgraph is
+    split (:func:`isolate`) and becomes one OR of its excluded edges and its
+    grafted products: each factor, or each child of an AND factor, loses the
+    action variables, and the action subgraph joins them.  Ancestors are
+    rebuilt along affected paths.  Total mass is preserved.
 
     Every OR of ``s`` must have unit weight, as every constructor and every
     pipeline output has; call :func:`normalize` first on a state built
@@ -338,25 +339,21 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     act_node = action_subgraph(store, a)
     minimal = find_minimal_subgraphs(s.root, c, avars, labels)
     erased: Dict[str, Node] = {}
-    isolated: Dict[str, Node] = {}
+    splits: Dict[str, Split] = {}
 
-    def graft(part: Node) -> Node:
-        return store.make_and([erase_action_vars(part, avars, store, erased),
-                               act_node])
+    def graft(factors: List[Node]) -> Node:
+        kept = [act_node]
+        for f in factors:
+            for g in (f.children if f.kind == AND else (f,)):
+                kept.append(g if avars.isdisjoint(g.omega) else
+                            erase_action_vars(g, avars, store, erased))
+        return store.make_and(kept)
 
     # rebuilt nodes by key, seeded with the replaced minimal subgraphs
     rebuilt: Dict[str, Node] = {}
     for n in minimal:
-        if labels[n.key] == INCLUDED:
-            rebuilt[n.key] = graft(n)
-        else:
-            iso = isolate(n, labels, store, isolated)
-            edges = []
-            for w, ch in iso.edges():
-                if labels[ch.key] == INCLUDED:
-                    ch = graft(ch)
-                edges.append((w, ch))
-            rebuilt[n.key] = store.make_or(edges)
+        inc, exc = isolate(n, labels, store, splits)
+        rebuilt[n.key] = store.make_or([(w, graft(f)) for w, f in inc] + exc)
 
     # Only ancestors of minimal subgraphs change, and every such ancestor
     # covers ``need`` and is included or mixed: an AND ancestor's other

@@ -18,7 +18,8 @@ three bodies:
 
 Variable values, table indices, condition values and action values must
 be JSON integers; probabilities and weights must be JSON numbers.  ``aobs
-eval`` and ``aobs act`` take only states of total mass 1.
+eval`` and ``aobs act`` take only states of total mass 1; ``aobs act``
+first rescales a state whose inner ORs lack unit weight.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input.
 """
@@ -31,7 +32,7 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .acting import apply_action
+from .acting import apply_action, normalize
 from .bench import (
     ExperimentConfig,
     InsufficientSpread,
@@ -396,6 +397,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_act(args: argparse.Namespace) -> int:
     state = _unit_state(args.state)
+    if any(abs(n.mass - 1.0) > EPS_P for n in iter_nodes(state.root)):
+        state = normalize(state)  # apply_action takes unit-weight ORs only
     condition = condition_from_json(_load(args.condition), state)
     action = action_from_json(_load(args.action), state)
     before = size_metric(state)

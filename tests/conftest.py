@@ -81,7 +81,13 @@ def assert_normal_form(s, eps=1e-9):
 
 
 def random_tabular(rng, num_vars, num_values, num_rows):
-    """Random canonical tabular belief state with the given bounds."""
+    """Random canonical tabular belief state with the given bounds.
+
+    Raises ValueError when there are fewer distinct states than ``num_rows``.
+    """
+    if num_rows > num_values ** num_vars:
+        raise ValueError(f"{num_rows} rows asked of "
+                         f"{num_values ** num_vars} distinct states")
     states = set()
     while len(states) < num_rows:
         states.add(tuple(rng.randrange(num_values) for _ in range(num_vars)))

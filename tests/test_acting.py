@@ -9,7 +9,6 @@ from aobs.acting import (
     INCLUDED,
     MIXED,
     MassLeak,
-    NotMixed,
     action_subgraph,
     apply_action,
     erase_action_vars,
@@ -184,6 +183,22 @@ class TestFindMinimalSubgraphs:
                     assert avars | c.variables <= n.omega
 
 
+def _split_node(store, split):
+    """The OR a split stands for, its products interned."""
+    inc, exc = split
+    return store.make_or([(w, store.make_and(f)) for w, f in inc] + exc)
+
+
+def _assert_pure_split(store, split, c):
+    """Every product of the split is included and every edge excluded."""
+    inc, exc = split
+    for _, factors in inc:
+        node = store.make_and(factors)
+        assert label_nodes(node, c)[node.key] == INCLUDED
+    for _, g in exc:
+        assert label_nodes(g, c)[g.key] == EXCLUDED
+
+
 class TestIsolate:
     def test_mixed_and_becomes_or(self, store):
         c = _cond_b1()
@@ -193,31 +208,26 @@ class TestIsolate:
                            (0.6, store.make_lit(1, 1))]),
         ])
         labels = label_nodes(n, c)
-        out = isolate(n, labels, store)
-        assert out.kind == OR
-        relabeled = label_nodes(out, c)
-        weights = {
-            relabeled[ch.key]: w for w, ch in out.edges()
-        }
-        assert abs(weights[INCLUDED] - 0.6) < 1e-12
-        assert abs(weights[EXCLUDED] - 0.4) < 1e-12
-        assert tab_equal(_node_enum(out), _node_enum(n))
+        inc, exc = split = isolate(n, labels, store)
+        assert len(inc) == 1 and len(exc) == 1
+        assert abs(inc[0][0] - 0.6) < 1e-12
+        assert abs(exc[0][0] - 0.4) < 1e-12
+        _assert_pure_split(store, split, c)
+        assert tab_equal(_node_enum(_split_node(store, split)), _node_enum(n))
 
     def test_pure_or_unchanged(self, store):
+        # an OR over pure children is split into its own edges, and a pure
+        # node is its own one edge; neither interns a node
         c = _cond_b1()
-        n = store.make_or([
-            (0.4, store.make_and([store.make_lit(0, 0), store.make_lit(1, 0)])),
-            (0.6, store.make_and([store.make_lit(0, 0), store.make_lit(1, 1)])),
-        ])
+        b0 = store.make_and([store.make_lit(0, 0), store.make_lit(1, 0)])
+        b1 = store.make_and([store.make_lit(0, 0), store.make_lit(1, 1)])
+        n = store.make_or([(0.4, b0), (0.6, b1)])
         labels = label_nodes(n, c)
-        assert isolate(n, labels, store) is n
-
-    def test_not_mixed_rejected(self, store):
-        c = _cond_b1()
-        n = store.make_lit(1, 1)
-        labels = label_nodes(n, c)
-        with pytest.raises(NotMixed):
-            isolate(n, labels, store)
+        size = len(store)
+        assert isolate(n, labels, store) == ([(0.6, [b1])], [(0.4, b0)])
+        assert isolate(b1, labels, store) == ([(1.0, [b1])], [])
+        assert isolate(b0, labels, store) == ([], [(1.0, b0)])
+        assert len(store) == size
 
     def test_soundness_on_random_graphs(self):
         rng = random.Random(29)
@@ -231,12 +241,11 @@ class TestIsolate:
             labels = label_nodes(s.root, c)
             if labels[s.root.key] != MIXED:
                 continue
-            out = isolate(s.root, labels, s.store)
-            assert out.kind == OR
-            relabeled = label_nodes(out, c)
-            for ch in out.children:
-                assert relabeled[ch.key] in (INCLUDED, EXCLUDED)
-            assert tab_equal(_node_enum(out), _node_enum(s.root))
+            split = isolate(s.root, labels, s.store)
+            assert split[0] and split[1]
+            _assert_pure_split(s.store, split, c)
+            assert tab_equal(_node_enum(_split_node(s.store, split)),
+                             _node_enum(s.root))
             checked += 1
 
     def test_small_excluded_half_has_unit_weight(self):
@@ -252,11 +261,10 @@ class TestIsolate:
                 (w, store.make_lit(0, u)) for u, w in enumerate(tail, 1)])
             n = store.make_and([a, store.make_lit(1, 0)])
             labels = label_nodes(n, c)
-            out = isolate(n, labels, store)
-            for _, term in out.edges():
-                if labels[term.key] == EXCLUDED:
-                    half = next(g for g in term.children if g.kind == OR)
-                    assert abs(sum(half.weights) - 1.0) <= 1e-15
+            _, exc = isolate(n, labels, store)
+            for _, term in exc:
+                half = next(g for g in term.children if g.kind == OR)
+                assert abs(sum(half.weights) - 1.0) <= 1e-15
 
 
 class TestEraseActionVars:
@@ -504,6 +512,68 @@ class TestApplyAction:
                 if node.kind == OR:
                     assert abs(sum(node.weights) - 1.0) <= 1e-9
         assert fired > 2000
+
+    @pytest.mark.parametrize("shape", ["included", "telescoped"])
+    def test_interns_only_what_the_result_keeps(self, store, shape):
+        # the minimal subgraph is the root: an included AND, or a mixed AND
+        # of two mixed ORs (k = 2); no node is built only to be spliced
+        lit = store.make_lit
+        if shape == "included":
+            root = store.make_and([lit(0, 0), lit(1, 0), lit(2, 0)])
+            c, a = Condition.of({0: [0]}), Action((1,), ((1.0, (1,)),))
+        else:
+            root = store.make_and([
+                store.make_or([(0.3, lit(0, 0)), (0.7, lit(0, 1))]),
+                store.make_or([(0.4, lit(1, 0)), (0.6, lit(1, 1))]),
+                lit(2, 0)])
+            c = Condition.of({0: [0], 1: [0]})
+            a = Action((2,), ((0.5, (1,)), (0.5, (2,))))
+        s = Aobs(root, store, (0, 1, 2))
+        before = set(store._nodes)
+        res = apply_action(s, c, a)
+        kept = {n.key for n in iter_nodes(res.state.root)}
+        dead = set(store._nodes) - before - kept - {store.empty_and().key}
+        assert not dead
+        assert tab_equal(enum_canonical(res.state),
+                         tab_apply_action(enum_canonical(s), c, a))
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_telescoped_split_against_oracle(self, optimize):
+        # unconditional one-variable actions spread three variables over
+        # all their values, so a condition on two or three of them meets
+        # mixed ANDs with several mixed children: _split_and's telescoped
+        # terms, which no arity-1 benchmark step reaches
+        rng = random.Random(53)
+        telescoped = 0
+        for _ in range(60):
+            s, _ = random_aobs(rng, max_rows=3)
+            s = normalize(s)
+            for v in rng.sample(range(4), 3):
+                w = [rng.random() + 0.1 for _ in range(3)]
+                spread = Action((v,), tuple((p / sum(w), (u,))
+                                            for u, p in enumerate(w)))
+                s = apply_action(s, Condition.of({}), spread).state
+            if optimize:
+                s = greedy_optimize(s)
+            c = Condition.of({v: rng.sample(range(3), rng.randint(1, 2))
+                              for v in rng.sample(range(4), rng.randint(2, 3))})
+            _, a = _random_step(rng)
+            labels = label_nodes(s.root, c)
+            stack = ([] if labels[s.root.key] == EXCLUDED else
+                     find_minimal_subgraphs(s.root, c, a.variables, labels))
+            while stack:
+                n = stack.pop()
+                mixed = [ch for ch in n.children if labels[ch.key] == MIXED]
+                if n.kind == AND and len(mixed) >= 2:
+                    telescoped += 1
+                    break
+                stack.extend(mixed)
+            res = apply_action(s, c, a)
+            expected = tab_apply_action(enum_canonical(s), c, a)
+            assert tab_equal(enum_canonical(res.state), expected)
+            if res.selected_mass > 0:
+                assert_normal_form(res.state)
+        assert telescoped >= 10
 
     def test_selected_mass_matches_oracle(self, two_var_right):
         res = apply_action(

@@ -18,7 +18,7 @@ from aobs.cli import (
     to_dot,
 )
 from aobs.core import Store, iter_nodes
-from aobs.oracle import Condition, tab_equal, tab_prob
+from aobs.oracle import Condition, tab_apply_action, tab_equal, tab_prob
 
 from conftest import enum_canonical, level_chain, random_dag, random_tabular
 
@@ -391,6 +391,32 @@ class TestStateMass:
         assert rc == 2
         assert capsys.readouterr().err.startswith("input error: state mass")
         assert not out.exists()
+
+    # root mass 1, but the ORs over b lack unit weight; erasing b would drop
+    # their excess, so act rescales them first
+    @pytest.mark.parametrize("b_weights, condition", [
+        pytest.param([[0.75, 0.75], [0.25, 0.25]], {"a": [0, 1]},
+                     id="all-selected"),
+        pytest.param([[0.5, 0.8], [0.3, 0.4]], {"a": [0]}, id="a-is-0"),
+    ])
+    def test_act_rescales_inner_ors(self, tmp_path, b_weights, condition):
+        doc = {"universe": ["a", "b"], "nodes": [
+            ["lit", "a", 0], ["lit", "a", 1], ["lit", "b", 0], ["lit", "b", 1],
+            ["or", b_weights[0], [2, 3]], ["and", [0, 4]],
+            ["or", b_weights[1], [2, 3]], ["and", [1, 6]],
+            ["or", [0.5, 0.5], [5, 7]]]}
+        action = {"outcomes": [[1.0, {"b": 1}]]}
+        out = tmp_path / "out.json"
+        rc = main(["act", _write(tmp_path / "s.json", doc),
+                   _write(tmp_path / "c.json", condition),
+                   _write(tmp_path / "a.json", action), "--out", str(out)])
+        assert rc == 0
+        s = state_from_json(doc)
+        expected = tab_apply_action(enum_canonical(s),
+                                    condition_from_json(condition, s),
+                                    action_from_json(action, s))
+        result = state_from_json(json.loads(out.read_text()))
+        assert tab_equal(enum_canonical(result), expected)
 
 
 class TestExportDotCommand:

@@ -164,3 +164,13 @@ class TestTabEqual:
     def test_probability_gap(self):
         off = [(p + 1e-6, s) for p, s in FOUR_ROW_TABLE]
         assert not tab_equal(off, FOUR_ROW_TABLE)
+
+
+class TestRandomTabular:
+    def test_more_rows_than_states_raises(self):
+        # three binary variables have eight states; drawing distinct states
+        # until there are nine would never end
+        with pytest.raises(ValueError):
+            random_tabular(random.Random(0), 3, 2, 9)
+        rows = random_tabular(random.Random(0), 3, 2, 8)
+        assert len({tuple(sorted(a.items())) for _, a in rows}) == 8
