@@ -19,6 +19,7 @@ from .core import (
     AND,
     EPS_P,
     LIT,
+    OR,
     Aobs,
     AobsError,
     Node,
@@ -36,16 +37,8 @@ Product = Tuple[float, List[Node]]  # its factors are not yet interned
 Split = Tuple[List[Product], List[Edge]]  # see :func:`isolate`
 
 
-class LabelMap(Dict[str, str]):
-    """Node key -> label, filled in by one condition pass (:func:`_label`).
-
-    The pass does not descend below a node whose variables avoid the
-    condition's, so the nodes under it are missing; like it, they are
-    included, and that is what they read.
-    """
-
-    def __missing__(self, key: str) -> str:
-        return INCLUDED
+#: node key -> label, filled in by one condition pass (:func:`_label`)
+LabelMap = Dict[str, str]
 
 
 class MassLeak(AobsError):
@@ -109,10 +102,12 @@ def label_nodes(root: Node, c: Condition) -> LabelMap:
 
     A node is included when all of its substate satisfies the condition,
     excluded when none of it does, mixed otherwise.  Keys are node digests.
-    Nodes below one whose variables avoid the condition's are left out of
-    the map and read included.
+    The pass does not descend below a node whose variables avoid the
+    condition's, so the nodes under it are left out of the plain dict it
+    returns; like that node they are included, and read so through
+    ``labels.get(key, INCLUDED)``.
     """
-    labels = LabelMap()
+    labels: LabelMap = {}
     _label(root, c, labels)
     return labels
 
@@ -136,7 +131,7 @@ def find_minimal_subgraphs(
     seen: set = set()
 
     def qualifies(n: Node) -> bool:
-        return labels[n.key] != EXCLUDED and need <= n.omega
+        return labels.get(n.key, INCLUDED) != EXCLUDED and need <= n.omega
 
     stack = [root] if qualifies(root) else []
     while stack:
@@ -158,7 +153,8 @@ def isolate(n: Node, labels: LabelMap, store: Store,
     products the condition selects, not yet interned, and the ``(weight,
     node)`` edges it excludes.  Over unit-weight ORs, their OR is ``n``.
 
-    ``labels`` holds the condition's labels of ``n`` and the nodes below it.
+    ``labels`` holds the condition's labels of ``n`` and the nodes below
+    it; a node missing from it is included.
     A pure node is its own one edge, a mixed OR takes in its children's
     edges with the weights multiplied, and a mixed AND is split by
     :func:`_split_and`.  ``memo`` maps node keys to splits; splitting
@@ -168,7 +164,7 @@ def isolate(n: Node, labels: LabelMap, store: Store,
     splits: Dict[str, Split] = {} if memo is None else memo
 
     def leaf(node: Node) -> Optional[Split]:
-        label = labels[node.key]
+        label = labels.get(node.key, INCLUDED)
         if label == INCLUDED:
             return [(1.0, [node])], []
         if label == EXCLUDED:
@@ -194,39 +190,36 @@ def _split_and(n: Node, labels: LabelMap, splits: Dict[str, Split],
     """The split of the mixed AND ``n``, its mixed children split in
     ``splits``.  The included product holds the included children and the
     included half of each mixed child.  Excluded term ``i`` swaps the
-    included half of mixed child ``i`` for its excluded half, and those of
-    the mixed children after it for their full unions."""
+    included half of mixed child ``i`` for its excluded half, and keeps the
+    mixed children after it whole: over unit-weight ORs each is the union
+    of its own two halves."""
     fixed: List[Node] = []
+    mixed: List[Node] = []
     parts: List[Tuple[List[Node], float, Node]] = []  # (inc half, share, exc)
-    fulls: List[Node] = []  # the full union of each mixed child but the first
     for ch in n.children:
-        cl = labels[ch.key]
+        cl = labels.get(ch.key, INCLUDED)
         if cl == EXCLUDED:
             raise AobsError("mixed AND node with an excluded child")
         if cl == INCLUDED:
             fixed.append(ch)
             continue
+        mixed.append(ch)
         inc, exc = splits[ch.key]
         # each half is scaled by its own sum: ``total - inc_mass`` cancels
         # when the excluded half is small, and its OR would keep the error
         inc_mass = sum([w for w, _ in inc])
         exc_mass = sum([w for w, _ in exc])
-        total = inc_mass + exc_mass
         # a lone product is spliced into its parent, not interned
         half = inc[0][1] if len(inc) == 1 else [store.make_or(
             [(w / inc_mass, store.make_and(f)) for w, f in inc])]
-        if parts:  # only the terms of earlier children use it
-            fulls.append(store.make_or(
-                [(w / total, store.make_and(f)) for w, f in inc]
-                + [(w / total, g) for w, g in exc]))
-        parts.append((half, inc_mass / total,
+        parts.append((half, inc_mass / (inc_mass + exc_mass),
                       store.make_or([(w / exc_mass, g) for w, g in exc])))
 
     excluded: List[Edge] = []
     factors = fixed  # the included children and halves so far
     prefix = 1.0
     for i, (half, share, exc_half) in enumerate(parts):
-        term = store.make_and(factors + [exc_half] + fulls[i:])
+        term = store.make_and(factors + [exc_half] + mixed[i + 1:])
         excluded.append((prefix * (1.0 - share), term))
         factors = factors + half
         prefix *= share
@@ -277,29 +270,26 @@ def normalize(s: Aobs) -> Aobs:
     """Rescale a belief state so that every OR has unit mass, without
     changing its semantics.
 
-    Every OR is rescaled to unit weight with the excess pushed up into the
-    nearest ancestor OR edge; the scale arriving at the root must be 1.  The
-    store keeps every node spliced, so this is only needed for states built
-    with OR weights that do not sum to 1, before :func:`apply_action`.
+    Each node's stored ``mass`` is the scale its rescaled copy drops, so an
+    OR edge ``(w, ch)`` becomes ``(w * ch.mass / node.mass, ch')``; ANDs and
+    literals are rebuilt over their rescaled children.  The root's mass must
+    be 1.  The store keeps every node spliced, so this is only needed for
+    states built with OR weights that do not sum to 1, before
+    :func:`apply_action`.
     """
+    if abs(s.root.mass - 1.0) > EPS_P:
+        raise MassLeak(f"root mass is {s.root.mass}, expected 1")
     store = s.store
-    memo: Dict[str, Tuple[float, Node]] = {}
+    memo: Dict[str, Node] = {}
+    rebuild = store.rebuilder(memo)
 
-    def step(node: Node) -> Tuple[float, Node]:
-        if node.kind == LIT:
-            return 1.0, node
-        parts = [memo[ch.key] for ch in node.children]
-        if node.kind == AND:
-            return (math.prod([sc for sc, _ in parts]),
-                    store.make_and([nn for _, nn in parts]))
-        edges = [(w * sc, nn) for w, (sc, nn) in zip(node.weights, parts)]
-        total = sum([w for w, _ in edges])
-        return total, store.make_or([(w / total, nn) for w, nn in edges])
+    def step(node: Node) -> Node:
+        if node.kind != OR:
+            return rebuild(node)
+        return store.make_or([(w * ch.mass / node.mass, memo[ch.key])
+                              for w, ch in zip(node.weights, node.children)])
 
-    scale, root = fold(s.root, memo, step)
-    if abs(scale - 1.0) > EPS_P:
-        raise MassLeak(f"root mass is {scale}, expected 1")
-    return Aobs(root, s.store, s.universe, s.var_names)
+    return Aobs(fold(s.root, memo, step), store, s.universe, s.var_names)
 
 
 @dataclass
@@ -329,7 +319,7 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     c.check_within(s.universe)
     a.check_within(s.universe)
     store = s.store
-    labels = LabelMap()
+    labels: LabelMap = {}
     root_label, selected = _label(s.root, c, labels)
     if root_label == EXCLUDED:
         return ApplyResult(s, 0.0)
@@ -361,7 +351,8 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     # contain the condition's, so they are included.  Any other node is kept
     # as is.  A qualifying literal is minimal, so it is in ``rebuilt`` already.
     def kept(node: Node) -> Optional[Node]:
-        if not need <= node.omega or labels[node.key] == EXCLUDED:
+        if (not need <= node.omega
+                or labels.get(node.key, INCLUDED) == EXCLUDED):
             return node
         return None
 

@@ -35,7 +35,7 @@ class BddNode:
 
 
 class BddManager:
-    """Unique table plus memoized apply/negate/exists over a fixed order."""
+    """Unique table plus memoized apply/exists over a fixed order."""
 
     def __init__(self, num_bools: int):
         self.num_bools = num_bools
@@ -44,10 +44,6 @@ class BddManager:
         self._unique: Dict[Tuple[int, int, int], BddNode] = {}
         self._next_id = 2
         self._apply_memo: Dict[Tuple[str, int, int], BddNode] = {}
-        self._not_memo: Dict[int, BddNode] = {}
-
-    def is_terminal(self, f: BddNode) -> bool:
-        return f.low is None
 
     def node(self, var: int, low: BddNode, high: BddNode) -> BddNode:
         if low is high:
@@ -66,7 +62,8 @@ class BddManager:
         return self.node(index, self.false, self.true)
 
     def apply(self, op: str, a: BddNode, b: BddNode) -> BddNode:
-        """Memoized Shannon expansion for AND/OR."""
+        """Memoized Shannon expansion for AND, OR and DIFF (``a`` and not
+        ``b``)."""
         if op == "and":
             if a is self.false or b is self.false:
                 return self.false
@@ -81,11 +78,16 @@ class BddManager:
                 return b
             if b is self.false:
                 return a
+        elif op == "diff":
+            if a is self.false or b is self.true or a is b:
+                return self.false
+            if b is self.false:
+                return a
         else:
             raise ValueError(f"unsupported operation {op!r}")
         if a is b:
             return a
-        if a.id > b.id:
+        if a.id > b.id and op != "diff":  # only diff is not symmetric
             a, b = b, a
         key = (op, a.id, b.id)
         got = self._apply_memo.get(key)
@@ -102,17 +104,6 @@ class BddManager:
         self._apply_memo[key] = out
         return out
 
-    def negate(self, f: BddNode) -> BddNode:
-        if f is self.false:
-            return self.true
-        if f is self.true:
-            return self.false
-        got = self._not_memo.get(f.id)
-        if got is None:
-            got = self.node(f.var, self.negate(f.low), self.negate(f.high))
-            self._not_memo[f.id] = got
-        return got
-
     def exists(self, bvars: Iterable[int], f: BddNode) -> BddNode:
         """Existential quantification over a set of boolean indices."""
         vs = frozenset(bvars)
@@ -122,7 +113,7 @@ class BddManager:
         memo: Dict[int, BddNode] = {}
 
         def rec(g: BddNode) -> BddNode:
-            if self.is_terminal(g) or g.var > top:
+            if g.low is None or g.var > top:
                 return g
             got = memo.get(g.id)
             if got is not None:
@@ -138,7 +129,7 @@ class BddManager:
         return rec(f)
 
     def evaluate(self, f: BddNode, bits: Sequence[bool]) -> bool:
-        while not self.is_terminal(f):
+        while f.low is not None:
             f = f.high if bits[f.var] else f.low
         return f is self.true
 
@@ -246,8 +237,9 @@ def bdd_apply_action(
     a: BddNode,
     avar_indices: Iterable[int],
 ) -> BddNode:
-    """(b and not c) or (exists(action booleans, b and c) and a)."""
-    keep = manager.apply("and", b, manager.negate(c))
+    """(b and not c) or (exists(action booleans, b and c) and a), with
+    ``b and not c`` taken by one ``diff`` apply."""
+    keep = manager.apply("diff", b, c)
     selected = manager.apply("and", b, c)
     projected = manager.exists(avar_indices, selected)
     return manager.apply("or", keep, manager.apply("and", projected, a))

@@ -21,13 +21,15 @@ be JSON integers; probabilities and weights must be JSON numbers.  ``aobs
 eval`` and ``aobs act`` take only states of total mass 1; ``aobs act``
 first rescales a state whose inner ORs lack unit weight.
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input.
+Exit codes: 0 success, 1 verification failure, 2 malformed input,
+arguments out of range or an output path that cannot be written.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import functools
+import io
 import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -319,32 +321,37 @@ CSV_HEADER = ["seed", "step", "n_states", "n_naive", "n_aobs", "n_bdd",
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig(
-        num_vars=args.vars,
-        num_values=args.values,
-        num_actions=args.actions,
-        effects_per_action=args.effects,
-        assigns_per_effect=args.assigns,
-        condition_arity=args.cond_arity,
-        oracle_cap=args.oracle_cap,
-        with_bdd=args.with_bdd,
-        optimize=not args.no_optimize,
-    )
+    try:
+        cfg = ExperimentConfig(
+            num_vars=args.vars,
+            num_values=args.values,
+            num_actions=args.actions,
+            effects_per_action=args.effects,
+            assigns_per_effect=args.assigns,
+            condition_arity=args.cond_arity,
+            oracle_cap=args.oracle_cap,
+            with_bdd=args.with_bdd,
+            optimize=not args.no_optimize,
+        )
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+    _write(args.out, "")  # an unwritable path fails before the seeds run
     try:
         rows = run_seeds(cfg, range(args.seeds))
     except OracleMismatch as exc:
         print(f"FATAL: {exc}", file=sys.stderr)
         return 1
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow([
-                r.seed, r.step, r.n_states, r.n_naive, r.n_aobs,
-                "" if r.n_bdd is None else r.n_bdd,
-                f"{r.ms_aobs:.3f}",
-                "" if r.ms_bdd is None else f"{r.ms_bdd:.3f}",
-            ])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(CSV_HEADER)
+    for r in rows:
+        writer.writerow([
+            r.seed, r.step, r.n_states, r.n_naive, r.n_aobs,
+            "" if r.n_bdd is None else r.n_bdd,
+            f"{r.ms_aobs:.3f}",
+            "" if r.ms_bdd is None else f"{r.ms_bdd:.3f}",
+        ])
+    _write(args.out, buf.getvalue())
     print(f"wrote {len(rows)} rows to {args.out}")
     try:
         print(f"fitted exponent: {fit_exponent(rows):.3f}")
@@ -404,9 +411,7 @@ def cmd_act(args: argparse.Namespace) -> int:
     before = size_metric(state)
     result = apply_action(state, condition, action).state
     after = size_metric(result)
-    with open(args.out, "w") as fh:
-        fh.write(json.dumps(state_to_json(result)))
-        fh.write("\n")
+    _write(args.out, json.dumps(state_to_json(result)) + "\n")
     print(f"size before: {before}")
     print(f"size after: {after}")
     return 0
@@ -416,8 +421,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     state = state_from_json(_load(args.state))
     text = to_dot(state)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -431,6 +435,14 @@ def _load(path: str) -> Any:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except RecursionError:
         raise SchemaError(f"cannot read {path}: nested too deeply") from None
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
 
 
 @functools.lru_cache(maxsize=None)
@@ -487,6 +499,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "bench" and args.seeds < 1:
         parser.error("--seeds must be positive")
+    if args.command == "verify" and args.cases < 0:
+        parser.error("--cases must not be negative")
     try:
         return args.func(args)
     except SchemaError as exc:

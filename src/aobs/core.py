@@ -476,8 +476,6 @@ def from_physical_state(
     root = store.make_and(
         [store.make_lit(v, assignments[v]) for v in universe]
     )
-    if not universe:
-        root = store.empty_and()
     return Aobs(root, store, tuple(universe),
                 tuple(var_names) if var_names is not None else None)
 

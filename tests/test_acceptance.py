@@ -128,7 +128,7 @@ def _onehot_count(manager, vmap, f):
             g = node
             for u in range(vmap.num_values):
                 idx = vmap.index(var, u)
-                if manager.is_terminal(g) or g.var > idx:
+                if g.low is None or g.var > idx:
                     continue  # function does not depend on this boolean
                 if g.var == idx:
                     g = g.high if u == value else g.low

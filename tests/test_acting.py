@@ -71,7 +71,8 @@ class TestLabelNodes:
         assert labels[store.make_lit(1, 1).key] == INCLUDED
         assert labels[store.make_lit(1, 0).key] == EXCLUDED
         for var, value in [(0, 0), (2, 0), (2, 1)]:
-            assert labels[store.make_lit(var, value).key] == INCLUDED
+            assert labels.get(store.make_lit(var, value).key,
+                              INCLUDED) == INCLUDED
         ors = {n for n in iter_nodes(three_var_state.root) if n.kind == OR}
         by_omega = {next(iter(n.omega)): n for n in ors}
         assert labels[by_omega[1].key] == MIXED
@@ -120,7 +121,7 @@ class TestLabelNodes:
         skipped = [n for n in iter_nodes(s.root) if n.key not in labels]
         assert {(n.var, n.value) for n in skipped} == {(1, 0), (1, 1)}
         for n in skipped:
-            assert labels[n.key] == INCLUDED
+            assert labels.get(n.key, INCLUDED) == INCLUDED
 
     def test_skipped_nodes_avoid_the_condition(self):
         rng = random.Random(5)
@@ -133,7 +134,7 @@ class TestLabelNodes:
             skipped = [n for n in iter_nodes(s.root) if n.key not in labels]
             for n in skipped:
                 assert c.variables.isdisjoint(n.omega)
-                assert labels[n.key] == INCLUDED
+                assert labels.get(n.key, INCLUDED) == INCLUDED
             pruned += bool(skipped)
         assert pruned >= 10
 
@@ -228,6 +229,26 @@ class TestIsolate:
         assert isolate(b1, labels, store) == ([(1.0, [b1])], [])
         assert isolate(b0, labels, store) == ([], [(1.0, b0)])
         assert len(store) == size
+
+    def test_split_reuses_later_mixed_children(self, store):
+        # a mixed AND of two mixed ORs, each over a mixed AND of its own, so
+        # a union rebuilt from a child's split is not the child's node; the
+        # first excluded term keeps the second mixed child itself
+        lit = store.make_lit
+
+        def mixed_or(u, v):
+            split = store.make_or([(0.5, lit(v, 0)), (0.5, lit(v, 1))])
+            return store.make_or([(0.5, store.make_and([lit(u, 0), split])),
+                                  (0.5, store.make_and([lit(u, 1), lit(v, 0)]))])
+
+        n = store.make_and([mixed_or(0, 1), mixed_or(2, 3)])
+        c = Condition.of({1: [0], 3: [0]})
+        labels = label_nodes(n, c)
+        _, second = [ch for ch in n.children if labels[ch.key] == MIXED]
+        _, exc = split = isolate(n, labels, store)
+        assert any(ch is second for ch in exc[0][1].children)
+        _assert_pure_split(store, split, c)
+        assert tab_equal(_node_enum(_split_node(store, split)), _node_enum(n))
 
     def test_soundness_on_random_graphs(self):
         rng = random.Random(29)

@@ -30,9 +30,36 @@ def _truth_table(manager, f, num_bools):
 
 
 class TestApply:
-    def test_contradiction(self, manager):
-        x = manager.var(0)
-        assert manager.apply("and", x, manager.negate(x)) is manager.false
+    def test_diff_matches_truth_tables(self, manager):
+        # random functions on 6 booleans, each a union of its minterms;
+        # diff must be the brute-force f and not g, and canonical
+        rng = random.Random(61)
+        n = manager.num_bools
+        rows = list(itertools.product([False, True], repeat=n))
+
+        def build(table):
+            f = manager.false
+            for bits, bit in zip(rows, table):
+                if bit:
+                    cube = manager.true
+                    for k in reversed(range(n)):
+                        cube = (manager.node(k, manager.false, cube) if bits[k]
+                                else manager.node(k, cube, manager.false))
+                    f = manager.apply("or", f, cube)
+            return f
+
+        tables = [tuple(rng.random() < 0.5 for _ in rows) for _ in range(20)]
+        tables += [(False,) * len(rows), (True,) * len(rows)]
+        for tf in tables:
+            f = build(tf)
+            assert manager.apply("diff", f, f) is manager.false
+            assert manager.apply("diff", manager.true, f) is build(
+                tuple(not x for x in tf))
+            for tg in rng.sample(tables, 5):
+                want = tuple(x and not y for x, y in zip(tf, tg))
+                got = manager.apply("diff", f, build(tg))
+                assert _truth_table(manager, got, n) == want
+                assert got is build(want)
 
     def test_or_identity(self, manager):
         f = manager.apply("and", manager.var(0), manager.var(1))
@@ -57,10 +84,6 @@ class TestApply:
 
 
 class TestNotExists:
-    def test_double_negation(self, manager):
-        f = manager.apply("or", manager.var(0), manager.var(2))
-        assert manager.negate(manager.negate(f)) is f
-
     def test_exists_drops_variable(self, manager):
         xy = manager.apply("and", manager.var(0), manager.var(1))
         assert manager.exists({0}, xy) is manager.var(1)

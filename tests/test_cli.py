@@ -297,6 +297,16 @@ class TestActCommand:
             (0.7, ((0, 0), (1, 2), (2, 1))),
         ])
 
+    @pytest.mark.parametrize("out", ["missing/out.json", "."])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, out):
+        rc = main(["act",
+                   _write(tmp_path / "s.json", TWO_ROW_STATE),
+                   _write(tmp_path / "c.json", {}),
+                   _write(tmp_path / "a.json", OVERWRITE_YZ),
+                   "--out", str(tmp_path / out)])
+        assert rc == 2
+        assert "cannot write" in capsys.readouterr().err
+
     def test_zero_mass_condition_identity(self, tmp_path):
         out = tmp_path / "out.json"
         rc = main(["act",
@@ -432,6 +442,12 @@ class TestExportDotCommand:
         assert main(["export-dot", spath]) == 0
         assert capsys.readouterr().out.startswith("digraph aobs {")
 
+    @pytest.mark.parametrize("out", ["missing/a.dot", "."])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, out):
+        spath = _write(tmp_path / "s.json", THREE_VAR_STATE)
+        assert main(["export-dot", spath, "--out", str(tmp_path / out)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_csv_schema(self, tmp_path, capsys):
@@ -457,6 +473,31 @@ class TestBenchCommand:
             rows = list(csv.reader(fh))
         assert all(r[5] != "" for r in rows[1:])
 
+    @pytest.mark.parametrize("bad", [
+        ["--vars", "0"],
+        ["--actions", "-1"],
+        ["--cond-arity", "0"],
+        ["--assigns", "5"],  # more than the 4 variables
+    ], ids=["vars", "actions", "cond-arity", "assigns"])
+    def test_bad_config_exit_2(self, tmp_path, capsys, bad):
+        args = {"--vars": "4", "--values": "2", "--actions": "3",
+                "--seeds": "1", "--out": str(tmp_path / "run.csv")}
+        args.update(zip(bad[::2], bad[1::2]))
+        assert main(["bench"] + [x for kv in args.items() for x in kv]) == 2
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["missing/run.csv", "."])
+    def test_unwritable_out_exit_2_before_running(self, tmp_path, capsys,
+                                                  monkeypatch, out):
+        def run_seeds(cfg, seeds):
+            raise AssertionError("ran before checking --out")
+
+        monkeypatch.setattr("aobs.cli.run_seeds", run_seeds)
+        rc = main(["bench", "--vars", "4", "--values", "2", "--actions", "3",
+                   "--seeds", "1", "--out", str(tmp_path / out)])
+        assert rc == 2
+        assert "cannot write" in capsys.readouterr().err
+
     def test_zero_seeds_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--vars", "4", "--values", "2", "--actions", "3",
@@ -479,3 +520,8 @@ class TestVerifyCommand:
     def test_small_suite_passes(self, capsys):
         assert main(["verify", "--cases", "5"]) == 0
         assert "5/5 ok" in capsys.readouterr().out
+
+    def test_negative_cases_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--cases", "-3"])
+        assert exc.value.code == 2
