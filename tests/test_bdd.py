@@ -30,6 +30,11 @@ def _truth_table(manager, f, num_bools):
 
 
 class TestApply:
+    def test_contradiction(self, manager):
+        x = manager.var(0)
+        not_x = manager.apply("diff", manager.true, x)
+        assert manager.apply("and", x, not_x) is manager.false
+
     def test_diff_matches_truth_tables(self, manager):
         # random functions on 6 booleans, each a union of its minterms;
         # diff must be the brute-force f and not g, and canonical
@@ -84,6 +89,11 @@ class TestApply:
 
 
 class TestNotExists:
+    def test_double_negation(self, manager):
+        f = manager.apply("or", manager.var(0), manager.var(2))
+        not_f = manager.apply("diff", manager.true, f)
+        assert manager.apply("diff", manager.true, not_f) is f
+
     def test_exists_drops_variable(self, manager):
         xy = manager.apply("and", manager.var(0), manager.var(1))
         assert manager.exists({0}, xy) is manager.var(1)
