@@ -63,70 +63,90 @@ class BddManager:
 
     def apply(self, op: str, a: BddNode, b: BddNode) -> BddNode:
         """Memoized Shannon expansion for AND, OR and DIFF (``a`` and not
-        ``b``)."""
-        if op == "and":
-            if a is self.false or b is self.false:
-                return self.false
-            if a is self.true:
-                return b
-            if b is self.true:
-                return a
-        elif op == "or":
-            if a is self.true or b is self.true:
-                return self.true
-            if a is self.false:
-                return b
-            if b is self.false:
-                return a
-        elif op == "diff":
-            if a is self.false or b is self.true or a is b:
-                return self.false
-            if b is self.false:
-                return a
-        else:
+        ``b``).
+
+        The expansion keeps its own stack, so a BDD of any depth is applied
+        without recursion.  A pair is expanded into its low then its high
+        cofactor pair, and its node is made once both are done, so nodes get
+        their ids in the order a recursive expansion would give them.
+        """
+        if op not in ("and", "or", "diff"):
             raise ValueError(f"unsupported operation {op!r}")
-        if a is b:
-            return a
-        if a.id > b.id and op != "diff":  # only diff is not symmetric
-            a, b = b, a
-        key = (op, a.id, b.id)
-        got = self._apply_memo.get(key)
-        if got is not None:
-            return got
-        level = min(a.var, b.var)
-        a_low, a_high = (a.low, a.high) if a.var == level else (a, a)
-        b_low, b_high = (b.low, b.high) if b.var == level else (b, b)
-        out = self.node(
-            level,
-            self.apply(op, a_low, b_low),
-            self.apply(op, a_high, b_high),
-        )
-        self._apply_memo[key] = out
-        return out
+        false, true = self.false, self.true
+        memo = self._apply_memo
+        done: List[BddNode] = []  # results, a pair's low result below its high
+        # (a, b, None) is a pair to apply; (level, None, key) marks a pair
+        # whose two cofactor results are the top two of ``done``
+        todo: List[tuple] = [(a, b, None)]
+        while todo:
+            a, b, key = todo.pop()
+            if key is not None:
+                high = done.pop()
+                out = memo[key] = self.node(a, done.pop(), high)
+                done.append(out)
+                continue
+            if op == "and":
+                out = (false if a is false or b is false else
+                       b if a is true or a is b else a if b is true else None)
+            elif op == "or":
+                out = (true if a is true or b is true else
+                       b if a is false or a is b else a if b is false else None)
+            else:
+                out = (false if a is false or b is true or a is b else
+                       a if b is false else None)
+            if out is None:
+                if a.id > b.id and op != "diff":  # only diff is not symmetric
+                    a, b = b, a
+                key = (op, a.id, b.id)
+                out = memo.get(key)
+                if out is None:
+                    # split on the upper variable; an operand below it
+                    # is its own low and high cofactor
+                    av, bv = a.var, b.var
+                    if av == bv:
+                        todo += ((av, None, key), (a.high, b.high, None),
+                                 (a.low, b.low, None))
+                    elif av < bv:
+                        todo += ((av, None, key), (a.high, b, None),
+                                 (a.low, b, None))
+                    else:
+                        todo += ((bv, None, key), (a, b.high, None),
+                                 (a, b.low, None))
+                    continue
+            done.append(out)
+        return done[0]
 
     def exists(self, bvars: Iterable[int], f: BddNode) -> BddNode:
-        """Existential quantification over a set of boolean indices."""
+        """Existential quantification over a set of boolean indices, on an
+        explicit stack like :meth:`apply`."""
         vs = frozenset(bvars)
         if not vs:
             return f
         top = max(vs)
         memo: Dict[int, BddNode] = {}
-
-        def rec(g: BddNode) -> BddNode:
-            if g.low is None or g.var > top:
-                return g
-            got = memo.get(g.id)
-            if got is not None:
-                return got
-            low, high = rec(g.low), rec(g.high)
-            if g.var in vs:
-                out = self.apply("or", low, high)
+        done: List[BddNode] = []  # results, a node's low result below its high
+        todo: List[Tuple[BddNode, bool]] = [(f, False)]
+        while todo:
+            g, expanded = todo.pop()
+            if expanded:  # both of g's cofactor results are on ``done``
+                high = done.pop()
+                low = done.pop()
+                if g.var in vs:
+                    out = self.apply("or", low, high)
+                else:
+                    out = self.node(g.var, low, high)
+                memo[g.id] = out
+            elif g.low is None or g.var > top:
+                out = g
             else:
-                out = self.node(g.var, low, high)
-            memo[g.id] = out
-            return out
-
-        return rec(f)
+                out = memo.get(g.id)
+                if out is None:
+                    todo.append((g, True))
+                    todo.append((g.high, False))
+                    todo.append((g.low, False))
+                    continue
+            done.append(out)
+        return done[0]
 
     def evaluate(self, f: BddNode, bits: Sequence[bool]) -> bool:
         while f.low is not None:

@@ -71,9 +71,10 @@ class Node:
     """An interned DAG node.  Do not construct directly; use a :class:`Store`.
 
     ``children`` is a tuple of child nodes; for OR nodes ``weights`` is a
-    parallel tuple of edge probabilities, otherwise it is empty.  ``key`` is a
-    canonical structural digest: two structurally identical subgraphs always
-    carry equal keys, which is what the store interns on.  ``omega`` is the
+    parallel tuple of edge probabilities, otherwise it is empty.  ``key`` is
+    the structural digest, computed once when the node is made: two
+    structurally identical subgraphs carry equal keys, in any store, and
+    every memo over a graph keys on it.  ``omega`` is the
     node's variable set.  ``mass`` is the total mass of its substate: 1 for a
     literal, the product of the children's masses for an AND, and the
     weighted sum ``sum(w * child.mass)`` for an OR, so it is 1 only where
@@ -137,6 +138,15 @@ class Store:
     of an OR are spliced into their parent (the OR's edge weights
     multiplied), so graphs equal up to associativity share one node.
 
+    The unique table is keyed by what identifies a node before its digest
+    exists: a literal by ``(var, value)``, an AND by the tuple of its
+    children's keys in key order, and an OR by the tuple of its edges
+    rendered as ``weight:child key`` (``WEIGHT_DIGITS`` significant digits)
+    in child-key order.  A structure the table already holds costs one
+    lookup and is returned as it is; only a new node is validated, given
+    its ``omega`` and ``mass``, and digested into its ``key``.  A failed
+    construction interns nothing.
+
     ``factored`` is the memo of :func:`aobs.optimize.greedy_optimize`: node
     key -> factored node, kept across calls.  Interned nodes are immutable
     and the store never drops one, so an entry never goes stale; a future
@@ -145,23 +155,19 @@ class Store:
     """
 
     def __init__(self) -> None:
-        self._nodes: Dict[str, Node] = {}
+        self._nodes: Dict[tuple, Node] = {}
         self.factored: Dict[str, Node] = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def _intern(self, node: Node) -> Node:
-        return self._nodes.setdefault(node.key, node)
-
     def make_lit(self, var: int, value: int) -> Node:
         """Intern the literal node ``var = value``."""
-        key = _digest(f"L|{var}|{value}")
-        node = self._nodes.get(key)
+        node = self._nodes.get((var, value))
         if node is None:
-            node = self._intern(
-                Node(LIT, var, value, (), (), key, frozenset((var,)), 1.0)
-            )
+            node = self._nodes[var, value] = Node(
+                LIT, var, value, (), (), _digest(f"L|{var}|{value}"),
+                frozenset((var,)), 1.0)
         return node
 
     def make_and(self, children: Iterable[Node]) -> Node:
@@ -180,8 +186,14 @@ class Store:
                 kept.append(c)
         if len(kept) == 1:
             return kept[0]
-        omega = frozenset().union(*[c.omega for c in kept])
-        if len(omega) != sum(len(c.omega) for c in kept):
+        ordered = sorted(kept, key=_by_key)
+        keys = tuple([c.key for c in ordered])
+        node = self._nodes.get(keys)
+        if node is not None:
+            return node
+        omegas = [c.omega for c in kept]
+        omega = frozenset().union(*omegas)
+        if len(omega) != sum(map(len, omegas)):
             seen: set = set()
             for c in kept:
                 clash = seen & c.omega
@@ -190,13 +202,10 @@ class Store:
                         f"AND children share variables {sorted(clash)}"
                     )
                 seen |= c.omega
-        kept.sort(key=_by_key)
-        key = _digest("A|" + "|".join([c.key for c in kept]))
-        node = self._nodes.get(key)
-        if node is None:
-            mass = math.prod([c.mass for c in kept], start=1.0)
-            node = self._intern(
-                Node(AND, None, None, tuple(kept), (), key, omega, mass))
+        mass = math.prod([c.mass for c in kept], start=1.0)
+        node = self._nodes[keys] = Node(
+            AND, None, None, tuple(ordered), (), _digest("A|" + "|".join(keys)),
+            omega, mass)
         return node
 
     def empty_and(self) -> Node:
@@ -225,25 +234,24 @@ class Store:
                 merged[g.key] = (prev[0] + v if prev else v, g)
         if not merged:
             raise AobsError("OR node requires at least one child")
-        pairs = sorted(merged.values(), key=lambda wc: wc[1].key)
+        pairs = [merged[k] for k in sorted(merged)]
+        if len(pairs) == 1 and abs(pairs[0][0] - 1.0) <= EPS_P:
+            return pairs[0][1]
+        edges = tuple([f"{w:.{WEIGHT_DIGITS - 1}e}:{c.key}" for w, c in pairs])
+        node = self._nodes.get(edges)
+        if node is not None:
+            return node
         omega = pairs[0][1].omega
         for _, c in pairs[1:]:
             if c.omega != omega:
                 raise MismatchedSubspaces(
                     f"OR children range over {sorted(omega)} vs {sorted(c.omega)}"
                 )
-        if len(pairs) == 1 and abs(pairs[0][0] - 1.0) <= EPS_P:
-            return pairs[0][1]
-        key = _digest(
-            "O|" + "|".join(f"{w:.{WEIGHT_DIGITS - 1}e}:{c.key}" for w, c in pairs)
-        )
-        node = self._nodes.get(key)
-        if node is None:
-            weights = tuple(w for w, _ in pairs)
-            kids = tuple(c for _, c in pairs)
-            mass = sum([w * c.mass for w, c in pairs])
-            node = self._intern(
-                Node(OR, None, None, kids, weights, key, omega, mass))
+        weights, kids = zip(*pairs)
+        mass = sum([w * c.mass for w, c in pairs])
+        node = self._nodes[edges] = Node(
+            OR, None, None, kids, weights, _digest("O|" + "|".join(edges)),
+            omega, mass)
         return node
 
     def rebuilder(self, results: Mapping[str, Node]) -> Callable[[Node], Node]:

@@ -550,10 +550,11 @@ class TestApplyAction:
             c = Condition.of({0: [0], 1: [0]})
             a = Action((2,), ((0.5, (1,)), (0.5, (2,))))
         s = Aobs(root, store, (0, 1, 2))
-        before = set(store._nodes)
+        before = {n.key for n in store._nodes.values()}
         res = apply_action(s, c, a)
         kept = {n.key for n in iter_nodes(res.state.root)}
-        dead = set(store._nodes) - before - kept - {store.empty_and().key}
+        dead = ({n.key for n in store._nodes.values()} - before - kept
+                - {store.empty_and().key})
         assert not dead
         assert tab_equal(enum_canonical(res.state),
                          tab_apply_action(enum_canonical(s), c, a))

@@ -473,6 +473,21 @@ class TestBenchCommand:
             rows = list(csv.reader(fh))
         assert all(r[5] != "" for r in rows[1:])
 
+    @pytest.mark.parametrize("num_vars", [300, 1000])
+    def test_with_bdd_deeper_than_the_recursion_limit(self, tmp_path, capsys,
+                                                      num_vars):
+        # one-hot encoding gives 4 BDD levels a variable; a recursive apply
+        # or exists died with RecursionError from 300 variables on
+        out = tmp_path / "run.csv"
+        rc = main(["bench", "--vars", str(num_vars), "--values", "4",
+                   "--actions", "2", "--seeds", "1", "--with-bdd",
+                   "--out", str(out)])
+        assert rc == 0
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 3
+        assert all(int(r[5]) > 0 for r in rows[1:])
+
     @pytest.mark.parametrize("bad", [
         ["--vars", "0"],
         ["--actions", "-1"],

@@ -507,6 +507,109 @@ class TestHashConsing:
         assert rebuild(three_var_state.root) is three_var_state.root
 
 
+class TestInterning:
+    """The unique table is keyed by structure; a hit builds nothing."""
+
+    def test_literal_hit(self, store):
+        first = store.make_lit(3, 1)
+        size = len(store)
+        assert store.make_lit(3, 1) is first
+        assert len(store) == size
+
+    def test_and_hit_from_permuted_and_nested_children(self, store):
+        a, b, c = (store.make_lit(v, 0) for v in range(3))
+        first = store.make_and([a, b, c])
+        size = len(store)
+        assert store.make_and([c, a, b]) is first
+        # a nested AND is spliced before the lookup, so the nested product
+        # is the node itself; only the inner AND is new
+        inner = store.make_and([c, b])
+        assert len(store) == size + 1
+        assert store.make_and([a, inner]) is first
+        assert store.make_and([inner, a]) is first
+        assert len(store) == size + 1
+
+    def test_or_hit_from_permuted_and_nested_edges(self, store):
+        a, b, c = (store.make_lit(0, u) for u in range(3))
+        first = store.make_or([(0.2, a), (0.3, b), (0.5, c)])
+        size = len(store)
+        assert store.make_or([(0.5, c), (0.2, a), (0.3, b)]) is first
+        # splicing multiplies the nested weights: 0.4 * 0.5 and 0.6 * 0.5
+        inner = store.make_or([(0.4, a), (0.6, b)])
+        assert len(store) == size + 1
+        assert store.make_or([(0.5, c), (0.5, inner)]) is first
+        assert store.make_or([(0.5, inner), (0.5, c)]) is first
+        assert len(store) == size + 1
+
+    def test_hit_computes_no_digest(self, store, monkeypatch):
+        a, b = store.make_lit(0, 0), store.make_lit(1, 0)
+        prod = store.make_and([a, b])
+        union = store.make_or([(0.5, prod), (0.5, store.make_and(
+            [store.make_lit(0, 1), b]))])
+
+        def digest(payload):
+            raise AssertionError(f"digested {payload!r} on a hit")
+
+        monkeypatch.setattr("aobs.core._digest", digest)
+        assert store.make_lit(0, 0) is a
+        assert store.make_and([b, a]) is prod
+        assert store.make_or([(0.5, store.make_and([b, store.make_lit(0, 1)])),
+                              (0.5, prod)]) is union
+
+    def test_overlap_interns_nothing(self, store):
+        lit = store.make_lit
+        with pytest.raises(OverlappingSubspaces):
+            store.make_and([lit(0, 0), lit(0, 1)])
+        valid = store.make_and([lit(0, 0), lit(1, 0)])
+        size = len(store)
+        for bad in ([lit(0, 0), lit(0, 1)], [valid, lit(0, 1)],
+                    [lit(0, 0), lit(1, 0), lit(0, 0)]):
+            with pytest.raises(OverlappingSubspaces):
+                store.make_and(bad)
+            assert len(store) == size
+
+    def test_mismatched_or_interns_nothing(self, store):
+        a, b, c = store.make_lit(0, 0), store.make_lit(0, 1), store.make_lit(1, 0)
+        store.make_or([(0.5, a), (0.5, b)])
+        size = len(store)
+        for bad in ([(0.5, a), (0.5, c)], [(0.25, a), (0.25, b), (0.5, c)]):
+            with pytest.raises(MismatchedSubspaces):
+                store.make_or(bad)
+            assert len(store) == size
+
+    @pytest.mark.parametrize("w", [0.0, float("nan")])
+    def test_bad_weight_interns_nothing(self, store, w):
+        a, b = store.make_lit(0, 0), store.make_lit(0, 1)
+        with pytest.raises(AobsError):
+            store.make_or([(w, a), (0.5, b)])
+        assert len(store) == 2
+        valid = store.make_or([(0.5, a), (0.5, b)])
+        size = len(store)
+        for bad in ([(w, a), (0.5, b)], [(0.5, a), (0.5, b), (w, a)],
+                    [(w, valid)]):
+            with pytest.raises(AobsError):
+                store.make_or(bad)
+            assert len(store) == size
+
+    def test_keys_are_the_structural_digests(self, store):
+        lit = store.make_lit
+        assert lit(0, 0).key == "02c66d4834ef6830807978890899ee38"
+        assert (store.make_and([lit(0, 0), lit(1, 1)]).key
+                == "836e3ca5ceb61e98746eb96ccd0f4f9f")
+        assert (store.make_or([(0.25, lit(0, 0)), (0.75, lit(0, 1))]).key
+                == "f8a3a758a127a4cc70cb54e7c5aa450d")
+
+    def test_tabular_store_holds_only_reachable_nodes(self, store):
+        # 256 rows over 12 variables with 4 values: 3,072 literal requests
+        # for at most 48 distinct literals
+        rows = random_tabular(random.Random(13), 12, 4, 256)
+        s = from_tabular(store, rows, tuple(range(12)))
+        reached = list(iter_nodes(s.root))
+        assert len(store) == len(reached)
+        assert sum(n.kind == LIT for n in reached) <= 48
+        assert len(s.root.children) == 256
+
+
 class TestTabularRoundTrip:
     def test_mass_one(self):
         rng = random.Random(5)
