@@ -22,7 +22,9 @@ eval`` and ``aobs act`` take only states of total mass 1; ``aobs act``
 first rescales a state whose inner ORs lack unit weight.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
-arguments out of range or an output path that cannot be written.
+arguments out of range or an output that cannot be written: an output path,
+or a standard output that its reader closed early (``aobs bench ... | head
+-1``), which ends the command quietly, without a traceback.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -502,13 +505,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "verify" and args.cases < 0:
         parser.error("--cases must not be negative")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        _drop_stdout()
+        return 2
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except AobsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _drop_stdout() -> None:
+    """Point the standard output at the null device, so the interpreter's
+    final flush of what a closed pipe did not take raises nothing."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not backed by a file
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -149,14 +149,18 @@ class Store:
 
     ``factored`` is the memo of :func:`aobs.optimize.greedy_optimize`: node
     key -> factored node, kept across calls.  Interned nodes are immutable
-    and the store never drops one, so an entry never goes stale; a future
-    ``Store.collect`` that drops nodes must prune it too, or it keeps those
-    nodes alive.
+    and the store never drops one, so an entry never goes stale.
+    ``refcounts`` is the optimizer's size guard: a :class:`RefCounts` table
+    over the nodes reachable from the last root it was moved to, so each
+    call counts only what changed since the last.  A future
+    ``Store.collect`` that drops nodes must prune ``factored`` and reset
+    ``refcounts`` too, or they keep the dropped nodes alive.
     """
 
     def __init__(self) -> None:
         self._nodes: Dict[tuple, Node] = {}
         self.factored: Dict[str, Node] = {}
+        self.refcounts = RefCounts()
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -452,20 +456,71 @@ def size_metric(g: Aobs) -> int:
     """The graph size |E| + N_and + N_or + 2 * N_lit over unique reachable nodes.
 
     An OR edge counts once per (parent, position); shared subgraphs are never
-    counted twice.
+    counted twice.  Each node adds its own term: 2 for a literal, one per
+    child plus 1 for an AND or OR.
     """
-    edges = 0
-    n_and = n_or = n_lit = 0
-    for node in iter_nodes(g.root):
-        if node.kind == LIT:
-            n_lit += 1
-        elif node.kind == AND:
-            n_and += 1
-            edges += len(node.children)
-        else:
-            n_or += 1
-            edges += len(node.children)
-    return edges + n_and + n_or + 2 * n_lit
+    return sum([2 if n.kind == LIT else len(n.children) + 1
+                for n in iter_nodes(g.root)])
+
+
+class RefCounts:
+    """Reference counts over the nodes reachable from one tracked ``root``,
+    and that root's :func:`size_metric` as ``size``.
+
+    ``counts`` maps the key of each reachable node to its number of edges
+    from reachable parents, plus 1 for the root itself.  :meth:`move` tracks
+    another root by counting up from the new root, then down from the old
+    one, so it visits only the nodes reachable from one of the two and not
+    from both (the symmetric difference of the two graphs), never the part
+    they share.
+    """
+
+    __slots__ = ("root", "counts", "size")
+
+    def __init__(self) -> None:
+        self.root: Optional[Node] = None
+        self.counts: Dict[str, int] = {}
+        self.size = 0
+
+    def move(self, root: Node) -> int:
+        """Track ``root`` instead of the current root; return its size.
+
+        Counting up descends only into nodes whose count goes from 0 to 1,
+        adding each one's size term; counting down descends only into nodes
+        whose count reaches 0, dropping them and subtracting their terms.
+        Both walks keep their own stack, so a graph of any depth is fine.
+        """
+        old = self.root
+        if root is old:
+            return self.size
+        counts = self.counts
+        size = self.size
+        stack = [root]
+        pop = stack.pop
+        push = stack.extend
+        while stack:
+            node = pop()
+            key = node.key
+            c = counts.get(key, 0)
+            counts[key] = c + 1
+            if not c:
+                size += 2 if node.kind == LIT else len(node.children) + 1
+                push(node.children)
+        if old is not None:
+            stack.append(old)
+            while stack:
+                node = pop()
+                key = node.key
+                c = counts[key] - 1
+                if c:
+                    counts[key] = c
+                else:
+                    del counts[key]
+                    size -= 2 if node.kind == LIT else len(node.children) + 1
+                    push(node.children)
+        self.root = root
+        self.size = size
+        return size
 
 
 def from_physical_state(
@@ -475,17 +530,27 @@ def from_physical_state(
     var_names: Optional[Sequence[str]] = None,
 ) -> Aobs:
     """Build a unit-mass belief state from a total variable assignment."""
-    missing = set(universe) - set(assignments)
+    _check_total(assignments, set(universe))
+    return Aobs(_physical_root(store, assignments, universe), store,
+                tuple(universe),
+                tuple(var_names) if var_names is not None else None)
+
+
+def _check_total(assignments: Mapping[int, int], universe: set) -> None:
+    """Raise unless ``assignments`` assigns exactly the ``universe``."""
+    missing = universe - set(assignments)
     if missing:
         raise PartialAssignment(f"missing variables {sorted(missing)}")
-    extra = set(assignments) - set(universe)
+    extra = set(assignments) - universe
     if extra:
         raise UnknownVariable(f"unknown variables {sorted(extra)}")
-    root = store.make_and(
-        [store.make_lit(v, assignments[v]) for v in universe]
-    )
-    return Aobs(root, store, tuple(universe),
-                tuple(var_names) if var_names is not None else None)
+
+
+def _physical_root(store: Store, assignments: Mapping[int, int],
+                   universe: Sequence[int]) -> Node:
+    """The AND of the literals of a total assignment, in universe order."""
+    return store.make_and([store.make_lit(v, assignments[v])
+                           for v in universe])
 
 
 def union_roots(a: Aobs, b: Aobs, w: float) -> Aobs:
@@ -523,8 +588,12 @@ def from_tabular(
     total = sum(p for p, _ in rows)
     if abs(total - 1.0) > 1e-6:
         raise AobsError(f"tabular probabilities sum to {total}, expected 1")
-    root = store.make_or([
-        (p / total, from_physical_state(store, state, universe).root)
-        for p, state in rows])
+    variables = set(universe)
+    edges = []
+    for p, state in rows:
+        if state.keys() != variables:
+            _check_total(state, variables)
+        edges.append((p / total, _physical_root(store, state, universe)))
+    root = store.make_or(edges)
     return Aobs(root, store, tuple(universe),
                 tuple(var_names) if var_names is not None else None)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .core import AND, LIT, OR, Aobs, Node, Store, fold, size_metric
+from .core import AND, LIT, OR, Aobs, Node, Store, fold
 
 Edge = Tuple[float, Node]
 
@@ -40,10 +40,23 @@ def greedy_optimize(s: Aobs) -> Aobs:
     kept, so a unit-mass input gives a unit-mass output.
 
     Products may be shared elsewhere in the DAG, so a local gain does not
-    guarantee a global one: the result is kept only if ``size_metric`` does
-    not grow.  Semantics are unchanged.  Factored nodes are memoized in the
-    store's ``factored`` table across calls, each output as its own fixed
-    point, so a call costs only the part of the graph built since the last.
+    guarantee a global one: the result is kept only if its ``size_metric``
+    is not larger than the input's.  Semantics are unchanged.  Factored
+    nodes are memoized in the store's ``factored`` table across calls, each
+    output as its own fixed point, so the fold costs only the part of the
+    graph built since the last call.  A node whose children factor to
+    themselves is its own result, an OR unless one of its groups gains, and
+    is not interned again.
+
+    When the root changes, the guard reads both sizes from the store's
+    reference-count table (``Store.refcounts``) instead of walking either
+    graph: the table is moved from the root it tracked to the input's root,
+    then to the result's root, and back to the input's if the result is
+    larger.  Each move visits only the nodes reachable from one of the two
+    roots and not from the other.  On a warm store the guard thus costs
+    what the actions since its last move rebuilt plus what this call
+    rebuilt, not the whole graph; the first guarded call in a store, or one
+    on a state far from the last, walks what the table has not seen.
     """
     store = s.store
     memo = store.factored
@@ -51,21 +64,24 @@ def greedy_optimize(s: Aobs) -> Aobs:
     def step(node: Node) -> Node:
         if node.kind == LIT:
             out = node
-        elif node.kind == AND:
-            kids = [memo[ch.key] for ch in node.children]
-            if all(k is ch for k, ch in zip(kids, node.children)):
-                out = node
-            else:
-                out = store.make_and(kids)
         else:
-            out = _factor_union([(w, memo[ch.key]) for w, ch in node.edges()],
-                                store, memo)
+            kids = [memo[ch.key] for ch in node.children]
+            same = tuple(kids) == node.children
+            if node.kind == AND:
+                out = node if same else store.make_and(kids)
+            else:
+                out = _factor_union(list(zip(node.weights, kids)), store,
+                                    memo, node if same else None)
         memo.setdefault(out.key, out)
         return out
 
     root = fold(s.root, memo, step)
-    if root is s.root or size_metric(
-            Aobs(root, store, s.universe)) > size_metric(s):
+    if root is s.root:
+        return s
+    sizes = store.refcounts
+    before = sizes.move(s.root)
+    if sizes.move(root) > before:
+        sizes.move(s.root)
         return s
     return Aobs(root, store, s.universe, s.var_names)
 
@@ -74,9 +90,13 @@ def _factors(n: Node) -> Sequence[Node]:
     return n.children if n.kind == AND else (n,)
 
 
-def _factor_union(edges: List[Edge], store: Store,
-                  memo: Dict[str, Node]) -> Node:
-    """Factor one OR over the (already factored) ``edges``."""
+def _factor_union(edges: List[Edge], store: Store, memo: Dict[str, Node],
+                  same: Optional[Node] = None) -> Node:
+    """Factor one OR over the (already factored) ``edges``.
+
+    ``same``, if given, is the OR node that ``edges`` already form.  The
+    store splices OR children, so its edges are exactly the terms below,
+    and it is the result when no group gains, without interning it again."""
     terms: Dict[str, List] = {}  # product key -> [weight, product]
     for w, ch in edges:
         for w2, g in (ch.edges() if ch.kind == OR else ((1.0, ch),)):
@@ -85,6 +105,7 @@ def _factor_union(edges: List[Edge], store: Store,
         best = _best_group(terms)
         if best is None:
             break
+        same = None
         group, shared = best
         total = sum(terms[k][0] for k in group)
         inner: List[Edge] = []
@@ -95,7 +116,8 @@ def _factor_union(edges: List[Edge], store: Store,
         rest = _factor_union(inner, store, memo)
         common = [f for f in _factors(n) if f.key in shared]
         _add_term(terms, total, store.make_and(common + [rest]))
-    out = store.make_or([(w, n) for w, n in terms.values()])
+    out = same if same is not None else store.make_or(
+        [(w, n) for w, n in terms.values()])
     memo.setdefault(out.key, out)
     return out
 
@@ -116,18 +138,22 @@ def _best_group(terms: Dict[str, List]
                 ) -> Optional[Tuple[Tuple[str, ...], FrozenSet[str]]]:
     """The group of products with the largest positive local gain, as the
     keys of its products and the keys of their common factors."""
-    sets = {k: frozenset(f.key for f in _factors(n))
+    sets = {k: frozenset([f.key for f in _factors(n)])
             for k, (_, n) in terms.items()}
     holders: Dict[str, List[str]] = {}
     for k, fs in sets.items():
         for f in fs:
-            holders.setdefault(f, []).append(k)
+            got = holders.get(f)
+            if got is None:
+                holders[f] = [k]
+            else:
+                got.append(k)
     best = None
     best_gain = 0
     tried = set()
-    for fkey in sorted(holders):
+    for fkey in sorted([f for f, ks in holders.items() if len(ks) > 1]):
         group = tuple(holders[fkey])
-        if len(group) < 2 or group in tried:
+        if group in tried:
             continue
         tried.add(group)
         shared = frozenset.intersection(*[sets[k] for k in group])

@@ -1,11 +1,15 @@
 """Command-line surface: JSON documents, DOT export, CSV output, exit codes."""
 import csv
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import aobs
 from aobs.cli import (
     CSV_HEADER,
     SchemaError,
@@ -518,6 +522,33 @@ class TestBenchCommand:
             main(["bench", "--vars", "4", "--values", "2", "--actions", "3",
                   "--seeds", "0", "--out", str(tmp_path / "run.csv")])
         assert exc.value.code == 2
+
+
+class TestClosedOutput:
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    def test_closed_pipe_exit_2_without_traceback(self, tmp_path, unbuffered):
+        # the reading end is closed before the command starts, as when
+        # `| head -1` has gone; buffered, the write fails at the last flush,
+        # unbuffered, in the first print
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(aobs.__file__))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "aobs.cli", "bench", "--vars", "4",
+                 "--values", "2", "--actions", "3", "--seeds", "1",
+                 "--out", str(tmp_path / "run.csv")],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr.decode()
+        assert proc.returncode == 2
+        assert (tmp_path / "run.csv").read_text().startswith("seed,")
 
 
 class TestParser:

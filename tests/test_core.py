@@ -16,6 +16,8 @@ from aobs.core import (
     MismatchedSubspaces,
     PartialAssignment,
     ExpansionTooLarge,
+    RefCounts,
+    UnknownVariable,
     WEIGHT_DIGITS,
     Store,
     count_states,
@@ -446,6 +448,41 @@ class TestSizeMetric:
             assert size_metric(s) >= 3 * len(s.universe) + 1
 
 
+def _reference_counts(root):
+    """Edges into each node reachable from ``root``, plus 1 for the root."""
+    counts = {root.key: 1}
+    for node in iter_nodes(root):
+        for ch in node.children:
+            counts[ch.key] = counts.get(ch.key, 0) + 1
+    return counts
+
+
+class TestRefCounts:
+    def test_counts_and_size_follow_the_root(self):
+        # roots of one store that share subgraphs: tabular unions, unions of
+        # two of those, DAGs with shared ANDs and a 1,000-level chain
+        rng = random.Random(21)
+        store = Store()
+        roots = [from_tabular(store, random_tabular(rng, 4, 3, rng.randint(1, 8)),
+                              tuple(range(4))).root for _ in range(8)]
+        roots += [store.make_or([(0.5, a), (0.5, b)])
+                  for a, b in zip(roots, roots[1:])]
+        roots += [store.reintern(random_dag(rng, 4).root) for _ in range(6)]
+        roots.append(level_chain(store, 1000).root)
+        table = RefCounts()
+        assert table.root is None and table.size == 0
+        for _ in range(60):
+            root = rng.choice(roots)
+            size = table.move(root)
+            assert table.root is root
+            assert size == table.size == size_metric(
+                Aobs(root, store, tuple(root.omega)))
+            assert table.counts == _reference_counts(root)
+
+    def test_store_starts_untracked(self, store):
+        assert store.refcounts.root is None and not store.refcounts.counts
+
+
 class TestUnionRoots:
     def test_self_union_preserves_mass(self, three_var_state):
         u = union_roots(three_var_state, three_var_state, 0.5)
@@ -651,3 +688,20 @@ class TestTabularRoundTrip:
     def test_mass_checked(self, store):
         with pytest.raises(AobsError):
             from_tabular(store, [(0.5, {0: 0})], (0,))
+
+    def test_partial_row_rejected(self, store):
+        rows = [(0.5, {0: 0, 1: 0}), (0.25, {0: 1}), (0.25, {0: 1, 1: 0, 2: 1})]
+        with pytest.raises(PartialAssignment, match=r"missing variables \[1\]"):
+            from_tabular(store, rows, (0, 1))
+
+    def test_unknown_variable_row_rejected(self, store):
+        rows = [(0.5, {0: 0, 1: 0}), (0.25, {0: 1, 1: 0, 2: 1}), (0.25, {0: 1})]
+        with pytest.raises(UnknownVariable, match=r"unknown variables \[2\]"):
+            from_tabular(store, rows, (0, 1))
+
+    def test_rows_are_physical_states(self, store):
+        rows = random_tabular(random.Random(8), 5, 3, 20)
+        s = from_tabular(store, rows, tuple(range(5)))
+        assert [ch.key for ch in s.root.children] == sorted(
+            from_physical_state(store, state, range(5)).root.key
+            for _, state in rows)

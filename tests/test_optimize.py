@@ -5,12 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from aobs.acting import apply_action, normalize
 from aobs.bench import ExperimentConfig, gen_experiment
-from aobs.core import LIT, Aobs, Store, from_physical_state, size_metric
-from aobs.oracle import tab_apply_action, tab_equal
+from aobs.core import (
+    LIT, Aobs, Node, Store, from_physical_state, iter_nodes, size_metric,
+)
+from aobs.oracle import Action, Condition, tab_apply_action, tab_equal
 from aobs.optimize import greedy_optimize
 
 from conftest import (
-    assert_normal_form, enum_canonical, random_aobs, random_dag,
+    assert_normal_form, enum_canonical, level_chain, random_aobs, random_dag,
 )
 
 
@@ -178,3 +180,129 @@ class TestGreedyOptimize:
             assert_normal_form(state)
             changed += state.root is not plain.root
         assert changed > 0
+
+
+def _size(store, node):
+    return size_metric(Aobs(node, store, tuple(node.omega)))
+
+
+def _shared_products(store, values=(0, 1, 2)):
+    """The state of ``test_kept_only_if_size_does_not_grow``, with its three
+    values renamed to ``values``: factoring the union of p1 and p2 gains
+    locally but grows the graph, since both stay reachable elsewhere."""
+    lit = lambda v, u: store.make_lit(v, values[u])
+    p1, p2, p4, p5 = (store.make_and([lit(v, u) for v, u in enumerate(vals)])
+                      for vals in ((0, 0, 0, 0), (0, 0, 0, 1),
+                                   (1, 1, 1, 1), (2, 2, 2, 2)))
+    unions = [store.make_or([(0.5, a), (0.5, b)])
+              for a, b in ((p1, p2), (p1, p4), (p2, p5))]
+    root = store.make_or([(w, store.make_and([lit(4, u), o]))
+                          for w, u, o in zip((0.2, 0.3, 0.5), range(3),
+                                             unions)])
+    return Aobs(root, store, tuple(range(5)))
+
+
+def _shifted_steps(steps, k):
+    """A script's steps with every variable moved up by ``k``."""
+    return [(Condition({v + k: vals for v, vals in c.allowed.items()}),
+             Action(tuple(v + k for v in a.vars), a.outcomes))
+            for c, a in steps]
+
+
+def _checked_optimize(s):
+    """``greedy_optimize(s)``, checked against the whole-graph guard: the
+    result is the factored root exactly when its ``size_metric`` does not
+    exceed the input's, and the store's table holds the size of the root it
+    tracks.  Returns the output, whether the fold changed the root, and
+    whether the guard rejected the change."""
+    out = greedy_optimize(s)
+    candidate = s.store.factored[s.root.key]
+    keep = _size(s.store, candidate) <= size_metric(s)
+    assert out.root is (candidate if keep else s.root)
+    table = s.store.refcounts
+    if table.root is not None:
+        assert table.size == _size(s.store, table.root)
+    return out, candidate is not s.root, not keep
+
+
+class TestSizeGuard:
+    def test_rejection_moves_the_table_back(self, store):
+        s = _shared_products(store)
+        assert greedy_optimize(s) is s
+        grown = store.factored[s.root.key]
+        assert _size(store, grown) > size_metric(s)
+        assert store.refcounts.root is s.root
+        assert store.refcounts.size == size_metric(s)
+
+    def test_decisions_match_size_metric_over_branching_runs(self):
+        # scripts whose actions start from random earlier states of one
+        # store, optimized or not, with optimizer calls on earlier states
+        # and on renamed copies of a state the guard rejects
+        changed = rejected = 0
+        for seed in range(24):
+            rng = random.Random(seed)
+            cfg = ExperimentConfig(num_vars=6, num_values=3, num_actions=20,
+                                   condition_arity=1 + seed % 3)
+            script = gen_experiment(cfg, seed)
+            store = Store()
+            history = [from_physical_state(store, script.initial,
+                                           range(cfg.num_vars))]
+            for condition, action in script.steps:
+                state = apply_action(rng.choice(history), condition,
+                                     action).state
+                if rng.random() < 0.7:
+                    state, ch, rej = _checked_optimize(state)
+                    changed += ch
+                    rejected += rej
+                history.append(state)
+                if rng.random() < 0.3:
+                    target = rng.choice(history)
+                    if rng.random() < 0.3:
+                        target = _shared_products(
+                            store, tuple(rng.sample(range(3), 3)))
+                    _, ch, rej = _checked_optimize(target)
+                    changed += ch
+                    rejected += rej
+        assert rejected > 0 and changed > rejected
+
+    def test_warm_call_does_not_walk_the_untouched_factor(self, monkeypatch):
+        # a 200-level factor F that no action touches sits next to a bench
+        # script's variables; once the table is warm, an optimizer call
+        # reads the children of fewer nodes than F holds
+        store = Store()
+        factor = level_chain(store, 200).root
+        factor_size = sum(1 for _ in iter_nodes(factor))
+        cfg = ExperimentConfig(num_vars=6, num_values=3, num_actions=20,
+                               condition_arity=2)
+        script = gen_experiment(cfg, 7)
+        shift = {v + 200: u for v, u in script.initial.items()}
+        state = Aobs(store.make_and(
+            [factor, from_physical_state(store, shift,
+                                         sorted(shift)).root]),
+            store, tuple(range(206)))
+
+        read = set()
+        slot = Node.__dict__["children"]
+
+        class CountedChildren:
+            def __get__(self, node, owner=None):
+                if node is None:
+                    return self
+                read.add(id(node))
+                return slot.__get__(node, owner)
+
+            def __set__(self, node, value):
+                slot.__set__(node, value)
+
+        guarded = 0
+        for condition, action in _shifted_steps(script.steps, 200):
+            plain = apply_action(state, condition, action).state
+            warm = store.refcounts.root is not None
+            read.clear()
+            with monkeypatch.context() as m:
+                m.setattr(Node, "children", CountedChildren())
+                state = greedy_optimize(plain)
+            if warm and state.root is not plain.root:
+                guarded += 1
+                assert len(read) < factor_size
+        assert guarded > 0
