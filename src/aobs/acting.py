@@ -4,10 +4,18 @@ The pipeline keeps the DAG compact: label nodes against the condition, locate
 the minimal subgraphs covering the action and condition variables, split each
 into the products the condition selects and the edges it excludes, graft the
 action's outcome subgraph onto each product with the action variables erased,
-and rebuild the ancestors.  A split hands its caller edge lists and
-products not yet interned, so a selected product is interned only once it is
-grafted.  The store keeps every node it builds in normal form, and each step
-preserves mass, so the result needs no normalizing pass.
+and rebuild the ancestors.  The store keeps every node it builds in normal
+form, and each step preserves mass, so the result needs no normalizing pass.
+
+An action interns only what its result keeps.  A split hands its caller
+edge lists and products not yet interned; an included half of several
+products, the action's outcome subgraph and the rebuilt union of each
+minimal subgraph are :class:`~aobs.core.Pending` nodes.  A pending union is
+merged as :meth:`~aobs.core.Store.make_or` merges, so an OR parent splices
+its edges with the weights the interned node would have had; a pending
+product's factors go straight into the AND that keeps them; and either is
+interned only when a parent of the other kind keeps it, or when it is the
+result.
 """
 from __future__ import annotations
 
@@ -23,6 +31,7 @@ from .core import (
     Aobs,
     AobsError,
     Node,
+    Pending,
     Store,
     fold,
 )
@@ -33,7 +42,8 @@ EXCLUDED = "E"
 MIXED = "M"
 
 Edge = Tuple[float, Node]
-Product = Tuple[float, List[Node]]  # its factors are not yet interned
+#: a product not yet interned; a factor is a node or a pending included half
+Product = Tuple[float, List["Node | Pending"]]
 Split = Tuple[List[Product], List[Edge]]  # see :func:`isolate`
 
 
@@ -192,10 +202,16 @@ def _split_and(n: Node, labels: LabelMap, splits: Dict[str, Split],
     included half of each mixed child.  Excluded term ``i`` swaps the
     included half of mixed child ``i`` for its excluded half, and keeps the
     mixed children after it whole: over unit-weight ORs each is the union
-    of its own two halves."""
+    of its own two halves.
+
+    A half of one product is spliced into the included product.  A half of
+    several is a :class:`Pending` OR of its products (:func:`_half`), so
+    nothing in it is interned until an excluded term or a graft keeps it;
+    a graft that meets the action variables erases it without interning
+    it at all."""
     fixed: List[Node] = []
     mixed: List[Node] = []
-    parts: List[Tuple[List[Node], float, Node]] = []  # (inc half, share, exc)
+    parts: List[Tuple[list, float, Node]] = []  # (inc half, share, exc)
     for ch in n.children:
         cl = labels.get(ch.key, INCLUDED)
         if cl == EXCLUDED:
@@ -209,21 +225,37 @@ def _split_and(n: Node, labels: LabelMap, splits: Dict[str, Split],
         # when the excluded half is small, and its OR would keep the error
         inc_mass = sum([w for w, _ in inc])
         exc_mass = sum([w for w, _ in exc])
-        # a lone product is spliced into its parent, not interned
-        half = inc[0][1] if len(inc) == 1 else [store.make_or(
-            [(w / inc_mass, store.make_and(f)) for w, f in inc])]
+        half = (inc[0][1] if len(inc) == 1 else
+                [_half(inc, inc_mass, ch.omega, store)])
         parts.append((half, inc_mass / (inc_mass + exc_mass),
                       store.make_or([(w / exc_mass, g) for w, g in exc])))
 
     excluded: List[Edge] = []
-    factors = fixed  # the included children and halves so far
+    factors: list = fixed  # the included children and halves so far
     prefix = 1.0
     for i, (half, share, exc_half) in enumerate(parts):
+        if i:  # the term keeps the halves so far, so they are interned
+            factors = [store.intern(f) for f in factors]
         term = store.make_and(factors + [exc_half] + mixed[i + 1:])
         excluded.append((prefix * (1.0 - share), term))
         factors = factors + half
         prefix *= share
     return [(prefix, factors)], excluded
+
+
+def _half(inc: List[Product], inc_mass: float, omega: FrozenSet[int],
+          store: Store) -> "Node | Pending":
+    """The included half of several products, scaled to unit weight: a
+    pending OR of the products, each its one factor or a pending AND.  Over
+    interned products only, it is the pending union that
+    :meth:`~aobs.core.Store.union` merges."""
+    kids = [f[0] if len(f) == 1 else Pending(AND, tuple([
+        g for x in f for g in (x.children if x.kind == AND else (x,))]),
+        (), omega) for _, f in inc]
+    weights = [w / inc_mass for w, _ in inc]
+    if all([type(k) is Node for k in kids]):
+        return store.union(zip(weights, kids))
+    return Pending(OR, tuple(kids), tuple(weights), omega)
 
 
 def erase_action_vars(
@@ -237,15 +269,16 @@ def erase_action_vars(
     Assumes the node is purely included and its OR weights sum to 1, so the
     erased parts carry unit mass and can be dropped without rescaling.  If the
     whole node vanishes the empty-AND identity is returned; a subgraph whose
-    variables are disjoint from ``avars`` is returned unchanged.  ``memo``
-    maps node keys to erased nodes; erasing depends only on the node and
-    ``avars``, so all grafts of one action can share one memo.
+    variables are disjoint from ``avars`` is returned unchanged, and built
+    as it is if it is :class:`Pending`.  ``memo`` maps node keys to erased
+    nodes; erasing depends only on the node and ``avars``, so all grafts of
+    one action can share one memo.
     """
     erased: Dict[str, Node] = {} if memo is None else memo
 
     def leaf(node: Node) -> Optional[Node]:
         if avars.isdisjoint(node.omega):
-            return node
+            return node if type(node) is Node else None
         if node.omega <= avars:
             return store.empty_and()
         return None
@@ -253,17 +286,17 @@ def erase_action_vars(
     return fold(n, erased, store.rebuilder(erased), leaf)
 
 
-def action_subgraph(store: Store, a: Action) -> Node:
-    """The action's outcome distribution as a weighted union of assignments."""
-    edges = []
-    for p, values in a.outcomes:
-        edges.append((
-            p,
-            store.make_and(
-                [store.make_lit(v, u) for v, u in zip(a.vars, values)]
-            ),
-        ))
-    return store.make_or(edges)
+def action_subgraph(store: Store, a: Action) -> "Node | Pending":
+    """The action's outcome distribution as a weighted union of assignments,
+    not interned: one outcome is a :class:`Pending` AND of its literals,
+    which a graft splices, and several are a pending union of interned
+    outcome ANDs, which a graft keeps as one factor or an OR parent
+    splices."""
+    products = [(p, [store.make_lit(v, u) for v, u in zip(a.vars, values)])
+                for p, values in a.outcomes]
+    if len(products) == 1 and abs(products[0][0] - 1.0) <= EPS_P:
+        return Pending(AND, tuple(products[0][1]), (), a.variables)
+    return store.union([(p, store.make_and(f)) for p, f in products])
 
 
 def normalize(s: Aobs) -> Aobs:
@@ -326,24 +359,33 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
 
     avars = a.variables
     need = avars | c.variables
-    act_node = action_subgraph(store, a)
+    act = action_subgraph(store, a)
     minimal = find_minimal_subgraphs(s.root, c, avars, labels)
     erased: Dict[str, Node] = {}
     splits: Dict[str, Split] = {}
 
-    def graft(factors: List[Node]) -> Node:
-        kept = [act_node]
+    def graft(factors: list) -> "Node | Pending":
+        kept = []
         for f in factors:
             for g in (f.children if f.kind == AND else (f,)):
-                kept.append(g if avars.isdisjoint(g.omega) else
-                            erase_action_vars(g, avars, store, erased))
-        return store.make_and(kept)
+                if avars.isdisjoint(g.omega):
+                    kept.append(g if type(g) is Node else store.intern(g))
+                else:
+                    g = erase_action_vars(g, avars, store, erased)
+                    if g.omega:  # else erased away
+                        kept.append(g)
+        if not kept:  # the action's outcomes alone, spliced by the union
+            return act if act.kind == OR else store.intern(act)
+        # make_and splices a pending AND of literals like an interned one
+        return store.make_and([store.intern(act) if act.kind == OR else act]
+                              + kept)
 
-    # rebuilt nodes by key, seeded with the replaced minimal subgraphs
-    rebuilt: Dict[str, Node] = {}
+    # rebuilt nodes by key, seeded with the replaced minimal subgraphs; each
+    # is a pending union, interned only if an AND keeps it
+    rebuilt: Dict[str, "Node | Pending"] = {}
     for n in minimal:
         inc, exc = isolate(n, labels, store, splits)
-        rebuilt[n.key] = store.make_or([(w, graft(f)) for w, f in inc] + exc)
+        rebuilt[n.key] = store.union([(w, graft(f)) for w, f in inc] + exc)
 
     # Only ancestors of minimal subgraphs change, and every such ancestor
     # covers ``need`` and is included or mixed: an AND ancestor's other
@@ -356,7 +398,15 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
             return node
         return None
 
-    new_root = fold(s.root, rebuilt, store.rebuilder(rebuilt), kept)
+    def rebuild(node: Node) -> Node:
+        if node.kind == OR:
+            return store.make_or([(w, rebuilt[ch.key]) for w, ch
+                                  in zip(node.weights, node.children)])
+        return store.make_and([
+            k if type(k := rebuilt[ch.key]) is Node else store.intern(k)
+            for ch in node.children])
+
+    new_root = store.intern(fold(s.root, rebuilt, rebuild, kept))
     if abs(new_root.mass - 1.0) > EPS_P:
         raise MassLeak(f"root mass is {new_root.mass}, expected 1")
     result = Aobs(new_root, store, s.universe, s.var_names)

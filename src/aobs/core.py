@@ -13,6 +13,7 @@ subgraphs are shared automatically.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from operator import attrgetter
@@ -126,6 +127,44 @@ def _digest(payload: str) -> str:
 
 
 _by_key = attrgetter("key")
+_pending_keys = itertools.count()
+
+
+class Pending:
+    """A node built but not yet interned: a union whose edges a parent OR
+    splices, or a product whose factors a parent AND takes in.
+
+    It has the shape of a :class:`Node` (``kind``, ``children``,
+    ``weights``, ``omega``), so :func:`fold` walks it, and the store's
+    constructors splice one over interned children like an interned node of
+    its kind.  Its children are interned or pending.  It is interned, with
+    the pending nodes below it, only when a parent of the other kind keeps
+    it or when it is a result (:meth:`Store.intern`).  ``key`` is an int,
+    unique in the process, so a memo that holds it never confuses it with a
+    digest; ``node`` is its interned node once it has one.  It has no
+    ``mass``.  ``pairs`` holds the merged edges of a union that
+    :meth:`Store.union` built, so interning it does not merge them again.
+    """
+
+    __slots__ = ("kind", "children", "weights", "omega", "key", "node",
+                 "pairs")
+
+    def __init__(self, kind: str, children: tuple, weights: tuple,
+                 omega: frozenset,
+                 pairs: Optional[List[Tuple[float, Node]]] = None) -> None:
+        self.kind = kind
+        self.children = children
+        self.weights = weights
+        self.omega = omega
+        self.key = next(_pending_keys)
+        self.node: Optional[Node] = None
+        self.pairs = pairs
+
+
+def _interned(x: "Node | Pending") -> Optional[Node]:
+    """A :func:`fold` leaf: a node is its own result, a pending node its
+    interned node if it has one."""
+    return x if type(x) is Node else x.node
 
 
 class Store:
@@ -146,6 +185,14 @@ class Store:
     lookup and is returned as it is; only a new node is validated, given
     its ``omega`` and ``mass``, and digested into its ``key``.  A failed
     construction interns nothing.
+
+    A pipeline that builds a union or a product its parent may splice can
+    leave it :class:`Pending`: :meth:`union` merges edges exactly as
+    :meth:`make_or` does (one routine, :meth:`_merge`) but does not intern
+    them, the constructors splice a pending node over interned children
+    like an interned one of its kind, and :meth:`intern` interns it once a
+    parent of the other kind keeps it.  Nothing is then interned only to be
+    spliced away.
 
     ``factored`` is the memo of :func:`aobs.optimize.greedy_optimize`: node
     key -> factored node, kept across calls.  Interned nodes are immutable
@@ -216,31 +263,23 @@ class Store:
         """The identity substate: unit mass over no variables."""
         return self.make_and(())
 
-    def make_or(self, children: Iterable[Tuple[float, Node]]) -> Node:
+    def make_or(self, children: Iterable[Tuple[float, "Node | Pending"]]
+                ) -> Node:
         """Intern the weighted union of ``children``.
 
-        OR children are spliced in with their edge weights multiplied, and
-        duplicate child nodes are merged by summing their weights.  A single
-        child with weight 1 collapses to the child itself.  Children must all
-        range over the same variable set and weights must be positive and
-        finite.
+        OR children, interned or :class:`Pending`, are spliced in with their
+        edge weights multiplied, and duplicate child nodes are merged by
+        summing their weights.  A single child with weight 1 collapses to
+        the child itself.  Children must all range over the same variable
+        set and weights must be positive and finite.
         """
-        merged: Dict[str, Tuple[float, Node]] = {}
-        for w, c in children:
-            if not 0.0 < w < math.inf:  # also false for NaN
-                raise AobsError(
-                    f"OR edge weight must be positive and finite, got {w}"
-                )
-            spliced = (zip([w * v for v in c.weights], c.children)
-                       if c.kind == OR else ((w, c),))
-            for v, g in spliced:
-                prev = merged.get(g.key)
-                merged[g.key] = (prev[0] + v if prev else v, g)
-        if not merged:
-            raise AobsError("OR node requires at least one child")
-        pairs = [merged[k] for k in sorted(merged)]
+        pairs = self._merge(children)
         if len(pairs) == 1 and abs(pairs[0][0] - 1.0) <= EPS_P:
             return pairs[0][1]
+        return self._or_node(pairs)
+
+    def _or_node(self, pairs: List[Tuple[float, Node]]) -> Node:
+        """Intern the OR of the edges :meth:`_merge` returns."""
         edges = tuple([f"{w:.{WEIGHT_DIGITS - 1}e}:{c.key}" for w, c in pairs])
         node = self._nodes.get(edges)
         if node is not None:
@@ -257,6 +296,65 @@ class Store:
             OR, None, None, kids, weights, _digest("O|" + "|".join(edges)),
             omega, mass)
         return node
+
+    def union(self, children: Iterable[Tuple[float, "Node | Pending"]]
+              ) -> "Node | Pending":
+        """The union :meth:`make_or` would intern, merged but not interned.
+
+        The edges are merged by the same routine, so a parent OR that
+        splices the result gets the weights it would get from the interned
+        node.  A single child with weight 1 is returned as it is.
+        """
+        pairs = self._merge(children)
+        if len(pairs) == 1 and abs(pairs[0][0] - 1.0) <= EPS_P:
+            return pairs[0][1]
+        weights, kids = zip(*pairs)
+        return Pending(OR, kids, weights, kids[0].omega, pairs)
+
+    @staticmethod
+    def _merge(children: Iterable[Tuple[float, "Node | Pending"]]
+               ) -> List[Tuple[float, Node]]:
+        """The edges of a union in child-key order: OR children spliced in
+        with their weights multiplied, duplicate children summed."""
+        merged: Dict[str, Tuple[float, Node]] = {}
+        for w, c in children:
+            if not 0.0 < w < math.inf:  # also false for NaN
+                raise AobsError(
+                    f"OR edge weight must be positive and finite, got {w}"
+                )
+            spliced = (zip([w * v for v in c.weights], c.children)
+                       if c.kind == OR else ((w, c),))
+            for v, g in spliced:
+                prev = merged.get(g.key)
+                merged[g.key] = (prev[0] + v if prev else v, g)
+        if not merged:
+            raise AobsError("OR node requires at least one child")
+        return [merged[k] for k in sorted(merged)]
+
+    def intern(self, x: "Node | Pending") -> Node:
+        """Intern a :class:`Pending` node and the pending nodes it holds; a
+        node is returned as it is.
+
+        Each pending node is built once, over its children's interned
+        nodes, as :meth:`make_and` or :meth:`make_or` would build it, and
+        keeps the result in its ``node`` slot.  A union from :meth:`union`
+        is interned from its merged edges, at what the rest of
+        :meth:`make_or` costs.
+        """
+        if type(x) is Node:
+            return x
+        if x.node is None and x.pairs is not None:
+            x.node = self._or_node(x.pairs)
+        elif x.node is None:
+            memo: Dict["str | int", Node] = {}
+            rebuild = self.rebuilder(memo)
+
+            def step(p: Pending) -> Node:
+                p.node = rebuild(p)
+                return p.node
+
+            fold(x, memo, step, _interned)
+        return x.node
 
     def rebuilder(self, results: Mapping[str, Node]) -> Callable[[Node], Node]:
         """A :func:`fold` step that builds a node in this store over its

@@ -184,17 +184,23 @@ class TestFindMinimalSubgraphs:
                     assert avars | c.variables <= n.omega
 
 
+def _product(store, factors):
+    """A split's product interned, with the pending halves among its
+    factors."""
+    return store.make_and([store.intern(f) for f in factors])
+
+
 def _split_node(store, split):
     """The OR a split stands for, its products interned."""
     inc, exc = split
-    return store.make_or([(w, store.make_and(f)) for w, f in inc] + exc)
+    return store.make_or([(w, _product(store, f)) for w, f in inc] + exc)
 
 
 def _assert_pure_split(store, split, c):
     """Every product of the split is included and every edge excluded."""
     inc, exc = split
     for _, factors in inc:
-        node = store.make_and(factors)
+        node = _product(store, factors)
         assert label_nodes(node, c)[node.key] == INCLUDED
     for _, g in exc:
         assert label_nodes(g, c)[g.key] == EXCLUDED
@@ -319,8 +325,12 @@ class TestEraseActionVars:
 
 class TestActionSubgraph:
     def test_two_outcomes(self, store):
+        # the outcome ANDs are interned, their union only once kept
         a = Action((1, 2), ((0.7, (2, 1)), (0.3, (2, 0))))
-        node = action_subgraph(store, a)
+        pending = action_subgraph(store, a)
+        assert len(store) == 5  # three literals, two outcome ANDs
+        node = store.intern(pending)
+        assert len(store) == 6
         assert node.kind == OR and len(node.children) == 2
         assert all(ch.kind == AND for ch in node.children)
         assert tab_equal(_node_enum(node), [
@@ -328,7 +338,8 @@ class TestActionSubgraph:
         ])
 
     def test_single_outcome_collapses(self, store):
-        node = action_subgraph(store, Action((1,), ((1.0, (2,)),)))
+        a = Action((1,), ((1.0, (2,)),))
+        node = store.intern(action_subgraph(store, a))
         assert node.kind == LIT and node.var == 1 and node.value == 2
 
 
@@ -534,21 +545,52 @@ class TestApplyAction:
                     assert abs(sum(node.weights) - 1.0) <= 1e-9
         assert fired > 2000
 
-    @pytest.mark.parametrize("shape", ["included", "telescoped"])
+    @pytest.mark.parametrize("shape", [
+        "included", "telescoped", "two-minimal-unions", "half-of-two-products",
+        "single-outcome", "product-inside-action"])
     def test_interns_only_what_the_result_keeps(self, store, shape):
-        # the minimal subgraph is the root: an included AND, or a mixed AND
-        # of two mixed ORs (k = 2); no node is built only to be spliced
+        # no node is built only to be spliced or erased by its parent
         lit = store.make_lit
+
+        def coin(v, p):
+            return store.make_or([(p, lit(v, 0)), (1.0 - p, lit(v, 1))])
+
+        c = Condition.of({0: [0]})
+        a = Action((1,), ((0.7, (0,)), (0.3, (1,))))
         if shape == "included":
+            # the minimal subgraph is an included AND
             root = store.make_and([lit(0, 0), lit(1, 0), lit(2, 0)])
-            c, a = Condition.of({0: [0]}), Action((1,), ((1.0, (1,)),))
-        else:
-            root = store.make_and([
-                store.make_or([(0.3, lit(0, 0)), (0.7, lit(0, 1))]),
-                store.make_or([(0.4, lit(1, 0)), (0.6, lit(1, 1))]),
-                lit(2, 0)])
+            a = Action((1,), ((1.0, (1,)),))
+        elif shape == "telescoped":
+            # a mixed AND of two mixed ORs (k = 2)
+            root = store.make_and([coin(0, 0.3), coin(1, 0.4), lit(2, 0)])
             c = Condition.of({0: [0], 1: [0]})
             a = Action((2,), ((0.5, (1,)), (0.5, (2,))))
+        elif shape == "two-minimal-unions":
+            # an OR over two mixed ANDs that each cover the condition and
+            # the action: each one's rebuilt union is spliced into the root
+            root = store.make_or([
+                (0.5, store.make_and([coin(0, 0.3), lit(1, 0), lit(2, 0)])),
+                (0.5, store.make_and([coin(0, 0.6), lit(1, 1), lit(2, 1)]))])
+        elif shape == "half-of-two-products":
+            # the mixed child's included half has two products of two
+            # factors, and the action erases both
+            half = store.make_or([
+                (0.5, store.make_and([coin(0, 0.3), lit(1, 0)])),
+                (0.5, store.make_and([coin(0, 0.6), lit(1, 1)]))])
+            root = store.make_and([half, lit(2, 0)])
+            a = Action((1, 2), ((0.5, (1, 1)), (0.5, (0, 2))))
+        elif shape == "single-outcome":
+            # the outcome AND is spliced into each graft
+            root = store.make_and([coin(0, 0.3), lit(1, 0), lit(2, 0)])
+            a = Action((1, 2), ((1.0, (1, 1)),))
+        else:
+            # the selected product lies inside the action's variables, so
+            # the outcome union is spliced into the minimal subgraph's union
+            root = store.make_or([
+                (0.4, store.make_and([lit(0, 0), lit(1, 0), lit(2, 0)])),
+                (0.6, store.make_and([lit(0, 1), lit(1, 1), lit(2, 0)]))])
+            a = Action((0, 1, 2), ((0.5, (1, 0, 0)), (0.5, (0, 1, 1))))
         s = Aobs(root, store, (0, 1, 2))
         before = {n.key for n in store._nodes.values()}
         res = apply_action(s, c, a)

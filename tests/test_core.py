@@ -15,6 +15,7 @@ from aobs.core import (
     OverlappingSubspaces,
     MismatchedSubspaces,
     PartialAssignment,
+    Pending,
     ExpansionTooLarge,
     RefCounts,
     UnknownVariable,
@@ -645,6 +646,54 @@ class TestInterning:
         assert len(store) == len(reached)
         assert sum(n.kind == LIT for n in reached) <= 48
         assert len(s.root.children) == 256
+
+
+class TestPending:
+    """Unions and products built but not interned until a parent keeps
+    them."""
+
+    def test_union_interns_nothing_and_splices_as_make_or(self, store):
+        a, b, c = (store.make_lit(0, u) for u in range(3))
+        edges = [(0.1, a), (0.3, b), (0.2, a)]
+        size = len(store)
+        u = store.union(edges)
+        assert len(store) == size
+        node = store.make_or(edges)
+        assert (u.weights, u.children) == (node.weights, node.children)
+        assert store.intern(u) is node
+        # an OR parent gets the weights of the interned node, bit for bit
+        assert (store.make_or([(0.4, u), (0.6, c)])
+                is store.make_or([(0.4, node), (0.6, c)]))
+
+    def test_union_of_one_unit_edge_is_the_child(self, store):
+        a = store.make_lit(0, 0)
+        assert store.union([(0.25, a), (0.75, a)]) is a
+
+    def test_intern_builds_nested_pending_nodes_once(self, store):
+        lit = store.make_lit
+        both = frozenset({0, 1})
+        product = Pending(AND, (lit(0, 0), lit(1, 0)), (), both)
+        other = store.make_and([lit(0, 1), lit(1, 1)])
+        half = Pending(OR, (product, other), (0.4, 0.6), both)
+        node = store.intern(half)
+        assert node is store.make_or([
+            (0.4, store.make_and([lit(0, 0), lit(1, 0)])), (0.6, other)])
+        assert product.node in node.children
+        size = len(store)
+        assert store.intern(half) is node
+        assert len(store) == size
+
+    def test_intern_deeper_than_the_recursion_limit(self, store):
+        # the pending form of conftest.level_chain, 2,000 levels deep
+        levels = 1000
+        node = Pending(OR, (store.make_lit(0, 0), store.make_lit(0, 1)),
+                       (0.5, 0.5), frozenset({0}))
+        for v in range(1, levels):
+            omega = frozenset(range(v + 1))
+            node = Pending(OR, tuple(
+                Pending(AND, (store.make_lit(v, u), node), (), omega)
+                for u in (0, 1)), (0.5, 0.5), omega)
+        assert store.intern(node) is level_chain(store, levels).root
 
 
 class TestTabularRoundTrip:
