@@ -48,7 +48,7 @@ Split = Tuple[List[Product], List[Edge]]  # see :func:`isolate`
 
 
 #: node key -> label, filled in by one condition pass (:func:`_label`)
-LabelMap = Dict[str, str]
+LabelMap = Dict[int, str]
 
 
 class MassLeak(AobsError):
@@ -66,7 +66,7 @@ def _label(root: Node, c: Condition, labels: LabelMap) -> Tuple[str, float]:
     """
     allowed = c.allowed
     cvars = c.variables
-    mixed: Dict[str, float] = {}  # node key -> selected mass, mixed nodes
+    mixed: Dict[int, float] = {}  # node key -> selected mass, mixed nodes
 
     def selected(node: Node) -> float:
         if labels[node.key] == INCLUDED:
@@ -111,10 +111,11 @@ def label_nodes(root: Node, c: Condition) -> LabelMap:
     """Label the reachable nodes as included, excluded, or mixed.
 
     A node is included when all of its substate satisfies the condition,
-    excluded when none of it does, mixed otherwise.  Keys are node digests.
-    The pass does not descend below a node whose variables avoid the
-    condition's, so the nodes under it are left out of the plain dict it
-    returns; like that node they are included, and read so through
+    excluded when none of it does, mixed otherwise.  Keys are node ids
+    (``Node.key``), which name a node only within its store.  The pass
+    does not descend below a node whose variables avoid the condition's,
+    so the nodes under it are left out of the plain dict it returns; like
+    that node they are included, and read so through
     ``labels.get(key, INCLUDED)``.
     """
     labels: LabelMap = {}
@@ -158,7 +159,7 @@ def find_minimal_subgraphs(
 
 
 def isolate(n: Node, labels: LabelMap, store: Store,
-            memo: Optional[Dict[str, Split]] = None) -> Split:
+            memo: Optional[Dict[int, Split]] = None) -> Split:
     """Split ``n`` into ``(included, excluded)``: the ``(weight, factors)``
     products the condition selects, not yet interned, and the ``(weight,
     node)`` edges it excludes.  Over unit-weight ORs, their OR is ``n``.
@@ -171,7 +172,7 @@ def isolate(n: Node, labels: LabelMap, store: Store,
     depends only on the node and the condition, so all isolations of one
     action can share one memo.
     """
-    splits: Dict[str, Split] = {} if memo is None else memo
+    splits: Dict[int, Split] = {} if memo is None else memo
 
     def leaf(node: Node) -> Optional[Split]:
         label = labels.get(node.key, INCLUDED)
@@ -195,7 +196,7 @@ def isolate(n: Node, labels: LabelMap, store: Store,
     return fold(n, splits, step, leaf)
 
 
-def _split_and(n: Node, labels: LabelMap, splits: Dict[str, Split],
+def _split_and(n: Node, labels: LabelMap, splits: Dict[int, Split],
                store: Store) -> Split:
     """The split of the mixed AND ``n``, its mixed children split in
     ``splits``.  The included product holds the included children and the
@@ -204,6 +205,10 @@ def _split_and(n: Node, labels: LabelMap, splits: Dict[str, Split],
     mixed children after it whole: over unit-weight ORs each is the union
     of its own two halves.
 
+    Mixed children are taken in the order of their lowest variable, which
+    the graph fixes (children of an AND share no variable), so the terms
+    do not depend on the ids the store handed out.
+
     A half of one product is spliced into the included product.  A half of
     several is a :class:`Pending` OR of its products (:func:`_half`), so
     nothing in it is interned until an excluded term or a graft keeps it;
@@ -211,15 +216,15 @@ def _split_and(n: Node, labels: LabelMap, splits: Dict[str, Split],
     it at all."""
     fixed: List[Node] = []
     mixed: List[Node] = []
-    parts: List[Tuple[list, float, Node]] = []  # (inc half, share, exc)
     for ch in n.children:
         cl = labels.get(ch.key, INCLUDED)
         if cl == EXCLUDED:
             raise AobsError("mixed AND node with an excluded child")
-        if cl == INCLUDED:
-            fixed.append(ch)
-            continue
-        mixed.append(ch)
+        (fixed if cl == INCLUDED else mixed).append(ch)
+    if len(mixed) > 1:
+        mixed.sort(key=lambda ch: min(ch.omega))
+    parts: List[Tuple[list, float, Node]] = []  # (inc half, share, exc)
+    for ch in mixed:
         inc, exc = splits[ch.key]
         # each half is scaled by its own sum: ``total - inc_mass`` cancels
         # when the excluded half is small, and its OR would keep the error
@@ -262,7 +267,7 @@ def erase_action_vars(
     n: Node,
     avars: FrozenSet[int],
     store: Store,
-    memo: Optional[Dict[str, Node]] = None,
+    memo: Optional[Dict[int, Node]] = None,
 ) -> Node:
     """Remove every maximal descendant ranging only over action variables.
 
@@ -274,7 +279,7 @@ def erase_action_vars(
     nodes; erasing depends only on the node and ``avars``, so all grafts of
     one action can share one memo.
     """
-    erased: Dict[str, Node] = {} if memo is None else memo
+    erased: Dict[int, Node] = {} if memo is None else memo
 
     def leaf(node: Node) -> Optional[Node]:
         if avars.isdisjoint(node.omega):
@@ -313,7 +318,7 @@ def normalize(s: Aobs) -> Aobs:
     if abs(s.root.mass - 1.0) > EPS_P:
         raise MassLeak(f"root mass is {s.root.mass}, expected 1")
     store = s.store
-    memo: Dict[str, Node] = {}
+    memo: Dict[int, Node] = {}
     rebuild = store.rebuilder(memo)
 
     def step(node: Node) -> Node:
@@ -361,8 +366,8 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     need = avars | c.variables
     act = action_subgraph(store, a)
     minimal = find_minimal_subgraphs(s.root, c, avars, labels)
-    erased: Dict[str, Node] = {}
-    splits: Dict[str, Split] = {}
+    erased: Dict[int, Node] = {}
+    splits: Dict[int, Split] = {}
 
     def graft(factors: list) -> "Node | Pending":
         kept = []
@@ -382,7 +387,7 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
 
     # rebuilt nodes by key, seeded with the replaced minimal subgraphs; each
     # is a pending union, interned only if an AND keeps it
-    rebuilt: Dict[str, "Node | Pending"] = {}
+    rebuilt: Dict[int, "Node | Pending"] = {}
     for n in minimal:
         inc, exc = isolate(n, labels, store, splits)
         rebuilt[n.key] = store.union([(w, graft(f)) for w, f in inc] + exc)

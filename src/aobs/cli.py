@@ -35,6 +35,7 @@ import io
 import json
 import os
 import sys
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .acting import apply_action, normalize
@@ -98,7 +99,7 @@ def state_to_json(s: Aobs) -> Dict[str, Any]:
     """The node-table document of ``s``: each reachable node once, children
     before parents, so the root is the last entry."""
     name = {v: s.name_of(v) for v in s.universe}
-    position: Dict[str, int] = {}
+    position: Dict[int, int] = {}
     nodes: List[Any] = []
 
     def step(node: Node) -> int:
@@ -290,11 +291,13 @@ def action_from_json(doc: Any, s: Aobs) -> Action:
 
 def to_dot(s: Aobs) -> str:
     """Deterministic Graphviz digraph: boxes for AND, ellipses for OR,
-    plain 'var=value' labels for literals, weights on OR edges."""
-    nodes = sorted(iter_nodes(s.root), key=lambda n: n.key)
+    plain 'var=value' labels for literals, weights on OR edges.  Nodes are
+    named, listed and linked in digest order, so equal graphs give the same
+    text whatever store built them."""
+    nodes = sorted(iter_nodes(s.root), key=attrgetter("digest"))
     lines = ["digraph aobs {"]
     for node in nodes:
-        nid = "n" + node.key[:12]
+        nid = "n" + node.digest[:12]
         if node.kind == LIT:
             label = f"{s.name_of(node.var)}={node.value}"
             lines.append(f'  {nid} [shape=plaintext, label="{label}"];')
@@ -303,15 +306,14 @@ def to_dot(s: Aobs) -> str:
         else:
             lines.append(f'  {nid} [shape=ellipse, label="OR"];')
     for node in nodes:
-        nid = "n" + node.key[:12]
+        nid = "n" + node.digest[:12]
+        edges = sorted([(c.digest, w) for w, c in node.edges()])
         if node.kind == OR:
-            for w, child in node.edges():
-                lines.append(
-                    f'  {nid} -> n{child.key[:12]} [label="{w:.3f}"];'
-                )
+            for digest, w in edges:
+                lines.append(f'  {nid} -> n{digest[:12]} [label="{w:.3f}"];')
         else:
-            for child in node.children:
-                lines.append(f"  {nid} -> n{child.key[:12]};")
+            for digest, _ in edges:
+                lines.append(f"  {nid} -> n{digest[:12]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -405,13 +407,26 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _size_and_unit(root: Node) -> Tuple[int, bool]:
+    """The graph's :func:`~aobs.core.size_metric` and whether every node in
+    it has unit mass, from one walk."""
+    size = 0
+    unit = True
+    for n in iter_nodes(root):
+        size += 2 if n.kind == LIT else len(n.children) + 1
+        if unit and abs(n.mass - 1.0) > EPS_P:
+            unit = False
+    return size, unit
+
+
 def cmd_act(args: argparse.Namespace) -> int:
     state = _unit_state(args.state)
-    if any(abs(n.mass - 1.0) > EPS_P for n in iter_nodes(state.root)):
+    before, unit = _size_and_unit(state.root)
+    if not unit:
         state = normalize(state)  # apply_action takes unit-weight ORs only
+        before = size_metric(state)
     condition = condition_from_json(_load(args.condition), state)
     action = action_from_json(_load(args.action), state)
-    before = size_metric(state)
     result = apply_action(state, condition, action).state
     after = size_metric(result)
     _write(args.out, json.dumps(state_to_json(result)) + "\n")

@@ -8,7 +8,10 @@ fixed set of variables.  The DAG has three node kinds:
 * ``OR``   -- weighted union of children over identical variable sets.
 
 Nodes are immutable and interned in a :class:`Store`, so structurally identical
-subgraphs are shared automatically.
+subgraphs are shared automatically.  A node's ``key`` is an integer id that
+its store hands out, unique within that store; its ``digest`` is a
+structural name, equal for equal subgraphs in any store, computed only when
+something reads it.
 """
 from __future__ import annotations
 
@@ -71,20 +74,25 @@ class UnknownVariable(AobsError):
 class Node:
     """An interned DAG node.  Do not construct directly; use a :class:`Store`.
 
-    ``children`` is a tuple of child nodes; for OR nodes ``weights`` is a
-    parallel tuple of edge probabilities, otherwise it is empty.  ``key`` is
-    the structural digest, computed once when the node is made: two
-    structurally identical subgraphs carry equal keys, in any store, and
-    every memo over a graph keys on it.  ``omega`` is the
-    node's variable set.  ``mass`` is the total mass of its substate: 1 for a
-    literal, the product of the children's masses for an AND, and the
-    weighted sum ``sum(w * child.mass)`` for an OR, so it is 1 only where
-    the OR weights below sum to 1.  A condition on none of ``omega`` selects
-    exactly ``mass``.
+    ``children`` is a tuple of child nodes in ``key`` order; for OR nodes
+    ``weights`` is a parallel tuple of edge probabilities, otherwise it is
+    empty.  ``key`` is the node's integer id in its store: the store
+    interns by structure, so within one store equal subgraphs are one node
+    with one key, and every memo over a graph keys on it.  Keys mean
+    nothing across stores, and their order follows the order the store
+    made the nodes in.  ``digest`` is the cross-store name: a blake2b
+    digest of the node's structure, equal for structurally identical
+    subgraphs in any store, computed on first read and cached.  Nodes
+    compare by identity; to compare across stores, compare digests.
+    ``omega`` is the node's variable set.  ``mass`` is the total mass of
+    its substate: 1 for a literal, the product of the children's masses for
+    an AND, and the weighted sum ``sum(w * child.mass)`` for an OR, so it
+    is 1 only where the OR weights below sum to 1.  A condition on none of
+    ``omega`` selects exactly ``mass``.
     """
 
     __slots__ = ("kind", "var", "value", "children", "weights", "key", "omega",
-                 "mass")
+                 "mass", "_hexdigest")
 
     def __init__(self, kind, var, value, children, weights, key, omega, mass):
         self.kind = kind
@@ -95,12 +103,14 @@ class Node:
         self.key = key
         self.omega = omega
         self.mass = mass
+        self._hexdigest: Optional[str] = None
 
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Node) and self.key == other.key
+    @property
+    def digest(self) -> str:
+        """The structural digest, filled in below this node on first read."""
+        if self._hexdigest is None:
+            _fill_digests(self)
+        return self._hexdigest
 
     @property
     def is_empty_and(self) -> bool:
@@ -126,8 +136,43 @@ def _digest(payload: str) -> str:
     return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()
 
 
+def _render(w: float, name: "str | int") -> str:
+    """An OR edge as the unique table and the digest see it: the weight to
+    ``WEIGHT_DIGITS`` significant digits, then the child's key or digest."""
+    return f"{w:.{WEIGHT_DIGITS - 1}e}:{name}"
+
+
+def _fill_digests(root: Node) -> None:
+    """Digest ``root`` and every node below it without a digest, children
+    first, on an explicit stack.  A literal's payload is ``L|var|value``,
+    an AND's ``A|`` and its children's digests in digest order, an OR's
+    ``O|`` and its edges rendered over the children's digests, in child
+    digest order."""
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node._hexdigest is not None:
+            stack.pop()
+            continue
+        todo = [c for c in node.children if c._hexdigest is None]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        digests = [c._hexdigest for c in node.children]
+        if node.kind == LIT:
+            payload = f"L|{node.var}|{node.value}"
+        elif node.kind == AND:
+            payload = "A|" + "|".join(sorted(digests))
+        else:
+            payload = "O|" + "|".join([
+                _render(w, d) for d, w in sorted(zip(digests, node.weights))])
+        node._hexdigest = _digest(payload)
+
+
 _by_key = attrgetter("key")
-_pending_keys = itertools.count()
+#: pending keys count down from -1, so none equals a store's id
+_pending_keys = itertools.count(-1, -1)
 
 
 class Pending:
@@ -139,11 +184,12 @@ class Pending:
     constructors splice one over interned children like an interned node of
     its kind.  Its children are interned or pending.  It is interned, with
     the pending nodes below it, only when a parent of the other kind keeps
-    it or when it is a result (:meth:`Store.intern`).  ``key`` is an int,
-    unique in the process, so a memo that holds it never confuses it with a
-    digest; ``node`` is its interned node once it has one.  It has no
-    ``mass``.  ``pairs`` holds the merged edges of a union that
-    :meth:`Store.union` built, so interning it does not merge them again.
+    it or when it is a result (:meth:`Store.intern`).  ``key`` is a
+    negative int, unique in the process, so a memo that holds it never
+    confuses it with a store's id; ``node`` is its interned node once it
+    has one.  It has no ``mass``.  ``pairs`` holds the merged edges of a
+    union that :meth:`Store.union` built, so interning it does not merge
+    them again.
     """
 
     __slots__ = ("kind", "children", "weights", "omega", "key", "node",
@@ -177,13 +223,16 @@ class Store:
     of an OR are spliced into their parent (the OR's edge weights
     multiplied), so graphs equal up to associativity share one node.
 
-    The unique table is keyed by what identifies a node before its digest
-    exists: a literal by ``(var, value)``, an AND by the tuple of its
-    children's keys in key order, and an OR by the tuple of its edges
-    rendered as ``weight:child key`` (``WEIGHT_DIGITS`` significant digits)
-    in child-key order.  A structure the table already holds costs one
-    lookup and is returned as it is; only a new node is validated, given
-    its ``omega`` and ``mass``, and digested into its ``key``.  A failed
+    The unique table is keyed on the children's ids, as a BDD package's
+    is: a literal by ``(var, value)``, an AND by ``AND`` and its children's
+    keys in key order, and an OR by the tuple of its edges rendered as
+    ``weight:child key`` (``WEIGHT_DIGITS`` significant digits) in
+    child-key order.  A structure the table already holds costs one lookup
+    and is returned as it is; only a new node is validated, given its
+    ``omega`` and ``mass``, and the next id from the store's counter as its
+    ``key``.  Ids come from the counter, never from ``len(store)``, so they
+    stay unique if the store ever drops nodes.  Nothing is digested here:
+    a node's ``digest`` waits until something reads it.  A failed
     construction interns nothing.
 
     A pipeline that builds a union or a product its parent may splice can
@@ -206,7 +255,8 @@ class Store:
 
     def __init__(self) -> None:
         self._nodes: Dict[tuple, Node] = {}
-        self.factored: Dict[str, Node] = {}
+        self._ids = itertools.count()
+        self.factored: Dict[int, Node] = {}
         self.refcounts = RefCounts()
 
     def __len__(self) -> int:
@@ -217,8 +267,8 @@ class Store:
         node = self._nodes.get((var, value))
         if node is None:
             node = self._nodes[var, value] = Node(
-                LIT, var, value, (), (), _digest(f"L|{var}|{value}"),
-                frozenset((var,)), 1.0)
+                LIT, var, value, (), (), next(self._ids), frozenset((var,)),
+                1.0)
         return node
 
     def make_and(self, children: Iterable[Node]) -> Node:
@@ -238,7 +288,7 @@ class Store:
         if len(kept) == 1:
             return kept[0]
         ordered = sorted(kept, key=_by_key)
-        keys = tuple([c.key for c in ordered])
+        keys = (AND, *map(_by_key, ordered))
         node = self._nodes.get(keys)
         if node is not None:
             return node
@@ -255,8 +305,7 @@ class Store:
                 seen |= c.omega
         mass = math.prod([c.mass for c in kept], start=1.0)
         node = self._nodes[keys] = Node(
-            AND, None, None, tuple(ordered), (), _digest("A|" + "|".join(keys)),
-            omega, mass)
+            AND, None, None, tuple(ordered), (), next(self._ids), omega, mass)
         return node
 
     def empty_and(self) -> Node:
@@ -280,7 +329,7 @@ class Store:
 
     def _or_node(self, pairs: List[Tuple[float, Node]]) -> Node:
         """Intern the OR of the edges :meth:`_merge` returns."""
-        edges = tuple([f"{w:.{WEIGHT_DIGITS - 1}e}:{c.key}" for w, c in pairs])
+        edges = tuple([_render(w, c.key) for w, c in pairs])
         node = self._nodes.get(edges)
         if node is not None:
             return node
@@ -293,8 +342,7 @@ class Store:
         weights, kids = zip(*pairs)
         mass = sum([w * c.mass for w, c in pairs])
         node = self._nodes[edges] = Node(
-            OR, None, None, kids, weights, _digest("O|" + "|".join(edges)),
-            omega, mass)
+            OR, None, None, kids, weights, next(self._ids), omega, mass)
         return node
 
     def union(self, children: Iterable[Tuple[float, "Node | Pending"]]
@@ -316,7 +364,7 @@ class Store:
                ) -> List[Tuple[float, Node]]:
         """The edges of a union in child-key order: OR children spliced in
         with their weights multiplied, duplicate children summed."""
-        merged: Dict[str, Tuple[float, Node]] = {}
+        merged: Dict[int, Tuple[float, Node]] = {}
         for w, c in children:
             if not 0.0 < w < math.inf:  # also false for NaN
                 raise AobsError(
@@ -346,7 +394,7 @@ class Store:
         if x.node is None and x.pairs is not None:
             x.node = self._or_node(x.pairs)
         elif x.node is None:
-            memo: Dict["str | int", Node] = {}
+            memo: Dict[int, Node] = {}
             rebuild = self.rebuilder(memo)
 
             def step(p: Pending) -> Node:
@@ -356,7 +404,7 @@ class Store:
             fold(x, memo, step, _interned)
         return x.node
 
-    def rebuilder(self, results: Mapping[str, Node]) -> Callable[[Node], Node]:
+    def rebuilder(self, results: Mapping[int, Node]) -> Callable[[Node], Node]:
         """A :func:`fold` step that builds a node in this store over its
         children's ``results``."""
         def step(node: Node) -> Node:
@@ -371,7 +419,7 @@ class Store:
 
     def reintern(self, node: Node) -> Node:
         """Copy a node (and its subgraph) from another store into this one."""
-        memo: Dict[str, Node] = {}
+        memo: Dict[int, Node] = {}
         return fold(node, memo, self.rebuilder(memo))
 
 
@@ -388,7 +436,7 @@ def iter_nodes(root: Node) -> Iterator[Node]:
                 stack.append(child)
 
 
-def fold(root: Node, memo: Dict[str, T], step: Callable[[Node], T],
+def fold(root: Node, memo: Dict[int, T], step: Callable[[Node], T],
          leaf: Optional[Callable[[Node], Optional[T]]] = None) -> T:
     """Fold the DAG below ``root`` bottom-up and return ``memo[root.key]``.
 
@@ -443,7 +491,7 @@ def count_states(n: Node) -> int:
     a nested OR brings together, so a nested union counts each of its
     distinct grandchildren once.
     """
-    memo: Dict[str, int] = {}
+    memo: Dict[int, int] = {}
 
     def step(node: Node) -> int:
         if node.kind == OR:
@@ -479,7 +527,7 @@ def _expand(
 ) -> List[Tuple[float, StateTuple]]:
     """:func:`enumerate_states` with only the literals that ``allows``
     accepts (all if it is None): the rows of the states they select."""
-    memo: Dict[str, List[Tuple[float, StateTuple]]] = {}
+    memo: Dict[int, List[Tuple[float, StateTuple]]] = {}
 
     def check(size: int) -> None:
         if size > cap:
@@ -577,7 +625,7 @@ class RefCounts:
 
     def __init__(self) -> None:
         self.root: Optional[Node] = None
-        self.counts: Dict[str, int] = {}
+        self.counts: Dict[int, int] = {}
         self.size = 0
 
     def move(self, root: Node) -> int:

@@ -33,7 +33,7 @@ def greedy_optimize(s: Aobs) -> Aobs:
     ``|G| - 1`` edges, and the new AND (one node, ``|X| + 1`` edges), the new
     OR (one node, ``|G|`` edges) and the remainders come in.  With every
     ``R_i`` of two or more factors this gain is ``(|G| - 1) * |X| - 4``.  The
-    best positive group is taken, ties going to the lowest factor key, its
+    best positive group is taken, ties going to the lowest factor digest, its
     inner OR is factored the same way, and this repeats until no group
     gains.  The store splices AND children of ANDs and OR children of ORs as
     it builds the nodes, so the output is in normal form; OR weights are
@@ -90,14 +90,14 @@ def _factors(n: Node) -> Sequence[Node]:
     return n.children if n.kind == AND else (n,)
 
 
-def _factor_union(edges: List[Edge], store: Store, memo: Dict[str, Node],
+def _factor_union(edges: List[Edge], store: Store, memo: Dict[int, Node],
                   same: Optional[Node] = None) -> Node:
     """Factor one OR over the (already factored) ``edges``.
 
     ``same``, if given, is the OR node that ``edges`` already form.  The
     store splices OR children, so its edges are exactly the terms below,
     and it is the result when no group gains, without interning it again."""
-    terms: Dict[str, List] = {}  # product key -> [weight, product]
+    terms: Dict[int, List] = {}  # product key -> [weight, product]
     for w, ch in edges:
         for w2, g in (ch.edges() if ch.kind == OR else ((1.0, ch),)):
             _add_term(terms, w * w2, g)
@@ -122,7 +122,7 @@ def _factor_union(edges: List[Edge], store: Store, memo: Dict[str, Node],
     return out
 
 
-def _add_term(terms: Dict[str, List], w: float, n: Node) -> None:
+def _add_term(terms: Dict[int, List], w: float, n: Node) -> None:
     got = terms.get(n.key)
     if got is None:
         terms[n.key] = [w, n]
@@ -134,13 +134,17 @@ def _cost(m: int) -> int:
     return 1 + m if m >= 2 else 0
 
 
-def _best_group(terms: Dict[str, List]
-                ) -> Optional[Tuple[Tuple[str, ...], FrozenSet[str]]]:
+def _best_group(terms: Dict[int, List]
+                ) -> Optional[Tuple[Tuple[int, ...], FrozenSet[int]]]:
     """The group of products with the largest positive local gain, as the
-    keys of its products and the keys of their common factors."""
+    keys of its products and the keys of their common factors.
+
+    Groups of exactly equal gain go to the one whose factor has the lowest
+    digest, so the choice follows the graph and not the order its store
+    made the nodes in.  Digests are read only to break such a tie."""
     sets = {k: frozenset([f.key for f in _factors(n)])
             for k, (_, n) in terms.items()}
-    holders: Dict[str, List[str]] = {}
+    holders: Dict[int, List[int]] = {}
     for k, fs in sets.items():
         for f in fs:
             got = holders.get(f)
@@ -148,18 +152,29 @@ def _best_group(terms: Dict[str, List]
                 holders[f] = [k]
             else:
                 got.append(k)
-    best = None
+    found: Dict[Tuple[int, ...], Tuple[int, FrozenSet[int]]] = {}
     best_gain = 0
-    tried = set()
-    for fkey in sorted([f for f, ks in holders.items() if len(ks) > 1]):
-        group = tuple(holders[fkey])
-        if group in tried:
+    tied: List[int] = []  # the factors whose groups have the best gain
+    for fkey, ks in holders.items():
+        if len(ks) < 2:
             continue
-        tried.add(group)
-        shared = frozenset.intersection(*[sets[k] for k in group])
-        x = len(shared)
-        gain = sum(_cost(len(sets[k])) - _cost(len(sets[k]) - x)
-                   for k in group) - x - 4
-        if gain > best_gain:
-            best, best_gain = (group, shared), gain
-    return best
+        group = tuple(ks)
+        got = found.get(group)
+        if got is None:
+            shared = frozenset.intersection(*[sets[k] for k in group])
+            x = len(shared)
+            gain = sum(_cost(len(sets[k])) - _cost(len(sets[k]) - x)
+                       for k in group) - x - 4
+            got = found[group] = (gain, shared)
+        if got[0] > best_gain:
+            best_gain, tied = got[0], [fkey]
+        elif got[0] == best_gain and tied:
+            tied.append(fkey)
+    if not tied:
+        return None
+    fkey = tied[0]
+    if any(holders[f] != holders[fkey] for f in tied):
+        fkey = min(tied, key=lambda f: next(
+            g for g in _factors(terms[holders[f][0]][1]) if g.key == f).digest)
+    group = tuple(holders[fkey])
+    return group, found[group][1]

@@ -20,7 +20,7 @@ def probability(s: Aobs, c: Condition) -> float:
     c.check_within(s.universe)
     allowed = c.allowed
     cvars = c.variables
-    memo: Dict[str, float] = {}
+    memo: Dict[int, float] = {}
 
     def leaf(node: Node) -> Optional[float]:
         if cvars.isdisjoint(node.omega):

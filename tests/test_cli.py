@@ -21,7 +21,8 @@ from aobs.cli import (
     state_to_json,
     to_dot,
 )
-from aobs.core import Store, iter_nodes
+from aobs.acting import normalize
+from aobs.core import Store, iter_nodes, size_metric
 from aobs.oracle import Condition, tab_apply_action, tab_equal, tab_prob
 
 from conftest import enum_canonical, level_chain, random_dag, random_tabular
@@ -85,7 +86,7 @@ class TestStateDocuments:
         doc = json.loads(json.dumps(state_to_json(s)))
         assert len(doc["nodes"]) == sum(1 for _ in iter_nodes(s.root))
         assert state_from_json(doc, s.store).root is s.root
-        assert state_from_json(doc).root.key == s.root.key
+        assert state_from_json(doc).root.digest == s.root.digest
 
     def test_thousand_level_dag_round_trip(self):
         # each level is an OR over two ANDs sharing the level below, so the
@@ -294,8 +295,10 @@ class TestActCommand:
                    "--out", str(out)])
         assert rc == 0
         printed = capsys.readouterr().out
-        assert "size before:" in printed and "size after:" in printed
         result = state_from_json(json.loads(out.read_text()))
+        assert printed == (
+            f"size before: {size_metric(state_from_json(TWO_ROW_STATE))}\n"
+            f"size after: {size_metric(result)}\n")
         assert tab_equal(enum_canonical(result), [
             (0.3, ((0, 0), (1, 2), (2, 0))),
             (0.7, ((0, 0), (1, 2), (2, 1))),
@@ -413,7 +416,8 @@ class TestStateMass:
                      id="all-selected"),
         pytest.param([[0.5, 0.8], [0.3, 0.4]], {"a": [0]}, id="a-is-0"),
     ])
-    def test_act_rescales_inner_ors(self, tmp_path, b_weights, condition):
+    def test_act_rescales_inner_ors(self, tmp_path, capsys, b_weights,
+                                    condition):
         doc = {"universe": ["a", "b"], "nodes": [
             ["lit", "a", 0], ["lit", "a", 1], ["lit", "b", 0], ["lit", "b", 1],
             ["or", b_weights[0], [2, 3]], ["and", [0, 4]],
@@ -431,6 +435,10 @@ class TestStateMass:
                                     action_from_json(action, s))
         result = state_from_json(json.loads(out.read_text()))
         assert tab_equal(enum_canonical(result), expected)
+        # the size before is the rescaled state's
+        assert capsys.readouterr().out == (
+            f"size before: {size_metric(normalize(s))}\n"
+            f"size after: {size_metric(result)}\n")
 
 
 class TestExportDotCommand:

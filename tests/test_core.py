@@ -1,10 +1,12 @@
 """Node construction, interning, semantics, and size metric."""
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aobs.acting import apply_action
+from aobs.acting import apply_action, normalize
+from aobs.cli import state_from_json, state_to_json
 from aobs.core import (
     AND,
     LIT,
@@ -30,7 +32,9 @@ from aobs.core import (
     size_metric,
     union_roots,
 )
+from aobs.optimize import greedy_optimize
 from aobs.oracle import Action, Condition, tab_canonical, tab_equal
+from aobs.query import probability
 
 from conftest import (
     assert_normal_form, enum_canonical, level_chain, random_aobs, random_dag,
@@ -530,7 +534,7 @@ class TestHashConsing:
         for _ in range(20):
             s, _ = random_aobs(rng)
             fresh = Store()
-            assert fresh.reintern(s.root).key == s.root.key
+            assert fresh.reintern(s.root).digest == s.root.digest
 
     def test_structural_rebuild_same_ref(self, three_var_state):
         store = three_var_state.store
@@ -543,6 +547,89 @@ class TestHashConsing:
             return store.make_or([(w, rebuild(c)) for w, c in n.edges()])
 
         assert rebuild(three_var_state.root) is three_var_state.root
+
+
+class TestIds:
+    """A node's key is an id its store hands out; its digest, the name it
+    has in every store, is computed only when something reads it."""
+
+    def test_ids_count_up_in_the_order_nodes_are_made(self, store):
+        b, a = store.make_lit(5, 1), store.make_lit(0, 0)
+        ab = store.make_and([a, b])
+        assert [b.key, a.key, ab.key] == [0, 1, 2]
+        assert ab.children == (b, a)  # in key order
+
+    def test_an_and_never_hits_a_literal(self, store):
+        # the AND of the nodes with ids 0 and 1 must not be taken for the
+        # literal x0 = 1, whose table key is (0, 1)
+        both = store.make_and([store.make_lit(0, 0), store.make_lit(1, 1)])
+        lit = store.make_lit(0, 1)
+        assert lit.kind == LIT and lit is not both
+
+    def test_pipeline_never_digests(self, monkeypatch):
+        # reading documents, acting on conditions of arity 1-3, factoring
+        # without a tie and writing documents intern by id only
+        rng = random.Random(5)
+        states, docs = [], []
+        for _ in range(30):
+            num_vars = rng.randint(3, 6)
+            s = random_dag(rng, num_vars)
+            s = normalize(Aobs(s.store.make_or([(1.0 / s.root.mass, s.root)]),
+                               s.store, s.universe))
+            states.append(s)
+            docs.append(json.loads(json.dumps(state_to_json(s))))
+        rows = random_tabular(rng, 4, 3, 12)
+        docs.append({"universe": list("abcd"), "rows": [
+            [p, {"abcd"[v]: u for v, u in state.items()}]
+            for p, state in rows]})
+        # p shares six zeros with q and five with r: one group gains most
+        store = Store()
+        p, q, r = (store.make_and([store.make_lit(v, int(v in ones))
+                                   for v in range(10)])
+                   for ones in (set(), set(range(6, 10)), set(range(5))))
+        untied = Aobs(store.make_or([(0.2, p), (0.3, q), (0.5, r)]), store,
+                      tuple(range(10)))
+
+        def digest(payload):
+            raise AssertionError(f"digested {payload!r}")
+
+        monkeypatch.setattr("aobs.core._digest", digest)
+        for doc in docs:
+            state_to_json(state_from_json(doc))
+        acted = 0
+        for s in states:
+            num_vars = len(s.universe)
+            for arity in (1, 2, 3):
+                c = Condition.of({v: [rng.randrange(2)] for v in
+                                  rng.sample(range(num_vars), arity)})
+                a = Action((rng.randrange(num_vars),),
+                           ((0.4, (0,)), (0.6, (1,))))
+                probability(s, c)
+                out = apply_action(s, c, a).state
+                acted += out.root is not s.root
+                state_to_json(out)
+        assert acted > 45
+        assert greedy_optimize(untied).root is not untied.root
+
+    def test_pending_keys_never_collide_with_ids(self, store):
+        # the store holds more nodes than pending keys were minted so far,
+        # so a pending key counted up from 0 would be the id of a literal
+        # that the same fold's memo holds
+        minted = abs(Pending(AND, (), (), frozenset()).key) + 1
+        zeros = [store.make_lit(0, u) for u in range(minted + 64)]
+        one = store.make_lit(1, 0)
+        unions = [Pending(OR, (zeros[2 * i], zeros[2 * i + 1]), (0.5, 0.5),
+                          frozenset((0,))) for i in range(8)]
+        union = Pending(OR, tuple(zeros + unions),
+                        (1.0,) * (len(zeros) + len(unions)), frozenset((0,)))
+        product = Pending(AND, (union, one), (), frozenset((0, 1)))
+        assert len(store) > minted + 16
+        expected = store.make_or(
+            [(1.0, z) for z in zeros]
+            + [(1.0, store.make_or(list(zip(u.weights, u.children))))
+               for u in unions])
+        assert store.intern(product) is store.make_and([expected, one])
+        assert store.intern(union) is expected
 
 
 class TestInterning:
@@ -631,10 +718,10 @@ class TestInterning:
 
     def test_keys_are_the_structural_digests(self, store):
         lit = store.make_lit
-        assert lit(0, 0).key == "02c66d4834ef6830807978890899ee38"
-        assert (store.make_and([lit(0, 0), lit(1, 1)]).key
+        assert lit(0, 0).digest == "02c66d4834ef6830807978890899ee38"
+        assert (store.make_and([lit(0, 0), lit(1, 1)]).digest
                 == "836e3ca5ceb61e98746eb96ccd0f4f9f")
-        assert (store.make_or([(0.25, lit(0, 0)), (0.75, lit(0, 1))]).key
+        assert (store.make_or([(0.25, lit(0, 0)), (0.75, lit(0, 1))]).digest
                 == "f8a3a758a127a4cc70cb54e7c5aa450d")
 
     def test_tabular_store_holds_only_reachable_nodes(self, store):

@@ -50,7 +50,7 @@ def test_greedy_optimize(chain):
 
 
 def test_reintern(chain):
-    assert Store().reintern(chain.root).key == chain.root.key
+    assert Store().reintern(chain.root).digest == chain.root.digest
 
 
 def test_count_states(chain):

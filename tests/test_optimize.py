@@ -9,7 +9,7 @@ from aobs.core import (
     LIT, Aobs, Node, Store, from_physical_state, iter_nodes, size_metric,
 )
 from aobs.oracle import Action, Condition, tab_apply_action, tab_equal
-from aobs.optimize import greedy_optimize
+from aobs.optimize import _best_group, greedy_optimize
 
 from conftest import (
     assert_normal_form, enum_canonical, level_chain, random_aobs, random_dag,
@@ -93,10 +93,11 @@ class TestGreedyOptimize:
             is not unions[0]
 
     def test_ties_go_to_lowest_factor_key(self, store):
-        # p is all zeros; it shares the five lowest-keyed zero literals (set
-        # a) with q and the other five (set b) with r, a gain of 1 either way
+        # p is all zeros; it shares the five zero literals of lowest digest
+        # (set a) with q and the other five (set b) with r, a gain of 1
+        # either way
         zeros = sorted((store.make_lit(v, 0) for v in range(10)),
-                       key=lambda n: n.key)
+                       key=lambda n: n.digest)
         a = {n.var for n in zeros[:5]}
         p, q, r = (
             store.make_and([store.make_lit(v, int(v in ones))
@@ -108,6 +109,25 @@ class TestGreedyOptimize:
         grouped = next(ch for ch in out.root.children if zeros[0] in ch.children)
         assert {n.var for n in grouped.children if n.kind == LIT} == a
         _assert_exact(s, out)
+
+    def test_tie_goes_by_digest_not_by_id(self, store):
+        # the zero literals are made in falling digest order, so the five of
+        # lowest digest (set a) have the highest ids; p shares set a with q
+        # and set b with r, a gain of 1 either way, and set a wins
+        made = sorted((Store().make_lit(v, 0) for v in range(10)),
+                      key=lambda n: n.digest, reverse=True)
+        zeros = [store.make_lit(n.var, 0) for n in made]
+        assert [n.key for n in zeros] == sorted(n.key for n in zeros)
+        a = {n.var for n in zeros[5:]}
+        assert zeros[-1].var == 0  # pinned: the lowest digest is x0=0's
+        p, q, r = (
+            store.make_and([store.make_lit(v, int(v in ones))
+                            for v in range(10)])
+            for ones in (set(), set(range(10)) - a, a))
+        group, shared = _best_group(
+            {n.key: [w, n] for w, n in ((0.2, p), (0.3, q), (0.5, r))})
+        assert set(group) == {p.key, q.key}
+        assert shared == {n.key for n in zeros[5:]}
 
     def test_never_grows_and_preserves_semantics(self):
         rng = random.Random(43)
@@ -162,7 +182,7 @@ class TestGreedyOptimize:
             fresh = Store()
             cold = greedy_optimize(
                 Aobs(fresh.reintern(plain.root), fresh, plain.universe))
-            assert cold.root.key == state.root.key
+            assert cold.root.digest == state.root.digest
         assert len(state.store.factored) > 0
 
     def test_bench_script(self):

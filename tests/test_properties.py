@@ -1,14 +1,16 @@
 """Semantic invariants over random states: a condition's probability is the
 mass of the rows it selects, rewriting a state never changes it, acting
-never changes the total mass, and an action interns little that its result
-does not keep."""
+never changes the total mass, an action interns little that its result
+does not keep, and a state's digest, DOT text, optimized form and acted-on
+form do not depend on the store that built it."""
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aobs.acting import apply_action, normalize
-from aobs.core import Aobs, enumerate_states, iter_nodes
+from aobs.cli import to_dot
+from aobs.core import Aobs, Store, enumerate_states, iter_nodes
 from aobs.optimize import greedy_optimize
 from aobs.oracle import Action, Condition, tab_apply_action, tab_equal
 from aobs.query import probability
@@ -122,3 +124,30 @@ def test_actions_intern_what_their_results_keep():
             s = res.state
     assert interned > 3000
     assert dead <= 0.02 * interned
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, num_vars=st.integers(2, 7))
+def test_store_history_changes_no_digest(seed, num_vars):
+    # the copy's store first holds other nodes: literals of values the
+    # state never takes, then the state's own literals in shuffled order,
+    # so every id differs and ids come in another order
+    rng = random.Random(seed)
+    s = random_dag(rng, num_vars)
+    store = Store()
+    for i in range(len(s.store)):
+        store.make_lit(i % num_vars, 2 + i // num_vars)
+    for v, u in rng.sample([(v, u) for v in range(num_vars) for u in (0, 1)],
+                           2 * num_vars):
+        store.make_lit(v, u)
+    copy = Aobs(store.reintern(s.root), store, s.universe)
+    assert min([n.key for n in iter_nodes(copy.root)]) >= len(s.store)
+    assert copy.root.digest == s.root.digest
+    assert to_dot(copy) == to_dot(s)
+    assert greedy_optimize(copy).root.digest == greedy_optimize(s).root.digest
+    # an action splits mixed ANDs the same way in both stores
+    c, a = _condition(rng, num_vars, 2), _action(rng, num_vars, 2)
+    acted = [apply_action(normalize(Aobs(t.store.make_or(
+        [(1.0 / t.root.mass, t.root)]), t.store, t.universe)), c, a).state
+        for t in (s, copy)]
+    assert acted[0].root.digest == acted[1].root.digest
