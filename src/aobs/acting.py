@@ -138,19 +138,18 @@ def find_minimal_subgraphs(
     explored.  They are listed in depth-first order.
     """
     need = avars | c.variables
+    label = labels.get
     out: List[Node] = []
     seen: set = set()
-
-    def qualifies(n: Node) -> bool:
-        return labels.get(n.key, INCLUDED) != EXCLUDED and need <= n.omega
-
-    stack = [root] if qualifies(root) else []
+    stack = ([root] if need <= root.omega
+             and label(root.key, INCLUDED) != EXCLUDED else [])
     while stack:
         n = stack.pop()
         if n.key in seen:
             continue
         seen.add(n.key)
-        inner = [ch for ch in n.children if qualifies(ch)]
+        inner = [ch for ch in n.children if need <= ch.omega
+                 and label(ch.key, INCLUDED) != EXCLUDED]
         if inner:
             stack.extend(reversed(inner))
         else:
@@ -375,10 +374,8 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
             for g in (f.children if f.kind == AND else (f,)):
                 if avars.isdisjoint(g.omega):
                     kept.append(g if type(g) is Node else store.intern(g))
-                else:
-                    g = erase_action_vars(g, avars, store, erased)
-                    if g.omega:  # else erased away
-                        kept.append(g)
+                elif not g.omega <= avars:  # else it erases away
+                    kept.append(erase_action_vars(g, avars, store, erased))
         if not kept:  # the action's outcomes alone, spliced by the union
             return act if act.kind == OR else store.intern(act)
         # make_and splices a pending AND of literals like an interned one

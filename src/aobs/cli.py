@@ -14,12 +14,16 @@ three bodies:
   spelled out again wherever they occur.  This is the only body with a
   depth limit: ``json.load`` and the reader recurse, so documents nested
   deeper than about 495 ANDs exit 2.
-* ``rows``, a list of ``[probability, assignment]`` pairs.
+* ``rows``, a list of ``[probability, assignment]`` pairs.  A row may
+  have probability 0: its assignment is checked like any other, and the
+  row is then left out.  The probabilities must sum to 1 (within 1e-6).
 
 Variable values, table indices, condition values and action values must
 be JSON integers; probabilities and weights must be JSON numbers.  ``aobs
 eval`` and ``aobs act`` take only states of total mass 1; ``aobs act``
-first rescales a state whose inner ORs lack unit weight.
+first rescales a state whose inner ORs lack unit weight.  Every document
+is read as bytes and decoded as JSON text in UTF-8, -16 or -32, which
+``json.loads`` tells apart; a file that does not decode is malformed input.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
 arguments out of range or an output that cannot be written: an output path,
@@ -130,30 +134,52 @@ def _earlier(refs: Any, built: List[Node]) -> List[Node]:
 
 def _table_root(entries: Any, index: Dict[str, int], store: Store) -> Node:
     """Intern a node table in one pass: entries refer only to earlier ones,
-    so every child is built before its parent."""
+    so every child is built before its parent.
+
+    Each entry's fields are checked inline; a field that fails is passed
+    to the checker that names the fault (:func:`_earlier`,
+    :func:`_variable`, :func:`_integer`, :func:`_number`), so the first
+    fault in document order is the one reported.
+    """
     if not isinstance(entries, list) or not entries:
         raise SchemaError("'nodes' must be a non-empty list")
     built: List[Node] = []
+    append = built.append
+    make_lit, make_and, make_or = store.make_lit, store.make_and, store.make_or
     for entry in entries:
         kind = entry[0] if isinstance(entry, list) and entry else None
-        if kind == "lit" and len(entry) == 3:
-            node = store.make_lit(_variable(entry[1], index),
-                                  _integer(entry[2], "literal value"))
-        elif kind == "and" and len(entry) == 2:
-            node = store.make_and(_earlier(entry[1], built))
-        elif kind == "or" and len(entry) == 3:
-            weights, kids = entry[1], _earlier(entry[2], built)
+        size = len(entry) if kind is not None else 0
+        if kind == "lit" and size == 3:
+            _, name, value = entry
+            var = index.get(name) if type(name) is str else None
+            if var is None or type(value) is not int:
+                var = _variable(name, index)
+                value = _integer(value, "literal value")
+            append(make_lit(var, value))
+            continue
+        if (kind == "and" and size == 2) or (kind == "or" and size == 3):
+            n = len(built)
+            refs = entry[-1]
+            kids = ([built[i] for i in refs if type(i) is int and 0 <= i < n]
+                    if type(refs) is list else None)
+            if kids is None or len(kids) != len(refs):
+                kids = _earlier(refs, built)
+            if kind == "and":
+                append(make_and(kids))
+                continue
+            weights = entry[1]
             if not isinstance(weights, list) or len(weights) != len(kids):
-                raise SchemaError(
-                    f"node {len(built)}: an or needs one weight per child")
-            node = store.make_or([(_number(w, "weight"), k)
-                                  for w, k in zip(weights, kids)])
-        else:
-            raise SchemaError(
-                f"node {len(built)} must be ['lit', name, value], "
-                f"['and', children] or ['or', weights, children], "
-                f"got {entry!r}")
-        built.append(node)
+                raise SchemaError(f"node {n}: an or needs one weight per child")
+            edges = [(w, k) for w, k in zip(weights, kids) if type(w) is float]
+            if len(edges) != len(kids):
+                edges = [(_number(w, "weight"), k)
+                         for w, k in zip(weights, kids)]
+            append(make_or(edges))
+            continue
+        raise SchemaError(
+            f"node {len(built)} must be ['lit', name, value], "
+            f"['and', children] or ['or', weights, children], "
+            f"got {entry!r}")
     return built[-1]
 
 
@@ -188,19 +214,28 @@ def _node_from_json(obj: Any, index: Dict[str, int], store: Store) -> Node:
 
 def _rows(rows: Any,
           index: Dict[str, int]) -> List[Tuple[float, Dict[int, int]]]:
+    """The rows as ``(probability, {variable: value})`` pairs, each field
+    checked inline, as :func:`_table_root` checks its entries."""
     if not isinstance(rows, list):
         raise SchemaError("'rows' must be a list")
     out = []
+    append = out.append
     for row in rows:
         if (not isinstance(row, list) or len(row) != 2
                 or not isinstance(row[1], dict)):
             raise SchemaError("each row must be [probability, assignment]")
         p, assignment = row
-        out.append((
-            _number(p, "row probability"),
-            {_variable(name, index): _integer(v, "row value")
-             for name, v in assignment.items()},
-        ))
+        if type(p) is not float:
+            p = _number(p, "row probability")
+        try:  # names are dict keys, so hashable; only strings are in index
+            state = {index[name]: v for name, v in assignment.items()
+                     if type(v) is int}
+        except KeyError:
+            state = None
+        if state is None or len(state) != len(assignment):
+            state = {_variable(name, index): _integer(v, "row value")
+                     for name, v in assignment.items()}
+        append((p, state))
     return out
 
 
@@ -427,9 +462,11 @@ def cmd_act(args: argparse.Namespace) -> int:
         before = size_metric(state)
     condition = condition_from_json(_load(args.condition), state)
     action = action_from_json(_load(args.action), state)
-    result = apply_action(state, condition, action).state
-    after = size_metric(result)
-    _write(args.out, json.dumps(state_to_json(result)) + "\n")
+    doc = state_to_json(apply_action(state, condition, action).state)
+    # the table lists each reachable node once, each with its size term
+    after = sum([2 if entry[0] == "lit" else len(entry[-1]) + 1
+                 for entry in doc["nodes"]])
+    _write(args.out, json.dumps(doc, separators=(",", ":")) + "\n")
     print(f"size before: {before}")
     print(f"size after: {after}")
     return 0
@@ -446,10 +483,13 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 
 
 def _load(path: str) -> Any:
+    """The JSON document at ``path``.  It is read as bytes, whose encoding
+    (UTF-8, -16 or -32) ``json.loads`` detects; a file that does not decode
+    is malformed input."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            return json.loads(fh.read())
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError, JSONDecodeError
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except RecursionError:
         raise SchemaError(f"cannot read {path}: nested too deeply") from None

@@ -287,23 +287,36 @@ class Store:
                 kept.append(c)
         if len(kept) == 1:
             return kept[0]
-        ordered = sorted(kept, key=_by_key)
+        return self._and_node(sorted(kept, key=_by_key))
+
+    def _and_node(self, ordered: List[Node],
+                  omega: Optional[frozenset] = None,
+                  mass: Optional[float] = None) -> Node:
+        """Intern the AND of ``ordered``: children in key order, none of
+        them an AND, and not just one.
+
+        A caller that knows the children's variable sets to be disjoint
+        passes their union as ``omega`` and their mass product as
+        ``mass``; otherwise, on a miss, both are computed here and the sets
+        are checked.  A hit costs the key and one lookup either way.
+        """
         keys = (AND, *map(_by_key, ordered))
         node = self._nodes.get(keys)
         if node is not None:
             return node
-        omegas = [c.omega for c in kept]
-        omega = frozenset().union(*omegas)
-        if len(omega) != sum(map(len, omegas)):
-            seen: set = set()
-            for c in kept:
-                clash = seen & c.omega
-                if clash:
-                    raise OverlappingSubspaces(
-                        f"AND children share variables {sorted(clash)}"
-                    )
-                seen |= c.omega
-        mass = math.prod([c.mass for c in kept], start=1.0)
+        if omega is None:
+            omegas = [c.omega for c in ordered]
+            omega = frozenset().union(*omegas)
+            if len(omega) != sum(map(len, omegas)):
+                seen: set = set()
+                for c in ordered:
+                    clash = seen & c.omega
+                    if clash:
+                        raise OverlappingSubspaces(
+                            f"AND children share variables {sorted(clash)}"
+                        )
+                    seen |= c.omega
+            mass = math.prod([c.mass for c in ordered], start=1.0)
         node = self._nodes[keys] = Node(
             AND, None, None, tuple(ordered), (), next(self._ids), omega, mass)
         return node
@@ -677,8 +690,8 @@ def from_physical_state(
 ) -> Aobs:
     """Build a unit-mass belief state from a total variable assignment."""
     _check_total(assignments, set(universe))
-    return Aobs(_physical_root(store, assignments, universe), store,
-                tuple(universe),
+    root = _products(store, universe)(assignments)
+    return Aobs(root, store, tuple(universe),
                 tuple(var_names) if var_names is not None else None)
 
 
@@ -692,11 +705,34 @@ def _check_total(assignments: Mapping[int, int], universe: set) -> None:
         raise UnknownVariable(f"unknown variables {sorted(extra)}")
 
 
-def _physical_root(store: Store, assignments: Mapping[int, int],
-                   universe: Sequence[int]) -> Node:
-    """The AND of the literals of a total assignment, in universe order."""
-    return store.make_and([store.make_lit(v, assignments[v])
-                           for v in universe])
+def _products(store: Store, universe: Sequence[int]
+              ) -> Callable[[Mapping[int, int]], Node]:
+    """A function that interns the AND of the literals of a total
+    assignment that has been checked against ``universe``.
+
+    Literals come from one table per call, indexed by variable and then by
+    value, and filled from the store in universe order, so the store makes
+    each literal and each product at the point where ``make_and`` over the
+    literals would.  The product goes straight to the store's AND
+    constructor with the universe as its variable set and unit mass, which
+    is what a total assignment's literals have; a universe that repeats a
+    variable is left to the constructor's check.
+    """
+    tables: List[Tuple[int, Dict[int, Node]]] = [(v, {}) for v in universe]
+    omega = frozenset(universe)
+    known = omega if len(omega) == len(universe) else None
+
+    def product(assignments: Mapping[int, int]) -> Node:
+        try:
+            lits = [table[assignments[v]] for v, table in tables]
+        except KeyError:  # a literal this call has not met yet
+            lits = [table.get(u) or table.setdefault(u, store.make_lit(v, u))
+                    for v, table in tables for u in (assignments[v],)]
+        if len(lits) == 1:
+            return lits[0]
+        return store._and_node(sorted(lits, key=_by_key), known, 1.0)
+
+    return product
 
 
 def union_roots(a: Aobs, b: Aobs, w: float) -> Aobs:
@@ -725,21 +761,24 @@ def from_tabular(
     """Build a belief state as one union of physical states.
 
     Each row's probability is divided by the rows' total, so the root has
-    unit mass.  The result is correct but not minimal; building a minimal
-    graph from a tabular state is out of scope.  Pass the result through the
-    greedy optimizer to recover sharing.
+    unit mass.  A row of probability 0 must still assign the universe, and
+    is then left out.  The result is correct but not minimal; building a
+    minimal graph from a tabular state is out of scope.  Pass the result
+    through the greedy optimizer to recover sharing.
     """
     if not rows:
         raise AobsError("tabular belief state needs at least one row")
     total = sum(p for p, _ in rows)
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:  # also true for a NaN total
         raise AobsError(f"tabular probabilities sum to {total}, expected 1")
     variables = set(universe)
+    product = _products(store, universe)
     edges = []
     for p, state in rows:
         if state.keys() != variables:
             _check_total(state, variables)
-        edges.append((p / total, _physical_root(store, state, universe)))
+        if p != 0:
+            edges.append((p / total, product(state)))
     root = store.make_or(edges)
     return Aobs(root, store, tuple(universe),
                 tuple(var_names) if var_names is not None else None)

@@ -601,6 +601,38 @@ class TestApplyAction:
         assert tab_equal(enum_canonical(res.state),
                          tab_apply_action(enum_canonical(s), c, a))
 
+    def test_covered_factors_are_dropped_not_erased(self, monkeypatch):
+        # a factor over action variables only would erase to the empty AND;
+        # a graft drops it, and erases only factors with other variables
+        covered = []
+
+        def spy(n, avars, store, memo=None):
+            covered.append(n.omega <= avars)
+            return erase_action_vars(n, avars, store, memo)
+
+        monkeypatch.setattr("aobs.acting.erase_action_vars", spy)
+        rng = random.Random(61)
+        for _ in range(40):
+            s, _ = random_aobs(rng)
+            s = normalize(s)
+            tab = enum_canonical(s)
+            for _ in range(3):
+                c, a = _random_step(rng)
+                s = apply_action(s, c, a).state
+                tab = tab_apply_action(tab, c, a)
+                assert tab_equal(enum_canonical(s), tab)
+        assert covered and not any(covered)
+
+    def test_product_gains_no_empty_and(self, store):
+        lit = store.make_lit
+        s = Aobs(store.make_and([lit(0, 0), lit(1, 0), lit(2, 0)]), store,
+                 (0, 1, 2))
+        res = apply_action(s, Condition.of({0: [0]}),
+                           Action((1,), ((0.5, (1,)), (0.5, (2,)))))
+        assert not any(n.is_empty_and for n in store._nodes.values())
+        assert tab_equal(enum_canonical(res.state), [
+            (0.5, ((0, 0), (1, 1), (2, 0))), (0.5, ((0, 0), (1, 2), (2, 0)))])
+
     @pytest.mark.parametrize("optimize", [False, True])
     def test_telescoped_split_against_oracle(self, optimize):
         # unconditional one-variable actions spread three variables over

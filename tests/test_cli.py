@@ -1,10 +1,14 @@
 """Command-line surface: JSON documents, DOT export, CSV output, exit codes."""
+import contextlib
 import csv
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +27,9 @@ from aobs.cli import (
 )
 from aobs.acting import normalize
 from aobs.core import Store, iter_nodes, size_metric
-from aobs.oracle import Condition, tab_apply_action, tab_equal, tab_prob
+from aobs.oracle import (
+    Condition, tab_apply_action, tab_canonical, tab_equal, tab_prob,
+)
 
 from conftest import enum_canonical, level_chain, random_dag, random_tabular
 
@@ -120,6 +126,127 @@ class TestStateDocuments:
                "root": {"and": [{"lit": ["a", 0]}, {"lit": ["a", 1]}]}}
         with pytest.raises(SchemaError):
             state_from_json(doc)
+
+
+def _table(*nodes):
+    return {"universe": ["a", "b"], "nodes": list(nodes)}
+
+
+def _row_doc(*rows):
+    return {"universe": ["a", "b"], "rows": list(rows)}
+
+
+A0, A1, B0 = ["lit", "a", 0], ["lit", "a", 1], ["lit", "b", 0]
+AB = {"a": 0, "b": 0}
+
+# one malformed document per message the reader gives, with that message
+READER_ERRORS = [
+    ("children-not-a-list", _table(A0, ["and", 0]),
+     "node 1: children must be a list of indices"),
+    ("children-an-object", _table(A0, ["or", [1.0], {"0": 0}]),
+     "node 1: children must be a list of indices"),
+    ("index-bool", _table(A0, B0, ["and", [0, True]]),
+     "child index must be an integer, got True"),
+    ("index-float", _table(A0, B0, ["and", [0, 1.0]]),
+     "child index must be an integer, got 1.0"),
+    ("index-string", _table(A0, B0, ["and", ["0", 1]]),
+     "child index must be an integer, got '0'"),
+    ("index-negative", _table(A0, B0, ["and", [-1, 1]]),
+     "node 2: child index -1 is not an earlier node"),
+    ("index-forward", _table(A0, ["and", [0, 2]], B0),
+     "node 1: child index 2 is not an earlier node"),
+    ("index-self", _table(A0, ["and", [1]]),
+     "node 1: child index 1 is not an earlier node"),
+    ("lit-unknown-name", _table(["lit", "q", 0]), "unknown variable 'q'"),
+    ("lit-list-name", _table(["lit", ["a"], 0]), "unknown variable ['a']"),
+    ("lit-int-name", _table(["lit", 0, 0]), "unknown variable 0"),
+    ("lit-string-value", _table(["lit", "a", "0"]),
+     "literal value must be an integer, got '0'"),
+    ("lit-bool-value", _table(["lit", "a", False]),
+     "literal value must be an integer, got False"),
+    ("lit-float-value", _table(["lit", "a", 0.0]),
+     "literal value must be an integer, got 0.0"),
+    ("lit-bad-name-and-value", _table(["lit", "q", 0.0]),
+     "unknown variable 'q'"),
+    ("or-too-few-weights", _table(A0, A1, ["or", [1.0], [0, 1]]),
+     "node 2: an or needs one weight per child"),
+    ("or-weights-not-a-list", _table(A0, A1, ["or", 1.0, [0, 1]]),
+     "node 2: an or needs one weight per child"),
+    ("or-bool-weight", _table(A0, A1, ["or", [True, 0.5], [0, 1]]),
+     "weight must be a number, got True"),
+    ("or-string-weight", _table(A0, A1, ["or", [0.5, "0.5"], [0, 1]]),
+     "weight must be a number, got '0.5'"),
+    ("or-bad-child-and-weights", _table(A0, A1, ["or", [1.0], [0, 5]]),
+     "node 2: child index 5 is not an earlier node"),
+    ("rows-not-a-list", {"universe": ["a", "b"], "rows": {"0": 1}},
+     "'rows' must be a list"),
+    ("row-of-three", _row_doc([1.0, AB, 3]),
+     "each row must be [probability, assignment]"),
+    ("row-an-object", _row_doc({"p": 1.0}),
+     "each row must be [probability, assignment]"),
+    ("row-assignment-a-list", _row_doc([1.0, [0, 0]]),
+     "each row must be [probability, assignment]"),
+    ("row-probability-string", _row_doc(["1.0", AB]),
+     "row probability must be a number, got '1.0'"),
+    ("row-probability-bool", _row_doc([True, AB]),
+     "row probability must be a number, got True"),
+    ("row-probability-null", _row_doc([None, AB]),
+     "row probability must be a number, got None"),
+    ("row-probability-negative", _row_doc([1.5, AB], [-0.5, {"a": 1, "b": 0}]),
+     "OR edge weight must be positive and finite, got -0.5"),
+    ("row-probability-infinite", _row_doc([1e400, AB]),
+     "tabular probabilities sum to inf, expected 1"),
+    ("rows-sum-to-0", _row_doc([0.0, AB]),
+     "tabular probabilities sum to 0.0, expected 1"),
+    ("rows-sum-to-2", _row_doc([1.0, AB], [1.0, {"a": 1, "b": 0}]),
+     "tabular probabilities sum to 2.0, expected 1"),
+    ("rows-empty", _row_doc(),
+     "tabular belief state needs at least one row"),
+    ("row-unknown-variable", _row_doc([1.0, {"a": 0, "q": 0}]),
+     "unknown variable 'q'"),
+    ("row-missing-variable", _row_doc([1.0, {"a": 0}]),
+     "missing variables [1]"),
+    ("row-extra-variable", _row_doc([1.0, {"a": 0, "b": 0, "q": 1}]),
+     "unknown variable 'q'"),
+    ("row-value-float", _row_doc([1.0, {"a": 0, "b": 1.5}]),
+     "row value must be an integer, got 1.5"),
+    ("row-value-string", _row_doc([1.0, {"a": "0", "b": 1}]),
+     "row value must be an integer, got '0'"),
+    ("row-value-bool", _row_doc([1.0, {"a": 0, "b": True}]),
+     "row value must be an integer, got True"),
+    ("row-value-null", _row_doc([1.0, {"a": 0, "b": None}]),
+     "row value must be an integer, got None"),
+    ("row-bad-value-then-unknown", _row_doc([1.0, {"a": 0.5, "q": 0}]),
+     "row value must be an integer, got 0.5"),
+    ("row-unknown-then-bad-value", _row_doc([1.0, {"q": 0, "a": 0.5}]),
+     "unknown variable 'q'"),
+    ("row-bad-probability-and-cell", _row_doc(["x", {"a": 0.5, "q": 0}]),
+     "row probability must be a number, got 'x'"),
+    ("second-row-bad", _row_doc([0.5, AB], [0.5, {"a": 1, "b": "1"}]),
+     "row value must be an integer, got '1'"),
+]
+
+
+class TestReaderErrors:
+    """The reader's error contract: each malformed document exits 2 with
+    its own message, the first fault in document order."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [pytest.param(doc, message, id=name)
+         for name, doc, message in READER_ERRORS])
+    def test_exit_2_with_message(self, tmp_path, capsys, doc, message):
+        rc = main(["eval", _write(tmp_path / "s.json", doc),
+                   _write(tmp_path / "c.json", {})])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == f"input error: {message}\n"
+
+    def test_non_string_row_variable(self):
+        # JSON object keys are strings; a library caller may pass others
+        with pytest.raises(SchemaError) as exc:
+            state_from_json({"universe": ["a"], "rows": [[1.0, {0: 0}]]})
+        assert str(exc.value) == "unknown variable 0"
 
 
 class TestConditionAction:
@@ -439,6 +566,194 @@ class TestStateMass:
         assert capsys.readouterr().out == (
             f"size before: {size_metric(normalize(s))}\n"
             f"size after: {size_metric(result)}\n")
+
+
+#: the interpreter's limit on the digits of an int read from text; 0 if none
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+class TestUndecodableInput:
+    # the state document of the parent's crash report, one byte too long
+    BAD_STATE = b'{"universe": ["a"], "rows": [[1.0, {"a": 0}]]}\xff'
+
+    def test_eval_exit_2(self, tmp_path, capsys):
+        state = tmp_path / "s.json"
+        state.write_bytes(self.BAD_STATE)
+        rc = main(["eval", str(state), _write(tmp_path / "c.json", {})])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err.startswith(f"input error: cannot read {state}: ")
+        assert "can't decode byte 0xff" in captured.err
+
+    @pytest.mark.parametrize("bad", ["state", "condition", "action"])
+    def test_act_exit_2_on_any_input(self, tmp_path, capsys, bad):
+        paths = {"state": _write(tmp_path / "state.json", TWO_ROW_STATE),
+                 "condition": _write(tmp_path / "condition.json", {}),
+                 "action": _write(tmp_path / "action.json", OVERWRITE_YZ)}
+        text = Path(paths[bad]).read_bytes()
+        Path(paths[bad]).write_bytes(text[:-1] + b"\xff" + text[-1:])
+        out = tmp_path / "out.json"
+        rc = main(["act", paths["state"], paths["condition"], paths["action"],
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"input error: cannot read {paths[bad]}: ")
+        assert not out.exists()
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="no limit on integer digits")
+    def test_integer_too_long_to_convert_exit_2(self, tmp_path, capsys):
+        # json.loads raises ValueError on an integer over the interpreter's
+        # digit limit, as it does on text that does not decode
+        state = tmp_path / "s.json"
+        state.write_text('{"universe": ["a"], "rows": [[1.0, {"a": 1%s}]]}'
+                         % ("0" * DIGIT_LIMIT))
+        rc = main(["eval", str(state), _write(tmp_path / "c.json", {})])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"input error: cannot read {state}: ")
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "utf-16",
+                                          "utf-32-le"])
+    def test_unicode_encodings_are_detected(self, tmp_path, capsys, encoding):
+        # JSON text may be UTF-8, -16 or -32 (RFC 8259); names need not be ASCII
+        doc = {"universe": ["tür", "licht"],
+               "rows": [[0.25, {"tür": 0, "licht": 1}],
+                        [0.75, {"tür": 1, "licht": 1}]]}
+        state = tmp_path / "s.json"
+        state.write_bytes(json.dumps(doc, ensure_ascii=False).encode(encoding))
+        rc = main(["eval", str(state), _write(tmp_path / "c.json", {"tür": [1]})])
+        assert rc == 0
+        assert capsys.readouterr().out == "0.75\n"
+
+
+class TestZeroProbabilityRows:
+    NAMES = [f"v{i}" for i in range(5)]
+
+    def _doc(self, rows):
+        return {"universe": self.NAMES,
+                "rows": [[p, {self.NAMES[v]: u for v, u in a.items()}]
+                         for p, a in rows]}
+
+    def _rows(self, seed):
+        """Random rows with some of probability 0, at random places."""
+        rng = random.Random(seed)
+        rows = random_tabular(rng, 5, 3, rng.randint(1, 12))
+        for _ in range(rng.randint(1, 4)):
+            zero = {v: rng.randrange(3) for v in range(5)}
+            rows.insert(rng.randint(0, len(rows)), (0.0, zero))
+        return rows
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_eval_matches_oracle(self, tmp_path, capsys, seed):
+        rows = self._rows(seed)
+        c = Condition.of({0: [0, 1], 3: [2]})
+        rc = main(["eval", _write(tmp_path / "s.json", self._doc(rows)),
+                   _write(tmp_path / "c.json", {"v0": [0, 1], "v3": [2]})])
+        assert rc == 0
+        expected = tab_prob([(p, tuple(sorted(a.items()))) for p, a in rows], c)
+        assert abs(float(capsys.readouterr().out) - expected) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_act_matches_oracle(self, tmp_path, seed):
+        rows = self._rows(seed)
+        out = tmp_path / "out.json"
+        rc = main(["act", _write(tmp_path / "s.json", self._doc(rows)),
+                   _write(tmp_path / "c.json", {"v1": [0]}),
+                   _write(tmp_path / "a.json",
+                          {"outcomes": [[0.6, {"v2": 1}], [0.4, {"v2": 2}]]}),
+                   "--out", str(out)])
+        assert rc == 0
+        result = state_from_json(json.loads(out.read_text()))
+        table = tab_canonical([(p, tuple(sorted(a.items()))) for p, a in rows])
+        s = state_from_json(self._doc(rows))
+        expected = tab_apply_action(
+            table, condition_from_json({"v1": [0]}, s),
+            action_from_json({"outcomes": [[0.6, {"v2": 1}], [0.4, {"v2": 2}]]},
+                             s))
+        assert tab_equal(enum_canonical(result),
+                         [(p, state) for p, state in expected if p > 0])
+
+    @pytest.mark.parametrize("zero_row, message", [
+        pytest.param({"a": 1}, "missing variables [1]", id="missing-variable"),
+        pytest.param({"a": 1, "b": "0"}, "row value must be an integer, got '0'",
+                     id="string-value"),
+        pytest.param({"a": 1, "q": 0}, "unknown variable 'q'",
+                     id="unknown-variable"),
+    ])
+    def test_assignment_still_checked(self, tmp_path, capsys, zero_row,
+                                      message):
+        doc = _row_doc([1.0, AB], [0.0, zero_row])
+        rc = main(["eval", _write(tmp_path / "s.json", doc),
+                   _write(tmp_path / "c.json", {})])
+        assert rc == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param([[float("nan"), AB]], id="nan"),
+        pytest.param([[1.0, AB], [float("nan"), {"a": 1, "b": 0}]],
+                     id="nan-beside-1"),
+    ])
+    def test_nan_total_rejected(self, tmp_path, capsys, rows):
+        rc = main(["eval", _write(tmp_path / "s.json", _row_doc(*rows)),
+                   _write(tmp_path / "c.json", {})])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "input error: tabular probabilities sum to nan, expected 1\n")
+
+
+class TestCompactOutput:
+    # the five-row document, condition and action that CI acts on
+    ROWS = {"universe": ["door", "light", "robot", "cup", "tap"],
+            "rows": [[0.2, {"door": 0, "light": 1, "robot": 2, "cup": 0,
+                            "tap": 1}],
+                     [0.3, {"door": 1, "light": 1, "robot": 0, "cup": 1,
+                            "tap": 1}],
+                     [0.1, {"door": 1, "light": 0, "robot": 1, "cup": 1,
+                            "tap": 0}],
+                     [0.25, {"door": 0, "light": 0, "robot": 2, "cup": 0,
+                             "tap": 0}],
+                     [0.15, {"door": 1, "light": 1, "robot": 1, "cup": 0,
+                             "tap": 1}]]}
+    CONDITION = {"door": [1], "light": [1]}
+    ACTION = {"outcomes": [[0.7, {"robot": 0, "cup": 1}],
+                           [0.3, {"robot": 1, "cup": 0}]]}
+
+    def test_act_writes_the_committed_bytes(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        rc = main(["act", _write(tmp_path / "s.json", self.ROWS),
+                   _write(tmp_path / "c.json", self.CONDITION),
+                   _write(tmp_path / "a.json", self.ACTION),
+                   "--out", str(out)])
+        assert rc == 0
+        golden = Path(__file__).parent / "data" / "act_five_rows.json"
+        assert out.read_bytes() == golden.read_bytes()
+        assert capsys.readouterr().out == "size before: 58\nsize after: 59\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_vars=st.integers(2, 7))
+    def test_size_after_is_the_written_documents(self, seed, num_vars):
+        rng = random.Random(seed)
+        s = random_dag(rng, num_vars)
+        doc = state_to_json(s)
+        # an OR of one edge over the root gives the document unit mass
+        doc["nodes"].append(["or", [1.0 / s.root.mass],
+                             [len(doc["nodes"]) - 1]])
+        avars = rng.sample(doc["universe"], rng.randint(1, 2))
+        cvar = rng.choice(doc["universe"])
+        action = {"outcomes": [[0.4, {v: 0 for v in avars}],
+                               [0.6, {v: 1 for v in avars}]]}
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            out = tmp / "out.json"
+            argv = ["act", _write(tmp / "s.json", doc),
+                    _write(tmp / "c.json", {cvar: [rng.randrange(2)]}),
+                    _write(tmp / "a.json", action), "--out", str(out)]
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert main(argv) == 0
+            written = state_from_json(json.loads(out.read_text()))
+        assert stdout.getvalue().endswith(
+            f"size after: {size_metric(written)}\n")
 
 
 class TestExportDotCommand:

@@ -527,6 +527,21 @@ class TestFromPhysicalState:
         with pytest.raises(PartialAssignment):
             from_physical_state(store, {0: 0, 1: 0}, [0, 1, 2])
 
+    @pytest.mark.parametrize("universe, root", [
+        pytest.param([3], "lit", id="one-variable"),
+        pytest.param([], "empty-and", id="no-variable"),
+    ])
+    def test_small_universes(self, store, universe, root):
+        g = from_physical_state(store, {v: 1 for v in universe}, universe)
+        expected = (store.make_lit(3, 1) if root == "lit"
+                    else store.empty_and())
+        assert g.root is expected
+
+    def test_repeated_variable_rejected(self, store):
+        # a universe that names a variable twice asks for two literals of it
+        with pytest.raises(OverlappingSubspaces):
+            from_physical_state(store, {0: 0, 1: 0}, [0, 1, 0])
+
 
 class TestHashConsing:
     def test_reintern_reproduces_keys(self):
@@ -834,6 +849,40 @@ class TestTabularRoundTrip:
         rows = [(0.5, {0: 0, 1: 0}), (0.25, {0: 1, 1: 0, 2: 1}), (0.25, {0: 1})]
         with pytest.raises(UnknownVariable, match=r"unknown variables \[2\]"):
             from_tabular(store, rows, (0, 1))
+
+    def test_ids_as_make_and_over_make_lit(self):
+        # each row's literals in universe order, then its product, then the
+        # union: the order in which make_and over make_lit makes them
+        rng = random.Random(21)
+        for _ in range(20):
+            universe = tuple(rng.sample(range(8), rng.randint(1, 6)))
+            rows = [(p, {universe[v]: u for v, u in a.items()})
+                    for p, a in random_tabular(rng, len(universe), 3,
+                                               rng.randint(1, 3))]
+            if rng.random() < 0.5:  # each row twice, at half its weight
+                rows = [(p / 2, a) for p, a in rows for _ in (0, 1)]
+            s = from_tabular(Store(), rows, universe)
+            store = Store()
+            total = sum(p for p, _ in rows)
+            root = store.make_or([
+                (p / total, store.make_and([store.make_lit(v, a[v])
+                                            for v in universe]))
+                for p, a in rows])
+            got = [(n.key, n.kind, n.var, n.value, n.mass, n.omega,
+                    [c.key for c in n.children], n.weights)
+                   for n in iter_nodes(s.root)]
+            assert got == [(n.key, n.kind, n.var, n.value, n.mass, n.omega,
+                            [c.key for c in n.children], n.weights)
+                           for n in iter_nodes(root)]
+            assert len(s.store) == len(store)
+
+    def test_zero_row_dropped_after_its_check(self, store):
+        rows = [(0.25, {0: 0, 1: 0}), (0.0, {0: 2, 1: 2}), (0.75, {0: 1, 1: 0})]
+        s = from_tabular(store, rows, (0, 1))
+        assert s.root is from_tabular(store, rows[::2], (0, 1)).root
+        assert store.make_lit(0, 2).key == len(store) - 1  # made only now
+        with pytest.raises(PartialAssignment):
+            from_tabular(store, rows + [(0.0, {0: 1})], (0, 1))
 
     def test_rows_are_physical_states(self, store):
         rows = random_tabular(random.Random(8), 5, 3, 20)
