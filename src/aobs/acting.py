@@ -7,6 +7,11 @@ action's outcome subgraph onto each product with the action variables erased,
 and rebuild the ancestors.  The store keeps every node it builds in normal
 form, and each step preserves mass, so the result needs no normalizing pass.
 
+The labels and the selected mass come from the one condition pass of
+:func:`aobs.query.condition_pass`, which :func:`aobs.query.probability`
+runs too.  The store keeps the last pass, so an action after a read on the
+same state and an equal condition labels nothing again.
+
 An action interns only what its result keeps.  A split hands its caller
 edge lists and products not yet interned; an included half of several
 products, the action's outcome subgraph and the rebuilt union of each
@@ -19,7 +24,6 @@ result.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -36,10 +40,7 @@ from .core import (
     fold,
 )
 from .oracle import Action, Condition
-
-INCLUDED = "I"
-EXCLUDED = "E"
-MIXED = "M"
+from .query import EXCLUDED, INCLUDED, MIXED, LabelMap, condition_pass
 
 Edge = Tuple[float, Node]
 #: a product not yet interned; a factor is a node or a pending included half
@@ -47,31 +48,30 @@ Product = Tuple[float, List["Node | Pending"]]
 Split = Tuple[List[Product], List[Edge]]  # see :func:`isolate`
 
 
-#: node key -> label, filled in by one condition pass (:func:`_label`)
-LabelMap = Dict[int, str]
-
-
 class MassLeak(AobsError):
     """An action or normalization left the root with total mass other
     than 1."""
 
 
-def _label(root: Node, c: Condition, labels: LabelMap) -> Tuple[str, float]:
-    """The label of ``root`` and the mass the condition selects in it, in one
-    pass that labels the nodes below it into ``labels``.
+def label_nodes(root: Node, c: Condition) -> LabelMap:
+    """The complete reference labelling: every reachable node labelled
+    included, excluded, or mixed.
 
-    An included node selects its ``mass``, an excluded one 0, and a mixed
-    one the mass its step records.  A node whose variables avoid the
-    condition's is included without visiting its children.
+    A node is included when all of its substate satisfies the condition,
+    excluded when none of it does, mixed otherwise.  Keys are node ids
+    (``Node.key``), which name a node only within its store.  The pass
+    does not descend below a node whose variables avoid the condition's,
+    so the nodes under it are left out of the plain dict it returns; like
+    that node they are included, and read so through
+    ``labels.get(key, INCLUDED)``.
+
+    The pipeline labels with :func:`aobs.query.condition_pass`, which also
+    leaves out the children of an AND that a rejected literal child
+    excludes; where both label a node, they agree.
     """
     allowed = c.allowed
     cvars = c.variables
-    mixed: Dict[int, float] = {}  # node key -> selected mass, mixed nodes
-
-    def selected(node: Node) -> float:
-        if labels[node.key] == INCLUDED:
-            return node.mass
-        return mixed.get(node.key, 0.0)
+    labels: LabelMap = {}
 
     def leaf(node: Node) -> Optional[str]:
         if cvars.isdisjoint(node.omega):
@@ -81,45 +81,15 @@ def _label(root: Node, c: Condition, labels: LabelMap) -> Tuple[str, float]:
         return INCLUDED if node.value in allowed[node.var] else EXCLUDED
 
     def step(node: Node) -> str:
-        kids = node.children
+        kids = [labels[ch.key] for ch in node.children]
         if node.kind == AND:
-            out = INCLUDED
-            for ch in kids:
-                cl = labels[ch.key]
-                if cl == EXCLUDED:
-                    return EXCLUDED
-                if cl == MIXED:
-                    out = MIXED
-            if out == MIXED:
-                mixed[node.key] = math.prod([selected(ch) for ch in kids])
-            return out
+            if EXCLUDED in kids:
+                return EXCLUDED
+            return MIXED if MIXED in kids else INCLUDED
         # an OR whose children agree has their label, else it is mixed
-        out = labels[kids[0].key]
-        for ch in kids:
-            if labels[ch.key] != out:
-                out = MIXED
-                break
-        if out == MIXED:
-            mixed[node.key] = sum([w * selected(ch) for w, ch
-                                   in zip(node.weights, kids)])
-        return out
+        return kids[0] if len(set(kids)) == 1 else MIXED
 
-    return fold(root, labels, step, leaf), selected(root)
-
-
-def label_nodes(root: Node, c: Condition) -> LabelMap:
-    """Label the reachable nodes as included, excluded, or mixed.
-
-    A node is included when all of its substate satisfies the condition,
-    excluded when none of it does, mixed otherwise.  Keys are node ids
-    (``Node.key``), which name a node only within its store.  The pass
-    does not descend below a node whose variables avoid the condition's,
-    so the nodes under it are left out of the plain dict it returns; like
-    that node they are included, and read so through
-    ``labels.get(key, INCLUDED)``.
-    """
-    labels: LabelMap = {}
-    _label(root, c, labels)
+    fold(root, labels, step, leaf)
     return labels
 
 
@@ -341,7 +311,10 @@ class ApplyResult:
 def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     """Apply a state-independent action to the condition-selected substate.
 
-    The belief state is rewritten persistently.  Each minimal subgraph is
+    The belief state is rewritten persistently.  The labels and the
+    selected mass are the condition pass's (:func:`aobs.query.condition_pass`);
+    after a :func:`aobs.query.probability` on the same state and an equal
+    condition, its pass is reused, not run again.  Each minimal subgraph is
     split (:func:`isolate`) and becomes one OR of its excluded edges and its
     grafted products: each factor, or each child of an AND factor, loses the
     action variables, and the action subgraph joins them.  Ancestors are
@@ -353,14 +326,16 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     so the result is in normal form; :class:`MassLeak` is raised if its root
     mass is not 1.
     """
-    c.check_within(s.universe)
-    a.check_within(s.universe)
-    store = s.store
-    labels: LabelMap = {}
-    root_label, selected = _label(s.root, c, labels)
+    omega = s.root.omega
+    if not omega.issuperset(c.allowed):
+        c.check_within(s.universe)
+    if not omega.issuperset(a.vars):
+        a.check_within(s.universe)
+    labels, root_label, selected = condition_pass(s, c)
     if root_label == EXCLUDED:
         return ApplyResult(s, 0.0)
 
+    store = s.store
     avars = a.variables
     need = avars | c.variables
     act = action_subgraph(store, a)

@@ -248,9 +248,13 @@ class Store:
     and the store never drops one, so an entry never goes stale.
     ``refcounts`` is the optimizer's size guard: a :class:`RefCounts` table
     over the nodes reachable from the last root it was moved to, so each
-    call counts only what changed since the last.  A future
-    ``Store.collect`` that drops nodes must prune ``factored`` and reset
-    ``refcounts`` too, or they keep the dropped nodes alive.
+    call counts only what changed since the last.  ``last_pass`` is the
+    computed-table entry of :func:`aobs.query.condition_pass`: the last
+    ``(root, allowed snapshot, result)`` of the condition pass, so an
+    action after a read on the same state and an equal condition reuses
+    the read's pass.  A future ``Store.collect`` that drops nodes must
+    prune ``factored``, reset ``refcounts`` and clear ``last_pass`` too, or
+    they keep the dropped nodes alive.
     """
 
     def __init__(self) -> None:
@@ -258,6 +262,7 @@ class Store:
         self._ids = itertools.count()
         self.factored: Dict[int, Node] = {}
         self.refcounts = RefCounts()
+        self.last_pass: Optional[tuple] = None
 
     def __len__(self) -> int:
         return len(self._nodes)

@@ -1,53 +1,137 @@
-"""Inference over a belief-state DAG: condition probability and substate
-selection."""
+"""Inference over a belief-state DAG: the condition pass, condition
+probability and substate selection.
+
+One bottom-up pass evaluates a condition over the DAG
+(:func:`condition_pass`): it labels each node it visits included, excluded
+or mixed and gives the mass the condition selects.  :func:`probability`
+reads the selected mass from it, and :func:`aobs.acting.apply_action` the
+labels and the selected mass.  The store keeps the last pass, so an act
+after a read on the same state and an equal condition does not run it
+again.
+"""
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from .core import AND, LIT, Aobs, Node, _expand, fold
 from .oracle import Condition, TabularPBS, tab_canonical
 
+INCLUDED = "I"
+EXCLUDED = "E"
+MIXED = "M"
 
-def probability(s: Aobs, c: Condition) -> float:
-    """Probability of the conjunctive condition holding on the belief state.
+#: node key -> label, filled in by one condition pass
+LabelMap = Dict[int, str]
+#: the labels of a pass, the root's label and the mass the condition selects
+Pass = Tuple[LabelMap, str, float]
 
-    Evaluated in one pass over the DAG: literals contribute 0 or 1, AND nodes
-    multiply, OR nodes take the weighted sum.  Shared subgraphs are evaluated
-    once per query.  A node whose variables avoid the condition's is its own
-    ``mass`` and an AND with a literal child that the condition rejects is 0,
-    both without visiting the node's children.
+
+def condition_pass(s: Aobs, c: Condition) -> Pass:
+    """The condition pass over ``s``: ``(labels, root label, selected
+    mass)``.  The caller checks that ``c`` is within the universe.
+
+    The result is kept in ``s.store.last_pass``, keyed by the root node and
+    a snapshot of ``c.allowed``, so a second call on the same root with an
+    equal condition returns it without a walk.  Nodes are immutable and the
+    store never reuses one, so the entry is never stale.  Callers share the
+    returned labels and must not change them.
     """
-    c.check_within(s.universe)
-    allowed = c.allowed
-    cvars = c.variables
-    memo: Dict[int, float] = {}
+    root = s.root
+    last = s.store.last_pass
+    if last is not None and last[0] is root and last[1] == c.allowed:
+        return last[2]
+    allowed = {v: frozenset(vals) for v, vals in c.allowed.items()}
+    out = _pass(root, allowed)
+    s.store.last_pass = (root, allowed, out)
+    return out
 
-    def leaf(node: Node) -> Optional[float]:
+
+def _pass(root: Node, allowed: Dict[int, FrozenSet[int]]) -> Pass:
+    """Label the nodes below ``root`` against the condition ``allowed`` and
+    give the mass it selects, in one pass.
+
+    A literal is included when the condition allows its value.  An AND is
+    excluded when a child is, included when all are, else mixed; an OR has
+    its children's label when they agree, else it is mixed.  An included
+    node selects its ``mass``, an excluded one 0, and a mixed one the mass
+    its step records: the product of its children's for an AND, the
+    weighted sum for an OR.
+
+    Two kinds of node are settled without visiting their children, which
+    then have no label.  A node whose variables avoid the condition's is
+    included, as is everything below it, which a reader takes through
+    ``labels.get(key, INCLUDED)``.  An AND with a literal child that the
+    condition rejects is excluded; no reader descends below an excluded
+    node, and a child it shares with another parent is labelled through
+    that parent.
+    """
+    cvars = frozenset(allowed)
+    labels: LabelMap = {}
+    mixed: Dict[int, float] = {}  # node key -> selected mass, mixed nodes
+
+    def leaf(node: Node) -> Optional[str]:
         if cvars.isdisjoint(node.omega):
-            return node.mass
+            return INCLUDED
         if node.kind == AND:
             # the literal children are settled here, so they are not visited
             for ch in node.children:
                 if ch.kind == LIT:
                     vals = allowed.get(ch.var)
                     if vals is not None and ch.value not in vals:
-                        return 0.0
-                    memo[ch.key] = 1.0
+                        return EXCLUDED
+                    labels[ch.key] = INCLUDED
         elif node.kind == LIT:  # on a condition variable
-            return 1.0 if node.value in allowed[node.var] else 0.0
+            return INCLUDED if node.value in allowed[node.var] else EXCLUDED
         return None
 
-    def step(node: Node) -> float:
+    def step(node: Node) -> str:
+        kids = node.children
         if node.kind == AND:
-            out = 1.0
-            for ch in node.children:
-                out *= memo[ch.key]
+            out = INCLUDED
+            mass = 1.0
+            for ch in kids:
+                cl = labels[ch.key]
+                if cl == INCLUDED:
+                    mass *= ch.mass
+                elif cl == MIXED:
+                    out = MIXED
+                    mass *= mixed[ch.key]
+                else:
+                    return EXCLUDED
+            if out == MIXED:
+                mixed[node.key] = mass
             return out
-        return sum([w * memo[ch.key]
-                    for w, ch in zip(node.weights, node.children)])
+        out = labels[kids[0].key]
+        for ch in kids:
+            if labels[ch.key] != out:
+                out = MIXED
+                break
+        if out == MIXED:  # an excluded child selects 0, not in ``mixed``
+            mixed[node.key] = sum([
+                w * (ch.mass if labels[ch.key] == INCLUDED
+                     else mixed.get(ch.key, 0.0))
+                for w, ch in zip(node.weights, kids)])
+        return out
 
-    p = fold(s.root, memo, step, leaf)
-    return min(max(p, 0.0), 1.0)
+    label = fold(root, labels, step, leaf)
+    return labels, label, (root.mass if label == INCLUDED
+                           else mixed.get(root.key, 0.0))
+
+
+def probability(s: Aobs, c: Condition) -> float:
+    """Probability of the conjunctive condition holding on the belief state:
+    the mass that the condition pass (:func:`condition_pass`) selects,
+    clamped to [0, 1].
+
+    The pass visits each shared subgraph once.  A node whose variables
+    avoid the condition's counts its ``mass`` and an AND with a literal
+    child that the condition rejects counts 0, both without visiting the
+    node's children.  An :func:`~aobs.acting.apply_action` on the same
+    state and an equal condition reuses the pass.
+    """
+    if not s.root.omega.issuperset(c.allowed):
+        c.check_within(s.universe)
+    return min(max(condition_pass(s, c)[2], 0.0), 1.0)
 
 
 def select_substate(s: Aobs, c: Condition, cap: int = 10**6) -> TabularPBS:
@@ -57,5 +141,6 @@ def select_substate(s: Aobs, c: Condition, cap: int = 10**6) -> TabularPBS:
     The total mass of the returned canonical collection equals
     ``probability(s, c)``.
     """
-    c.check_within(s.universe)
+    if not s.root.omega.issuperset(c.allowed):
+        c.check_within(s.universe)
     return tab_canonical(_expand(s.root, cap, False, c.allows))

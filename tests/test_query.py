@@ -1,15 +1,20 @@
-"""Condition probability and substate selection."""
+"""The condition pass, condition probability and substate selection."""
 import random
+from typing import Dict, Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from aobs.acting import normalize
-from aobs.core import ExpansionTooLarge, UnknownVariable
-from aobs.oracle import Condition, tab_equal, tab_prob
+from aobs import acting, query
+from aobs.acting import apply_action, label_nodes, normalize
+from aobs.core import (AND, LIT, Aobs, ExpansionTooLarge, Node, Store,
+                       UnknownVariable, fold, from_tabular, iter_nodes)
+from aobs.oracle import Action, Condition, tab_equal, tab_prob
 from aobs.optimize import greedy_optimize
-from aobs.query import probability, select_substate
+from aobs.query import (INCLUDED, condition_pass, probability,
+                        select_substate)
 
-from conftest import enum_canonical, random_aobs
+from conftest import enum_canonical, random_aobs, random_dag
 
 
 class TestProbability:
@@ -92,3 +97,204 @@ class TestSelectSubstate:
     def test_cap(self, three_var_state):
         with pytest.raises(ExpansionTooLarge):
             select_substate(three_var_state, Condition.of({}), cap=2)
+
+
+def _reference_probability(s, c) -> float:
+    """The float fold ``probability`` ran before the condition pass, kept
+    as the reference for the pass's selected mass (unclamped)."""
+    allowed = c.allowed
+    cvars = c.variables
+    memo: Dict[int, float] = {}
+
+    def leaf(node: Node) -> Optional[float]:
+        if cvars.isdisjoint(node.omega):
+            return node.mass
+        if node.kind == AND:
+            for ch in node.children:
+                if ch.kind == LIT:
+                    vals = allowed.get(ch.var)
+                    if vals is not None and ch.value not in vals:
+                        return 0.0
+                    memo[ch.key] = 1.0
+        elif node.kind == LIT:
+            return 1.0 if node.value in allowed[node.var] else 0.0
+        return None
+
+    def step(node: Node) -> float:
+        if node.kind == AND:
+            out = 1.0
+            for ch in node.children:
+                out *= memo[ch.key]
+            return out
+        return sum([w * memo[ch.key]
+                    for w, ch in zip(node.weights, node.children)])
+
+    return fold(s.root, memo, step, leaf)
+
+
+class _Reads(dict):
+    """Labels that record every key a reader looks up."""
+
+    def __init__(self, labels):
+        super().__init__(labels)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def _arity_condition(rng, num_vars, num_values):
+    """A condition on 0 to 3 variables: several variables make pruned
+    products whose other children the condition can see."""
+    return Condition.of({
+        v: rng.sample(range(num_values), rng.randint(1, num_values))
+        for v in rng.sample(range(num_vars), rng.randint(0, min(3, num_vars)))
+    })
+
+
+def _random_action(rng, num_vars, num_values):
+    avars = tuple(rng.sample(range(num_vars), rng.randint(1, 2)))
+    raw = [rng.random() + 0.1 for _ in range(rng.randint(1, 3))]
+    return Action(avars, tuple(
+        (p / sum(raw), tuple(rng.randrange(num_values) for _ in avars))
+        for p in raw))
+
+
+class TestConditionPass:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(
+        ["dag", "tabular", "optimized"]))
+    def test_agrees_with_the_reference(self, seed, shape):
+        rng = random.Random(seed)
+        if shape == "dag":
+            num_vars, num_values = rng.randint(3, 8), 2
+            raw = random_dag(rng, num_vars)  # inner ORs unnormalized
+            unit = Aobs(raw.store.make_or([(1.0 / raw.root.mass, raw.root)]),
+                        raw.store, raw.universe)
+            states = [raw, normalize(unit)]
+        else:
+            num_vars, num_values = rng.randint(3, 5), 3
+            s, _ = random_aobs(rng, num_vars, num_values, max_rows=10)
+            states = [greedy_optimize(s) if shape == "optimized" else s]
+        for s in states:
+            for _ in range(3):
+                self._check(s, _arity_condition(rng, num_vars, num_values),
+                            _random_action(rng, num_vars, num_values))
+
+    @staticmethod
+    def _check(s, c, a):
+        ref = label_nodes(s.root, c)
+        s.store.last_pass = None
+        labels, root_label, mass = condition_pass(s, c)
+        for key, label in labels.items():
+            assert ref[key] == label
+        assert root_label == ref[s.root.key]
+        assert mass == _reference_probability(s, c)
+        p = probability(s, c)
+        assert p == min(max(mass, 0.0), 1.0)
+        if abs(s.root.mass - 1.0) > 1e-9:  # apply_action needs unit mass
+            return
+
+        # the readers in apply_action look up only labelled nodes or nodes
+        # that avoid the condition, and read the reference label
+        reads = _Reads(labels)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(acting, "condition_pass",
+                       lambda s, c: (reads, root_label, mass))
+            res = apply_action(s, c, a)
+        assert res.selected_mass == p
+        nodes = {n.key: n for n in iter_nodes(s.root)}
+        for key in reads.read:
+            assert key in labels or c.variables.isdisjoint(nodes[key].omega)
+            assert reads.get(key, INCLUDED) == ref.get(key, INCLUDED)
+        got = apply_action(s, c, a)  # served from the store's entry
+        assert got.selected_mass == p
+        assert got.state.root is res.state.root
+
+
+class TestPassMemo:
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """The number of condition passes run, not served from a store."""
+        count = [0]
+        inner = query._pass
+
+        def counted(root, allowed):
+            count[0] += 1
+            return inner(root, allowed)
+
+        monkeypatch.setattr(query, "_pass", counted)
+        return count
+
+    @staticmethod
+    def _state(store=None):
+        rows = [(0.2, {0: 0, 1: 1, 2: 0}), (0.3, {0: 1, 1: 1, 2: 1}),
+                (0.5, {0: 1, 1: 0, 2: 0})]
+        return from_tabular(store or Store(), rows, (0, 1, 2))
+
+    ACT = Action((2,), ((0.4, (0,)), (0.6, (1,))))
+
+    def test_read_then_act_runs_one_pass(self, runs):
+        s = self._state()
+        p = probability(s, Condition.of({1: [1]}))
+        res = apply_action(s, Condition.of({1: [1]}), self.ACT)
+        assert runs[0] == 1
+        assert res.selected_mass == p == pytest.approx(0.5)
+
+    def test_another_root_gets_a_fresh_pass(self, runs):
+        s = self._state()
+        c = Condition.of({1: [1]})
+        probability(s, c)
+        t = apply_action(s, c, self.ACT).state
+        assert runs[0] == 1
+        assert probability(t, c) == pytest.approx(0.5)
+        assert runs[0] == 2
+
+    def test_another_store_gets_a_fresh_pass(self, runs):
+        c = Condition.of({1: [1]})
+        s, t = self._state(), self._state()
+        assert s.root.key == t.root.key and s.root is not t.root
+        probability(s, c)
+        probability(t, c)
+        assert runs[0] == 2
+
+    def test_unequal_condition_gets_a_fresh_pass(self, runs):
+        s = self._state()
+        assert probability(s, Condition.of({1: [1]})) == pytest.approx(0.5)
+        assert probability(s, Condition.of({1: [0]})) == pytest.approx(0.5)
+        assert probability(s, Condition.of({0: [1]})) == pytest.approx(0.8)
+        assert runs[0] == 3
+
+    def test_condition_changed_in_place_gets_a_fresh_pass(self, runs):
+        s = self._state()
+        c = Condition.of({0: [0]})
+        assert probability(s, c) == pytest.approx(0.2)
+        c.allowed[0] = frozenset({1})
+        assert probability(s, c) == pytest.approx(0.8)
+        assert runs[0] == 2
+
+    def test_unknown_variable_stores_nothing(self, runs):
+        s = self._state()
+        with pytest.raises(UnknownVariable):
+            probability(s, Condition.of({9: [0]}))
+        with pytest.raises(UnknownVariable):
+            apply_action(s, Condition.of({1: [1]}),
+                         Action((9,), ((1.0, (0,)),)))
+        assert s.store.last_pass is None and runs[0] == 0
+
+    def test_served_labels_are_never_changed(self, runs):
+        s = self._state()
+        c = Condition.of({1: [1], 2: [0]})
+        probability(s, c)
+        labels = dict(s.store.last_pass[2][0])
+        first = apply_action(s, c, self.ACT).state
+        second = apply_action(s, c, self.ACT).state
+        assert runs[0] == 1
+        assert dict(s.store.last_pass[2][0]) == labels
+        fresh = apply_action(self._state(), c, self.ACT).state
+        assert first.root.digest == second.root.digest == fresh.root.digest
