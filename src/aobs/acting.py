@@ -21,6 +21,10 @@ its edges with the weights the interned node would have had; a pending
 product's factors go straight into the AND that keeps them; and either is
 interned only when a parent of the other kind keeps it, or when it is the
 result.
+
+Each product built in place of a node ``n``, a graft or an excluded term,
+is one constructor call over ``n.omega``.  The store checked ``n`` when it
+made it, so only the factors that changed are checked here.
 """
 from __future__ import annotations
 
@@ -35,8 +39,10 @@ from .core import (
     Aobs,
     AobsError,
     Node,
+    OverlappingSubspaces,
     Pending,
     Store,
+    _by_key,
     fold,
 )
 from .oracle import Action, Condition
@@ -128,7 +134,7 @@ def find_minimal_subgraphs(
 
 
 def isolate(n: Node, labels: LabelMap, store: Store,
-            memo: Optional[Dict[int, Split]] = None) -> Split:
+            memo: Optional[Dict[int, "Split | str"]] = None) -> Split:
     """Split ``n`` into ``(included, excluded)``: the ``(weight, factors)``
     products the condition selects, not yet interned, and the ``(weight,
     node)`` edges it excludes.  Over unit-weight ORs, their OR is ``n``.
@@ -139,17 +145,14 @@ def isolate(n: Node, labels: LabelMap, store: Store,
     edges with the weights multiplied, and a mixed AND is split by
     :func:`_split_and`.  ``memo`` maps node keys to splits; splitting
     depends only on the node and the condition, so all isolations of one
-    action can share one memo.
+    action can share one memo.  It holds a pure node's label: only an OR
+    parent reads the node's one-edge split, so only an OR parent builds it.
     """
-    splits: Dict[int, Split] = {} if memo is None else memo
+    splits: Dict[int, "Split | str"] = {} if memo is None else memo
 
-    def leaf(node: Node) -> Optional[Split]:
+    def leaf(node: Node) -> Optional[str]:
         label = labels.get(node.key, INCLUDED)
-        if label == INCLUDED:
-            return [(1.0, [node])], []
-        if label == EXCLUDED:
-            return [], [(1.0, node)]
-        return None
+        return None if label == MIXED else label
 
     def step(node: Node) -> Split:
         if node.kind == AND:
@@ -157,15 +160,40 @@ def isolate(n: Node, labels: LabelMap, store: Store,
         inc: List[Product] = []
         exc: List[Edge] = []
         for w, ch in zip(node.weights, node.children):
-            ch_inc, ch_exc = splits[ch.key]
+            split = splits[ch.key]
+            ch_inc, ch_exc = (_one_edge(ch, split) if type(split) is str
+                              else split)
             inc += [(w * v, f) for v, f in ch_inc]
             exc += [(w * v, g) for v, g in ch_exc]
         return inc, exc
 
-    return fold(n, splits, step, leaf)
+    split = fold(n, splits, step, leaf)
+    return _one_edge(n, split) if type(split) is str else split
 
 
-def _split_and(n: Node, labels: LabelMap, splits: Dict[int, Split],
+def _one_edge(node: Node, label: str) -> Split:
+    """The split of a pure node: the node itself, included or excluded."""
+    return ([(1.0, [node])], []) if label == INCLUDED else ([], [(1.0, node)])
+
+
+def _spliced(factors: list) -> list:
+    """The factors of a product with each AND factor's children in its
+    place, as the store's constructors splice them."""
+    return [g for f in factors
+            for g in (f.children if f.kind == AND else (f,))]
+
+
+def _check_cover(factors: list, omega: FrozenSet[int]) -> None:
+    """Raise :class:`OverlappingSubspaces` unless the factors' variable
+    sets are disjoint and their union is ``omega``."""
+    omegas = [f.omega for f in factors]
+    if (sum(map(len, omegas)) != len(omega)
+            or frozenset().union(*omegas) != omega):
+        raise OverlappingSubspaces(f"factors over {list(map(sorted, omegas))}"
+                                   f" do not partition {sorted(omega)}")
+
+
+def _split_and(n: Node, labels: LabelMap, splits: Dict[int, "Split | str"],
                store: Store) -> Split:
     """The split of the mixed AND ``n``, its mixed children split in
     ``splits``.  The included product holds the included children and the
@@ -182,14 +210,16 @@ def _split_and(n: Node, labels: LabelMap, splits: Dict[int, Split],
     several is a :class:`Pending` OR of its products (:func:`_half`), so
     nothing in it is interned until an excluded term or a graft keeps it;
     a graft that meets the action variables erases it without interning
-    it at all."""
-    fixed: List[Node] = []
-    mixed: List[Node] = []
-    for ch in n.children:
-        cl = labels.get(ch.key, INCLUDED)
-        if cl == EXCLUDED:
-            raise AobsError("mixed AND node with an excluded child")
-        (fixed if cl == INCLUDED else mixed).append(ch)
+    it at all.
+
+    Each term is one constructor call over ``n.omega``, checked only
+    where it differs from ``n``: both halves of a mixed child must range
+    exactly over that child's variables."""
+    label = labels.get
+    fixed = [ch for ch in n.children if label(ch.key, INCLUDED) == INCLUDED]
+    mixed = [ch for ch in n.children if label(ch.key, INCLUDED) == MIXED]
+    if len(fixed) + len(mixed) != len(n.children):
+        raise AobsError("mixed AND node with an excluded child")
     if len(mixed) > 1:
         mixed.sort(key=lambda ch: min(ch.omega))
     parts: List[Tuple[list, float, Node]] = []  # (inc half, share, exc)
@@ -201,20 +231,22 @@ def _split_and(n: Node, labels: LabelMap, splits: Dict[int, Split],
         exc_mass = sum([w for w, _ in exc])
         half = (inc[0][1] if len(inc) == 1 else
                 [_half(inc, inc_mass, ch.omega, store)])
-        parts.append((half, inc_mass / (inc_mass + exc_mass),
-                      store.make_or([(w / exc_mass, g) for w, g in exc])))
+        exc_half = store.make_or([(w / exc_mass, g) for w, g in exc])
+        _check_cover(half, ch.omega)
+        _check_cover([exc_half], ch.omega)
+        parts.append((half, inc_mass / (inc_mass + exc_mass), exc_half))
 
     excluded: List[Edge] = []
-    factors: list = fixed  # the included children and halves so far
+    factors: list = fixed  # included children and interned halves, spliced
     prefix = 1.0
     for i, (half, share, exc_half) in enumerate(parts):
-        if i:  # the term keeps the halves so far, so they are interned
-            factors = [store.intern(f) for f in factors]
-        term = store.make_and(factors + [exc_half] + mixed[i + 1:])
+        kids = factors + _spliced([exc_half]) + mixed[i + 1:]
+        term = store._and_node(sorted(kids, key=_by_key), n.omega)
         excluded.append((prefix * (1.0 - share), term))
-        factors = factors + half
         prefix *= share
-    return [(prefix, factors)], excluded
+        if i + 1 < len(parts):  # the next term keeps the half: intern it
+            factors = factors + _spliced([store.intern(f) for f in half])
+    return [(prefix, factors + half)], excluded
 
 
 def _half(inc: List[Product], inc_mass: float, omega: FrozenSet[int],
@@ -223,9 +255,8 @@ def _half(inc: List[Product], inc_mass: float, omega: FrozenSet[int],
     pending OR of the products, each its one factor or a pending AND.  Over
     interned products only, it is the pending union that
     :meth:`~aobs.core.Store.union` merges."""
-    kids = [f[0] if len(f) == 1 else Pending(AND, tuple([
-        g for x in f for g in (x.children if x.kind == AND else (x,))]),
-        (), omega) for _, f in inc]
+    kids = [f[0] if len(f) == 1 else
+            Pending(AND, tuple(_spliced(f)), (), omega) for _, f in inc]
     weights = [w / inc_mass for w, _ in inc]
     if all([type(k) is Node for k in kids]):
         return store.union(zip(weights, kids))
@@ -249,6 +280,8 @@ def erase_action_vars(
     one action can share one memo.
     """
     erased: Dict[int, Node] = {} if memo is None else memo
+    if n.key in erased:  # a factor several grafts share
+        return erased[n.key]
 
     def leaf(node: Node) -> Optional[Node]:
         if avars.isdisjoint(node.omega):
@@ -317,8 +350,10 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     condition, its pass is reused, not run again.  Each minimal subgraph is
     split (:func:`isolate`) and becomes one OR of its excluded edges and its
     grafted products: each factor, or each child of an AND factor, loses the
-    action variables, and the action subgraph joins them.  Ancestors are
-    rebuilt along affected paths.  Total mass is preserved.
+    action variables, and the action subgraph joins them; each product is
+    built over the minimal subgraph's variables, checked only where it
+    changed.  Ancestors are rebuilt along affected paths.  Total mass is
+    preserved.
 
     Every OR of ``s`` must have unit weight, as every constructor and every
     pipeline output has; call :func:`normalize` first on a state built
@@ -341,28 +376,36 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     act = action_subgraph(store, a)
     minimal = find_minimal_subgraphs(s.root, c, avars, labels)
     erased: Dict[int, Node] = {}
-    splits: Dict[int, Split] = {}
+    splits: Dict[int, "Split | str"] = {}
 
-    def graft(factors: list) -> "Node | Pending":
-        kept = []
-        for f in factors:
-            for g in (f.children if f.kind == AND else (f,)):
-                if avars.isdisjoint(g.omega):
-                    kept.append(g if type(g) is Node else store.intern(g))
-                elif not g.omega <= avars:  # else it erases away
-                    kept.append(erase_action_vars(g, avars, store, erased))
+    def graft(factors: list, omega: FrozenSet[int]) -> "Node | Pending":
+        """The product over ``omega`` of the action subgraph and the
+        factors less the action variables.  Factors that are pending or
+        meet them are interned or erased, each erased one checked to lose
+        exactly them; the rest are kept as they are."""
+        kept = _spliced(factors)
+        touched = [g for g in kept
+                   if type(g) is not Node or not avars.isdisjoint(g.omega)]
+        for g in touched:
+            kept.remove(g)
+            if avars.isdisjoint(g.omega):
+                kept += _spliced([store.intern(g)])
+            elif not g.omega <= avars:  # else it erases away
+                e = erase_action_vars(g, avars, store, erased)
+                _check_cover([e], g.omega - avars)
+                kept += _spliced([e])
         if not kept:  # the action's outcomes alone, spliced by the union
             return act if act.kind == OR else store.intern(act)
-        # make_and splices a pending AND of literals like an interned one
-        return store.make_and([store.intern(act) if act.kind == OR else act]
-                              + kept)
+        kept += _spliced([store.intern(act) if act.kind == OR else act])
+        return store._and_node(sorted(kept, key=_by_key), omega)
 
     # rebuilt nodes by key, seeded with the replaced minimal subgraphs; each
     # is a pending union, interned only if an AND keeps it
     rebuilt: Dict[int, "Node | Pending"] = {}
     for n in minimal:
         inc, exc = isolate(n, labels, store, splits)
-        rebuilt[n.key] = store.union([(w, graft(f)) for w, f in inc] + exc)
+        rebuilt[n.key] = store.union([(w, graft(f, n.omega)) for w, f in inc]
+                                      + exc)
 
     # Only ancestors of minimal subgraphs change, and every such ancestor
     # covers ``need`` and is included or mixed: an AND ancestor's other

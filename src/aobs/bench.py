@@ -81,6 +81,9 @@ class MetricsRow:
     n_bdd: Optional[int] = None
     ms_aobs: float = 0.0
     ms_bdd: Optional[float] = None
+    #: the mass the step's condition selected (0: the action did not
+    #: fire); None on step 0, which applies no action
+    selected_mass: Optional[float] = None
 
 
 def gen_experiment(cfg: ExperimentConfig, seed: int) -> ExperimentScript:
@@ -171,7 +174,8 @@ def run_experiment(
 
     for step, (condition, action) in enumerate(script.steps, start=1):
         t0 = time.perf_counter()
-        state = apply_action(state, condition, action).state
+        result = apply_action(state, condition, action)
+        state = result.state
         if cfg.optimize:
             state = greedy_optimize(state)
         ms_aobs = (time.perf_counter() - t0) * 1e3
@@ -210,6 +214,7 @@ def run_experiment(
             n_naive=cfg.num_vars * n_states,
             n_aobs=size_metric(state),
             n_bdd=n_bdd, ms_aobs=ms_aobs, ms_bdd=ms_bdd,
+            selected_mass=result.selected_mass,
         ))
     return rows
 

@@ -357,7 +357,7 @@ def to_dot(s: Aobs) -> str:
 # commands
 
 CSV_HEADER = ["seed", "step", "n_states", "n_naive", "n_aobs", "n_bdd",
-              "ms_aobs", "ms_bdd"]
+              "ms_aobs", "ms_bdd", "selected_mass"]
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -390,6 +390,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "" if r.n_bdd is None else r.n_bdd,
             f"{r.ms_aobs:.3f}",
             "" if r.ms_bdd is None else f"{r.ms_bdd:.3f}",
+            "" if r.selected_mass is None else f"{r.selected_mass:.6g}",
         ])
     _write(args.out, buf.getvalue())
     print(f"wrote {len(rows)} rows to {args.out}")

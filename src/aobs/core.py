@@ -233,7 +233,9 @@ class Store:
     ``key``.  Ids come from the counter, never from ``len(store)``, so they
     stay unique if the store ever drops nodes.  Nothing is digested here:
     a node's ``digest`` waits until something reads it.  A failed
-    construction interns nothing.
+    construction interns nothing.  A node is validated once, when it is
+    made, so a caller that knows a new product's variables may pass them
+    to :meth:`_and_node` and check only what it changed.
 
     A pipeline that builds a union or a product its parent may splice can
     leave it :class:`Pending`: :meth:`union` merges edges exactly as
@@ -300,10 +302,15 @@ class Store:
         """Intern the AND of ``ordered``: children in key order, none of
         them an AND, and not just one.
 
-        A caller that knows the children's variable sets to be disjoint
-        passes their union as ``omega`` and their mass product as
-        ``mass``; otherwise, on a miss, both are computed here and the sets
-        are checked.  A hit costs the key and one lookup either way.
+        A caller that passes ``omega`` vouches, by a check of its own, that
+        the children's variable sets are disjoint with that union; there
+        are two.  :func:`_products` passes the universe of a total
+        assignment, and :func:`aobs.acting.apply_action` the variables of
+        the node whose products it rebuilds, having checked only the
+        factors it changed.  Otherwise, on a miss, the union is computed
+        here and the sets are checked.  ``mass``, if not given, is the
+        children's mass product in key order.  A hit costs the key and one
+        lookup either way.
         """
         keys = (AND, *map(_by_key, ordered))
         node = self._nodes.get(keys)
@@ -321,6 +328,7 @@ class Store:
                             f"AND children share variables {sorted(clash)}"
                         )
                     seen |= c.omega
+        if mass is None:
             mass = math.prod([c.mass for c in ordered], start=1.0)
         node = self._nodes[keys] = Node(
             AND, None, None, tuple(ordered), (), next(self._ids), omega, mass)

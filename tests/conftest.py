@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from aobs.core import AND, OR, Aobs, Store, enumerate_states, from_tabular, iter_nodes
+from aobs.core import AND, LIT, OR, Aobs, Store, enumerate_states, from_tabular, iter_nodes
 from aobs.oracle import tab_canonical
 
 
@@ -78,6 +80,30 @@ def assert_normal_form(s, eps=1e-9):
                 "OR node has an OR child"
             assert abs(sum(node.weights) - 1.0) <= eps, \
                 f"OR weights sum to {sum(node.weights)}"
+
+
+def assert_well_formed(root):
+    """Every node below ``root`` is what the store's full checks would
+    make it: an AND's variables are the disjoint union of its children's,
+    an OR's children range over its variables, and each mass equals the
+    product or weighted sum of the children's, recomputed in child order,
+    bit for bit."""
+    for node in iter_nodes(root):
+        kids = node.children
+        if node.kind == LIT:
+            assert node.omega == {node.var} and node.mass == 1.0
+        elif node.kind == AND:
+            omegas = [ch.omega for ch in kids]
+            assert sum(map(len, omegas)) == len(node.omega), \
+                "AND children share variables"
+            assert frozenset().union(*omegas) == node.omega, \
+                "AND children do not cover its variables"
+            assert node.mass == math.prod([ch.mass for ch in kids], start=1.0)
+        else:
+            assert all(ch.omega == node.omega for ch in kids), \
+                "OR children range over other variables"
+            assert node.mass == sum([w * ch.mass for w, ch
+                                     in zip(node.weights, kids)])
 
 
 def random_tabular(rng, num_vars, num_values, num_rows):

@@ -22,6 +22,9 @@ from aobs.core import (
     LIT,
     OR,
     Aobs,
+    Node,
+    OverlappingSubspaces,
+    Pending,
     Store,
     enumerate_states,
     from_physical_state,
@@ -38,7 +41,13 @@ from aobs.oracle import (
     tab_equal,
 )
 
-from conftest import assert_normal_form, enum_canonical, random_aobs, total_mass
+from conftest import (
+    assert_normal_form,
+    assert_well_formed,
+    enum_canonical,
+    random_aobs,
+    total_mass,
+)
 
 
 def _node_enum(node):
@@ -676,3 +685,75 @@ class TestApplyAction:
             two_var_right, _cond_b1(), Action((0,), ((1.0, (0,)),))
         )
         assert abs(res.selected_mass - 0.8) < 1e-12
+
+
+def _wide_states(store):
+    """A wide AND and an OR of two wide ANDs over variables 0-5: variable
+    0 is mixed under a condition on it, and variables 1 and 2 share an OR
+    child, so an action on variable 1 erases a factor it does not cover."""
+    lit = store.make_lit
+
+    def coin(v, p):
+        return store.make_or([(p, lit(v, 0)), (1.0 - p, lit(v, 1))])
+
+    def pair(p):  # an OR over variables 1 and 2
+        return store.make_or([(p, store.make_and([lit(1, 0), lit(2, 1)])),
+                              (1.0 - p, store.make_and([lit(1, 1), lit(2, 0)]))])
+
+    universe = tuple(range(6))
+    wide = store.make_and([coin(0, 0.3), pair(0.4), lit(3, 0), coin(4, 0.8),
+                           lit(5, 1)])
+    other = store.make_and([coin(0, 0.6), pair(0.9), lit(3, 1), lit(4, 0),
+                            coin(5, 0.5)])
+    return {"wide-and": Aobs(wide, store, universe),
+            "or-root": Aobs(store.make_or([(0.25, wide), (0.75, other)]),
+                            store, universe)}
+
+
+class TestActionShapes:
+    # action_subgraph returns one of four shapes, and a graft must keep
+    # the outcomes in each: a graft that handled only the pending ones
+    # dropped the action whenever all outcomes agreed
+    SHAPES = {
+        "one-outcome": (Action((1, 2), ((1.0, (1, 0)),)), Pending, AND),
+        "distinct-outcomes": (Action((1, 2), ((0.6, (1, 0)), (0.4, (0, 1)))),
+                              Pending, OR),
+        "equal-outcomes-one-var": (Action((1,), ((0.5, (1,)), (0.5, (1,)))),
+                                   Node, LIT),
+        "equal-outcomes-two-vars": (
+            Action((1, 2), ((0.3, (1, 1)), (0.7, (1, 1)))), Node, AND),
+    }
+
+    @pytest.mark.parametrize("state", ["wide-and", "or-root"])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_against_oracle(self, store, state, shape):
+        a, cls, kind = self.SHAPES[shape]
+        act = action_subgraph(store, a)
+        assert type(act) is cls and act.kind == kind
+        s = _wide_states(store)[state]
+        for c in (Condition.of({0: [0]}), Condition.of({})):
+            res = apply_action(s, c, a)
+            assert res.selected_mass > 0
+            assert tab_equal(enum_canonical(res.state),
+                             tab_apply_action(enum_canonical(s), c, a))
+            assert_well_formed(res.state.root)
+
+
+class TestLocalCheck:
+    # a product is built over the minimal subgraph's variables and checked
+    # only where it changed, so an erased factor over other variables than
+    # its source's minus the action's must raise, not build a graph
+    @pytest.mark.parametrize("wrong", ["unchanged", "emptied", "elsewhere"])
+    def test_wrong_erasure_raises(self, monkeypatch, store, wrong):
+        def bad(n, avars, store, memo=None):
+            if wrong == "unchanged":  # keeps the action variables
+                return store.intern(n)
+            if wrong == "emptied":  # loses the other variables too
+                return store.empty_and()
+            return store.make_lit(9, 0)  # another variable entirely
+
+        monkeypatch.setattr("aobs.acting.erase_action_vars", bad)
+        for s in _wide_states(store).values():
+            with pytest.raises(OverlappingSubspaces):
+                apply_action(s, Condition.of({0: [0]}),
+                             Action((1,), ((0.5, (0,)), (0.5, (1,)))))

@@ -15,7 +15,7 @@ from aobs.bench import (
     run_seeds,
     summarize_compression,
 )
-from aobs.oracle import Condition
+from aobs.oracle import Condition, tab_apply_action, tab_canonical, tab_prob
 
 
 SMALL = ExperimentConfig(num_vars=5, num_values=3, num_actions=6,
@@ -84,6 +84,20 @@ class TestRunExperiment:
         rows = run_experiment(gen_experiment(SMALL, 5), SMALL, seed=5)
         for r in rows:
             assert r.n_states <= SMALL.effects_per_action ** r.step
+
+    def test_selected_mass_is_the_conditions_mass(self):
+        # None on step 0, which applies no action; then the mass the
+        # step's condition selects before the action, as the oracle has it
+        script = gen_experiment(SMALL, 11)
+        rows = run_experiment(script, SMALL, seed=11)
+        assert rows[0].selected_mass is None
+        tab = tab_canonical([(1.0, tuple(sorted(script.initial.items())))])
+        for r, (c, a) in zip(rows[1:], script.steps):
+            assert r.selected_mass == pytest.approx(tab_prob(tab, c),
+                                                    abs=1e-9)
+            tab = tab_apply_action(tab, c, a)
+        assert any(r.selected_mass == 0.0 for r in rows[1:])
+        assert any(r.selected_mass > 0.0 for r in rows[1:])
 
     def test_bdd_columns(self):
         cfg = ExperimentConfig(num_vars=4, num_values=2, num_actions=3,

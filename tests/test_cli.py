@@ -789,6 +789,11 @@ class TestBenchCommand:
         assert len(rows) == 1 + 2 * 4
         # BDD disabled: the n_bdd and ms_bdd cells stay empty
         assert all(r[5] == "" and r[7] == "" for r in rows[1:])
+        # the selected mass trails the row: empty on step 0, which applies
+        # no action, and otherwise the condition's mass, 0 if it missed
+        assert rows[0][-1] == "selected_mass"
+        assert all((r[8] == "") == (r[1] == "0") for r in rows[1:])
+        assert all(0.0 <= float(r[8]) <= 1.0 for r in rows[1:] if r[8])
 
     def test_with_bdd_fills_column(self, tmp_path, capsys):
         out = tmp_path / "run.csv"

@@ -1,8 +1,9 @@
 """Semantic invariants over random states: a condition's probability is the
 mass of the rows it selects, rewriting a state never changes it, acting
-never changes the total mass, an action interns little that its result
-does not keep, and a state's digest, DOT text, optimized form and acted-on
-form do not depend on the store that built it."""
+never changes the total mass, every node an action builds passes the
+store's full checks, an action interns little that its result does not
+keep, and a state's digest, DOT text, optimized form and acted-on form do
+not depend on the store that built it."""
 import random
 
 import pytest
@@ -15,7 +16,13 @@ from aobs.optimize import greedy_optimize
 from aobs.oracle import Action, Condition, tab_apply_action, tab_equal
 from aobs.query import probability
 
-from conftest import enum_canonical, random_aobs, random_dag, total_mass
+from conftest import (
+    assert_well_formed,
+    enum_canonical,
+    random_aobs,
+    random_dag,
+    total_mass,
+)
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -84,6 +91,29 @@ def test_apply_action_conserves_mass(seed, optimize):
                                                      abs=1e-12)
         s = greedy_optimize(result.state) if optimize else result.state
         assert total_mass(s) == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, num_vars=st.integers(2, 7), dag=st.booleans(),
+       optimize=st.booleans())
+def test_acted_states_are_well_formed(seed, num_vars, dag, optimize):
+    # an action builds each product over the variables of the node it
+    # replaces and checks only the factors it changed; every node it
+    # makes must still pass the store's full checks, masses bit for bit
+    rng = random.Random(seed)
+    if dag:
+        s = random_dag(rng, num_vars)
+        s = normalize(Aobs(s.store.make_or([(1.0 / s.root.mass, s.root)]),
+                           s.store, s.universe))
+    else:
+        s, _ = random_aobs(rng, num_vars=num_vars)
+    assert_well_formed(s.root)
+    for _ in range(4):
+        result = apply_action(s, _condition(rng, num_vars, 2),
+                              _action(rng, num_vars, 2))
+        assert_well_formed(result.state.root)
+        s = greedy_optimize(result.state) if optimize else result.state
+        assert_well_formed(s.root)
 
 
 def test_actions_intern_what_their_results_keep():
