@@ -12,15 +12,11 @@ The labels and the selected mass come from the one condition pass of
 runs too.  The store keeps the last pass, so an action after a read on the
 same state and an equal condition labels nothing again.
 
-An action interns only what its result keeps.  A split hands its caller
-edge lists and products not yet interned; an included half of several
-products, the action's outcome subgraph and the rebuilt union of each
-minimal subgraph are :class:`~aobs.core.Pending` nodes.  A pending union is
-merged as :meth:`~aobs.core.Store.make_or` merges, so an OR parent splices
-its edges with the weights the interned node would have had; a pending
-product's factors go straight into the AND that keeps them; and either is
-interned only when a parent of the other kind keeps it, or when it is the
-result.
+The store interns every node as it is built, and an action keeps only
+what its result reaches: :func:`apply_action` marks the store before it
+builds and sweeps the nodes made since that its result does not reach, so
+a union that a parent splices or a factor that a graft erases leaves
+nothing behind, and an action that raises leaves the store as it was.
 
 Each product built in place of a node ``n``, a graft or an excluded term,
 is one constructor call over ``n.omega``.  The store checked ``n`` when it
@@ -40,7 +36,6 @@ from .core import (
     AobsError,
     Node,
     OverlappingSubspaces,
-    Pending,
     Store,
     _by_key,
     fold,
@@ -49,8 +44,7 @@ from .oracle import Action, Condition
 from .query import EXCLUDED, INCLUDED, MIXED, LabelMap, condition_pass
 
 Edge = Tuple[float, Node]
-#: a product not yet interned; a factor is a node or a pending included half
-Product = Tuple[float, List["Node | Pending"]]
+Product = Tuple[float, List[Node]]  # a product not built yet, as its factors
 Split = Tuple[List[Product], List[Edge]]  # see :func:`isolate`
 
 
@@ -206,11 +200,8 @@ def _split_and(n: Node, labels: LabelMap, splits: Dict[int, "Split | str"],
     the graph fixes (children of an AND share no variable), so the terms
     do not depend on the ids the store handed out.
 
-    A half of one product is spliced into the included product.  A half of
-    several is a :class:`Pending` OR of its products (:func:`_half`), so
-    nothing in it is interned until an excluded term or a graft keeps it;
-    a graft that meets the action variables erases it without interning
-    it at all.
+    A half of one product is spliced into the included product; a half
+    of several is the OR of their products.
 
     Each term is one constructor call over ``n.omega``, checked only
     where it differs from ``n``: both halves of a mixed child must range
@@ -229,38 +220,23 @@ def _split_and(n: Node, labels: LabelMap, splits: Dict[int, "Split | str"],
         # when the excluded half is small, and its OR would keep the error
         inc_mass = sum([w for w, _ in inc])
         exc_mass = sum([w for w, _ in exc])
-        half = (inc[0][1] if len(inc) == 1 else
-                [_half(inc, inc_mass, ch.omega, store)])
+        half = (inc[0][1] if len(inc) == 1 else [store.make_or(
+            [(w / inc_mass, store.make_and(f)) for w, f in inc])])
         exc_half = store.make_or([(w / exc_mass, g) for w, g in exc])
         _check_cover(half, ch.omega)
         _check_cover([exc_half], ch.omega)
         parts.append((half, inc_mass / (inc_mass + exc_mass), exc_half))
 
     excluded: List[Edge] = []
-    factors: list = fixed  # included children and interned halves, spliced
+    factors: List[Node] = fixed  # included children and halves, spliced
     prefix = 1.0
     for i, (half, share, exc_half) in enumerate(parts):
         kids = factors + _spliced([exc_half]) + mixed[i + 1:]
         term = store._and_node(sorted(kids, key=_by_key), n.omega)
         excluded.append((prefix * (1.0 - share), term))
         prefix *= share
-        if i + 1 < len(parts):  # the next term keeps the half: intern it
-            factors = factors + _spliced([store.intern(f) for f in half])
-    return [(prefix, factors + half)], excluded
-
-
-def _half(inc: List[Product], inc_mass: float, omega: FrozenSet[int],
-          store: Store) -> "Node | Pending":
-    """The included half of several products, scaled to unit weight: a
-    pending OR of the products, each its one factor or a pending AND.  Over
-    interned products only, it is the pending union that
-    :meth:`~aobs.core.Store.union` merges."""
-    kids = [f[0] if len(f) == 1 else
-            Pending(AND, tuple(_spliced(f)), (), omega) for _, f in inc]
-    weights = [w / inc_mass for w, _ in inc]
-    if all([type(k) is Node for k in kids]):
-        return store.union(zip(weights, kids))
-    return Pending(OR, tuple(kids), tuple(weights), omega)
+        factors = factors + _spliced(half)
+    return [(prefix, factors)], excluded
 
 
 def erase_action_vars(
@@ -274,10 +250,9 @@ def erase_action_vars(
     Assumes the node is purely included and its OR weights sum to 1, so the
     erased parts carry unit mass and can be dropped without rescaling.  If the
     whole node vanishes the empty-AND identity is returned; a subgraph whose
-    variables are disjoint from ``avars`` is returned unchanged, and built
-    as it is if it is :class:`Pending`.  ``memo`` maps node keys to erased
-    nodes; erasing depends only on the node and ``avars``, so all grafts of
-    one action can share one memo.
+    variables are disjoint from ``avars`` is returned unchanged.  ``memo``
+    maps node keys to erased nodes; erasing depends only on the node and
+    ``avars``, so all grafts of one action can share one memo.
     """
     erased: Dict[int, Node] = {} if memo is None else memo
     if n.key in erased:  # a factor several grafts share
@@ -285,7 +260,7 @@ def erase_action_vars(
 
     def leaf(node: Node) -> Optional[Node]:
         if avars.isdisjoint(node.omega):
-            return node if type(node) is Node else None
+            return node
         if node.omega <= avars:
             return store.empty_and()
         return None
@@ -293,17 +268,14 @@ def erase_action_vars(
     return fold(n, erased, store.rebuilder(erased), leaf)
 
 
-def action_subgraph(store: Store, a: Action) -> "Node | Pending":
-    """The action's outcome distribution as a weighted union of assignments,
-    not interned: one outcome is a :class:`Pending` AND of its literals,
-    which a graft splices, and several are a pending union of interned
-    outcome ANDs, which a graft keeps as one factor or an OR parent
-    splices."""
-    products = [(p, [store.make_lit(v, u) for v, u in zip(a.vars, values)])
-                for p, values in a.outcomes]
-    if len(products) == 1 and abs(products[0][0] - 1.0) <= EPS_P:
-        return Pending(AND, tuple(products[0][1]), (), a.variables)
-    return store.union([(p, store.make_and(f)) for p, f in products])
+def action_subgraph(store: Store, a: Action) -> Node:
+    """The action's outcome distribution as a weighted union of
+    assignments: an OR of one AND of literals per outcome, which collapses
+    to that AND (or literal) when the outcomes agree."""
+    return store.make_or([
+        (p, store.make_and([store.make_lit(v, u)
+                            for v, u in zip(a.vars, values)]))
+        for p, values in a.outcomes])
 
 
 def normalize(s: Aobs) -> Aobs:
@@ -353,7 +325,8 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     action variables, and the action subgraph joins them; each product is
     built over the minimal subgraph's variables, checked only where it
     changed.  Ancestors are rebuilt along affected paths.  Total mass is
-    preserved.
+    preserved.  The store keeps only the nodes made here that the result
+    reaches (:meth:`~aobs.core.Store.sweep`), and none if this raises.
 
     Every OR of ``s`` must have unit weight, as every constructor and every
     pipeline output has; call :func:`normalize` first on a state built
@@ -373,39 +346,26 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     store = s.store
     avars = a.variables
     need = avars | c.variables
-    act = action_subgraph(store, a)
     minimal = find_minimal_subgraphs(s.root, c, avars, labels)
     erased: Dict[int, Node] = {}
     splits: Dict[int, "Split | str"] = {}
 
-    def graft(factors: list, omega: FrozenSet[int]) -> "Node | Pending":
-        """The product over ``omega`` of the action subgraph and the
-        factors less the action variables.  Factors that are pending or
-        meet them are interned or erased, each erased one checked to lose
-        exactly them; the rest are kept as they are."""
-        kept = _spliced(factors)
-        touched = [g for g in kept
-                   if type(g) is not Node or not avars.isdisjoint(g.omega)]
+    def graft(factors: List[Node], omega: FrozenSet[int], act: Node) -> Node:
+        """The product over ``omega`` of ``act`` and the factors less the
+        action variables.  Factors that meet them are erased, each checked
+        to lose exactly them; the rest are kept as they are."""
+        out = _spliced(factors)
+        touched = [g for g in out if not avars.isdisjoint(g.omega)]
         for g in touched:
-            kept.remove(g)
-            if avars.isdisjoint(g.omega):
-                kept += _spliced([store.intern(g)])
-            elif not g.omega <= avars:  # else it erases away
+            out.remove(g)
+            if not g.omega <= avars:  # else it erases away
                 e = erase_action_vars(g, avars, store, erased)
                 _check_cover([e], g.omega - avars)
-                kept += _spliced([e])
-        if not kept:  # the action's outcomes alone, spliced by the union
-            return act if act.kind == OR else store.intern(act)
-        kept += _spliced([store.intern(act) if act.kind == OR else act])
-        return store._and_node(sorted(kept, key=_by_key), omega)
-
-    # rebuilt nodes by key, seeded with the replaced minimal subgraphs; each
-    # is a pending union, interned only if an AND keeps it
-    rebuilt: Dict[int, "Node | Pending"] = {}
-    for n in minimal:
-        inc, exc = isolate(n, labels, store, splits)
-        rebuilt[n.key] = store.union([(w, graft(f, n.omega)) for w, f in inc]
-                                      + exc)
+                out += _spliced([e])
+        if not out:  # the action's outcomes alone
+            return act
+        out += _spliced([act])
+        return store._and_node(sorted(out, key=_by_key), omega)
 
     # Only ancestors of minimal subgraphs change, and every such ancestor
     # covers ``need`` and is included or mixed: an AND ancestor's other
@@ -418,16 +378,23 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
             return node
         return None
 
-    def rebuild(node: Node) -> Node:
-        if node.kind == OR:
-            return store.make_or([(w, rebuilt[ch.key]) for w, ch
-                                  in zip(node.weights, node.children)])
-        return store.make_and([
-            k if type(k := rebuilt[ch.key]) is Node else store.intern(k)
-            for ch in node.children])
-
-    new_root = store.intern(fold(s.root, rebuilt, rebuild, kept))
-    if abs(new_root.mass - 1.0) > EPS_P:
-        raise MassLeak(f"root mass is {new_root.mass}, expected 1")
+    # every node made from here on that the result does not reach is swept,
+    # and all of them if the action raises
+    mark = store.mark()
+    new_root = None
+    try:
+        act = action_subgraph(store, a)
+        # rebuilt nodes by key, seeded with the replaced minimal subgraphs
+        rebuilt: Dict[int, Node] = {}
+        for n in minimal:
+            inc, exc = isolate(n, labels, store, splits)
+            rebuilt[n.key] = store.make_or(
+                [(w, graft(f, n.omega, act)) for w, f in inc] + exc)
+        root = fold(s.root, rebuilt, store.rebuilder(rebuilt), kept)
+        if abs(root.mass - 1.0) > EPS_P:
+            raise MassLeak(f"root mass is {root.mass}, expected 1")
+        new_root = root
+    finally:
+        store.sweep(new_root, mark)
     result = Aobs(new_root, store, s.universe, s.var_names)
     return ApplyResult(result, min(selected, 1.0))  # as `probability` clamps

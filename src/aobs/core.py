@@ -171,50 +171,10 @@ def _fill_digests(root: Node) -> None:
 
 
 _by_key = attrgetter("key")
-#: pending keys count down from -1, so none equals a store's id
-_pending_keys = itertools.count(-1, -1)
-
-
-class Pending:
-    """A node built but not yet interned: a union whose edges a parent OR
-    splices, or a product whose factors a parent AND takes in.
-
-    It has the shape of a :class:`Node` (``kind``, ``children``,
-    ``weights``, ``omega``), so :func:`fold` walks it, and the store's
-    constructors splice one over interned children like an interned node of
-    its kind.  Its children are interned or pending.  It is interned, with
-    the pending nodes below it, only when a parent of the other kind keeps
-    it or when it is a result (:meth:`Store.intern`).  ``key`` is a
-    negative int, unique in the process, so a memo that holds it never
-    confuses it with a store's id; ``node`` is its interned node once it
-    has one.  It has no ``mass``.  ``pairs`` holds the merged edges of a
-    union that :meth:`Store.union` built, so interning it does not merge
-    them again.
-    """
-
-    __slots__ = ("kind", "children", "weights", "omega", "key", "node",
-                 "pairs")
-
-    def __init__(self, kind: str, children: tuple, weights: tuple,
-                 omega: frozenset,
-                 pairs: Optional[List[Tuple[float, Node]]] = None) -> None:
-        self.kind = kind
-        self.children = children
-        self.weights = weights
-        self.omega = omega
-        self.key = next(_pending_keys)
-        self.node: Optional[Node] = None
-        self.pairs = pairs
-
-
-def _interned(x: "Node | Pending") -> Optional[Node]:
-    """A :func:`fold` leaf: a node is its own result, a pending node its
-    interned node if it has one."""
-    return x if type(x) is Node else x.node
 
 
 class Store:
-    """Append-only interning table for :class:`Node` objects.
+    """Interning table for :class:`Node` objects.
 
     Construction validates the structural invariants (AND disjointness, OR
     subspace equality, positive weights) and returns the canonical node for a
@@ -231,32 +191,37 @@ class Store:
     and is returned as it is; only a new node is validated, given its
     ``omega`` and ``mass``, and the next id from the store's counter as its
     ``key``.  Ids come from the counter, never from ``len(store)``, so they
-    stay unique if the store ever drops nodes.  Nothing is digested here:
+    stay unique when the store drops nodes.  Nothing is digested here:
     a node's ``digest`` waits until something reads it.  A failed
     construction interns nothing.  A node is validated once, when it is
     made, so a caller that knows a new product's variables may pass them
     to :meth:`_and_node` and check only what it changed.
 
-    A pipeline that builds a union or a product its parent may splice can
-    leave it :class:`Pending`: :meth:`union` merges edges exactly as
-    :meth:`make_or` does (one routine, :meth:`_merge`) but does not intern
-    them, the constructors splice a pending node over interned children
-    like an interned one of its kind, and :meth:`intern` interns it once a
-    parent of the other kind keeps it.  Nothing is then interned only to be
-    spliced away.
+    Every constructor interns at once.  Only
+    :func:`aobs.acting.apply_action` drops nodes: it takes :meth:`mark`
+    before it builds and ends with :meth:`sweep`, which drops each node
+    made since the mark that the action's result does not reach, and all
+    of them if the action raised.  The sweep's contract is that nothing
+    outside the action holds a node made after its mark: the action sets
+    ``last_pass`` before the mark, and ``factored`` and ``refcounts`` only
+    ever see roots an action has returned.  A structure dropped and built
+    again gets a new id.
 
     ``factored`` is the memo of :func:`aobs.optimize.greedy_optimize`: node
     key -> factored node, kept across calls.  Interned nodes are immutable
-    and the store never drops one, so an entry never goes stale.
-    ``refcounts`` is the optimizer's size guard: a :class:`RefCounts` table
-    over the nodes reachable from the last root it was moved to, so each
-    call counts only what changed since the last.  ``last_pass`` is the
-    computed-table entry of :func:`aobs.query.condition_pass`: the last
-    ``(root, allowed snapshot, result)`` of the condition pass, so an
-    action after a read on the same state and an equal condition reuses
-    the read's pass.  A future ``Store.collect`` that drops nodes must
-    prune ``factored``, reset ``refcounts`` and clear ``last_pass`` too, or
-    they keep the dropped nodes alive.
+    and a sweep never drops one the optimizer has seen, so an entry never
+    goes stale.  ``refcounts`` is the optimizer's size guard: a
+    :class:`RefCounts` table over the nodes reachable from the last root it
+    was moved to, so each call counts only what changed since the last.
+    ``last_pass`` is the computed-table entry of
+    :func:`aobs.query.condition_pass`: the last ``(root, condition,
+    result)`` of the condition pass, so an action after a read on the same
+    state and an equal condition reuses the read's pass.  A full
+    ``Store.collect(roots)`` that drops what a caller's roots do not reach
+    needs a walk from those roots, not a sweep of the table's tail, since
+    dead nodes then lie anywhere in it; it must also prune ``factored``,
+    reset ``refcounts`` and clear ``last_pass``, or they keep the dropped
+    nodes alive.
     """
 
     def __init__(self) -> None:
@@ -338,23 +303,31 @@ class Store:
         """The identity substate: unit mass over no variables."""
         return self.make_and(())
 
-    def make_or(self, children: Iterable[Tuple[float, "Node | Pending"]]
-                ) -> Node:
+    def make_or(self, children: Iterable[Tuple[float, Node]]) -> Node:
         """Intern the weighted union of ``children``.
 
-        OR children, interned or :class:`Pending`, are spliced in with their
-        edge weights multiplied, and duplicate child nodes are merged by
-        summing their weights.  A single child with weight 1 collapses to
-        the child itself.  Children must all range over the same variable
-        set and weights must be positive and finite.
+        OR children are spliced in with their edge weights multiplied, and
+        duplicate child nodes are merged by summing their weights.  A single
+        child with weight 1 collapses to the child itself.  Children must all
+        range over the same variable set and weights must be positive and
+        finite.  The edges are kept in child-key order.
         """
-        pairs = self._merge(children)
+        merged: Dict[int, Tuple[float, Node]] = {}
+        for w, c in children:
+            if not 0.0 < w < math.inf:  # also false for NaN
+                raise AobsError(
+                    f"OR edge weight must be positive and finite, got {w}"
+                )
+            spliced = (zip([w * v for v in c.weights], c.children)
+                       if c.kind == OR else ((w, c),))
+            for v, g in spliced:
+                prev = merged.get(g.key)
+                merged[g.key] = (prev[0] + v if prev else v, g)
+        if not merged:
+            raise AobsError("OR node requires at least one child")
+        pairs = [merged[k] for k in sorted(merged)]
         if len(pairs) == 1 and abs(pairs[0][0] - 1.0) <= EPS_P:
             return pairs[0][1]
-        return self._or_node(pairs)
-
-    def _or_node(self, pairs: List[Tuple[float, Node]]) -> Node:
-        """Intern the OR of the edges :meth:`_merge` returns."""
         edges = tuple([_render(w, c.key) for w, c in pairs])
         node = self._nodes.get(edges)
         if node is not None:
@@ -371,64 +344,36 @@ class Store:
             OR, None, None, kids, weights, next(self._ids), omega, mass)
         return node
 
-    def union(self, children: Iterable[Tuple[float, "Node | Pending"]]
-              ) -> "Node | Pending":
-        """The union :meth:`make_or` would intern, merged but not interned.
+    def mark(self) -> int:
+        """An id from the store's counter: every node made after this call
+        has a larger key, every node made before it a smaller one."""
+        return next(self._ids)
 
-        The edges are merged by the same routine, so a parent OR that
-        splices the result gets the weights it would get from the interned
-        node.  A single child with weight 1 is returned as it is.
+    def sweep(self, root: Optional[Node], mark: int) -> None:
+        """Drop every node made since ``mark`` that ``root`` does not reach
+        (all of them if ``root`` is None).
+
+        One pass over the table's tail, newest node first, stopping at the
+        first node older than the mark.  A node is made after its children
+        and keeps them in key order, so a live node's new children are at
+        the end of its ``children`` and are reached before the pass does.
         """
-        pairs = self._merge(children)
-        if len(pairs) == 1 and abs(pairs[0][0] - 1.0) <= EPS_P:
-            return pairs[0][1]
-        weights, kids = zip(*pairs)
-        return Pending(OR, kids, weights, kids[0].omega, pairs)
-
-    @staticmethod
-    def _merge(children: Iterable[Tuple[float, "Node | Pending"]]
-               ) -> List[Tuple[float, Node]]:
-        """The edges of a union in child-key order: OR children spliced in
-        with their weights multiplied, duplicate children summed."""
-        merged: Dict[int, Tuple[float, Node]] = {}
-        for w, c in children:
-            if not 0.0 < w < math.inf:  # also false for NaN
-                raise AobsError(
-                    f"OR edge weight must be positive and finite, got {w}"
-                )
-            spliced = (zip([w * v for v in c.weights], c.children)
-                       if c.kind == OR else ((w, c),))
-            for v, g in spliced:
-                prev = merged.get(g.key)
-                merged[g.key] = (prev[0] + v if prev else v, g)
-        if not merged:
-            raise AobsError("OR node requires at least one child")
-        return [merged[k] for k in sorted(merged)]
-
-    def intern(self, x: "Node | Pending") -> Node:
-        """Intern a :class:`Pending` node and the pending nodes it holds; a
-        node is returned as it is.
-
-        Each pending node is built once, over its children's interned
-        nodes, as :meth:`make_and` or :meth:`make_or` would build it, and
-        keeps the result in its ``node`` slot.  A union from :meth:`union`
-        is interned from its merged edges, at what the rest of
-        :meth:`make_or` costs.
-        """
-        if type(x) is Node:
-            return x
-        if x.node is None and x.pairs is not None:
-            x.node = self._or_node(x.pairs)
-        elif x.node is None:
-            memo: Dict[int, Node] = {}
-            rebuild = self.rebuilder(memo)
-
-            def step(p: Pending) -> Node:
-                p.node = rebuild(p)
-                return p.node
-
-            fold(x, memo, step, _interned)
-        return x.node
+        nodes = self._nodes
+        live = set() if root is None or root.key < mark else {root.key}
+        dead = []
+        for entry, node in reversed(nodes.items()):
+            key = node.key
+            if key < mark:
+                break
+            if key in live:
+                for c in reversed(node.children):
+                    if c.key < mark:
+                        break
+                    live.add(c.key)
+            else:
+                dead.append(entry)
+        for entry in dead:
+            del nodes[entry]
 
     def rebuilder(self, results: Mapping[int, Node]) -> Callable[[Node], Node]:
         """A :func:`fold` step that builds a node in this store over its

@@ -7,7 +7,8 @@ desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .core import EPS_P, AobsError, StateTuple, UnknownVariable
 
@@ -22,14 +23,23 @@ ORACLE_ROW_CAP = 10**6
 class Condition:
     """Conjunctive per-variable predicate: variable -> allowed value set.
 
-    Unconstrained variables are simply absent.
+    Unconstrained variables are simply absent.  ``allowed`` is kept as a
+    read-only mapping of frozensets, so a condition cannot change once
+    made, and it hashes by its items: equal conditions hash equal.
     """
 
     allowed: Mapping[int, frozenset]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "allowed", MappingProxyType(
+            {v: frozenset(vals) for v, vals in self.allowed.items()}))
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.allowed.items()))
+
     @staticmethod
-    def of(constraints: Mapping[int, Sequence[int]]) -> "Condition":
-        return Condition({v: frozenset(vals) for v, vals in constraints.items()})
+    def of(constraints: Mapping[int, Iterable[int]]) -> "Condition":
+        return Condition(constraints)
 
     @property
     def variables(self) -> frozenset:

@@ -31,18 +31,18 @@ def condition_pass(s: Aobs, c: Condition) -> Pass:
     mass)``.  The caller checks that ``c`` is within the universe.
 
     The result is kept in ``s.store.last_pass``, keyed by the root node and
-    a snapshot of ``c.allowed``, so a second call on the same root with an
-    equal condition returns it without a walk.  Nodes are immutable and the
-    store never reuses one, so the entry is never stale.  Callers share the
-    returned labels and must not change them.
+    the condition, so a second call on the same root with an equal
+    condition returns it without a walk.  Nodes and conditions are
+    immutable, so the entry is never stale.  Callers share the returned
+    labels and must not change them.
     """
     root = s.root
     last = s.store.last_pass
-    if last is not None and last[0] is root and last[1] == c.allowed:
+    if (last is not None and last[0] is root
+            and (last[1] is c or last[1] == c)):
         return last[2]
-    allowed = {v: frozenset(vals) for v, vals in c.allowed.items()}
-    out = _pass(root, allowed)
-    s.store.last_pass = (root, allowed, out)
+    out = _pass(root, c.allowed.copy())  # a dict reads faster than a proxy
+    s.store.last_pass = (root, c, out)
     return out
 
 

@@ -106,6 +106,14 @@ def assert_well_formed(root):
                                      in zip(node.weights, kids)])
 
 
+def assert_interned(state):
+    """Every node reachable from the state's root is still the node its
+    store's table holds for its structure."""
+    table = {id(n) for n in state.store._nodes.values()}
+    assert all(id(n) in table for n in iter_nodes(state.root)), \
+        "a reachable node was dropped from the store"
+
+
 def random_tabular(rng, num_vars, num_values, num_rows):
     """Random canonical tabular belief state with the given bounds.
 

@@ -24,7 +24,6 @@ from aobs.core import (
     Aobs,
     Node,
     OverlappingSubspaces,
-    Pending,
     Store,
     enumerate_states,
     from_physical_state,
@@ -194,9 +193,8 @@ class TestFindMinimalSubgraphs:
 
 
 def _product(store, factors):
-    """A split's product interned, with the pending halves among its
-    factors."""
-    return store.make_and([store.intern(f) for f in factors])
+    """A split's product interned."""
+    return store.make_and(factors)
 
 
 def _split_node(store, split):
@@ -334,12 +332,9 @@ class TestEraseActionVars:
 
 class TestActionSubgraph:
     def test_two_outcomes(self, store):
-        # the outcome ANDs are interned, their union only once kept
         a = Action((1, 2), ((0.7, (2, 1)), (0.3, (2, 0))))
-        pending = action_subgraph(store, a)
-        assert len(store) == 5  # three literals, two outcome ANDs
-        node = store.intern(pending)
-        assert len(store) == 6
+        node = action_subgraph(store, a)
+        assert len(store) == 6  # three literals, two outcome ANDs, the OR
         assert node.kind == OR and len(node.children) == 2
         assert all(ch.kind == AND for ch in node.children)
         assert tab_equal(_node_enum(node), [
@@ -348,7 +343,7 @@ class TestActionSubgraph:
 
     def test_single_outcome_collapses(self, store):
         a = Action((1,), ((1.0, (2,)),))
-        node = store.intern(action_subgraph(store, a))
+        node = action_subgraph(store, a)
         assert node.kind == LIT and node.var == 1 and node.value == 2
 
 
@@ -604,8 +599,7 @@ class TestApplyAction:
         before = {n.key for n in store._nodes.values()}
         res = apply_action(s, c, a)
         kept = {n.key for n in iter_nodes(res.state.root)}
-        dead = ({n.key for n in store._nodes.values()} - before - kept
-                - {store.empty_and().key})
+        dead = {n.key for n in store._nodes.values()} - before - kept
         assert not dead
         assert tab_equal(enum_canonical(res.state),
                          tab_apply_action(enum_canonical(s), c, a))
@@ -711,25 +705,26 @@ def _wide_states(store):
 
 
 class TestActionShapes:
-    # action_subgraph returns one of four shapes, and a graft must keep
-    # the outcomes in each: a graft that handled only the pending ones
-    # dropped the action whenever all outcomes agreed
+    # action_subgraph is an OR of the outcomes, or the one outcome's AND
+    # or literal when they agree, and a graft must keep the outcomes in
+    # each: a graft that kept only a union dropped the action whenever all
+    # outcomes agreed
     SHAPES = {
-        "one-outcome": (Action((1, 2), ((1.0, (1, 0)),)), Pending, AND),
+        "one-outcome": (Action((1, 2), ((1.0, (1, 0)),)), AND),
         "distinct-outcomes": (Action((1, 2), ((0.6, (1, 0)), (0.4, (0, 1)))),
-                              Pending, OR),
+                              OR),
         "equal-outcomes-one-var": (Action((1,), ((0.5, (1,)), (0.5, (1,)))),
-                                   Node, LIT),
+                                   LIT),
         "equal-outcomes-two-vars": (
-            Action((1, 2), ((0.3, (1, 1)), (0.7, (1, 1)))), Node, AND),
+            Action((1, 2), ((0.3, (1, 1)), (0.7, (1, 1)))), AND),
     }
 
     @pytest.mark.parametrize("state", ["wide-and", "or-root"])
     @pytest.mark.parametrize("shape", list(SHAPES))
     def test_against_oracle(self, store, state, shape):
-        a, cls, kind = self.SHAPES[shape]
+        a, kind = self.SHAPES[shape]
         act = action_subgraph(store, a)
-        assert type(act) is cls and act.kind == kind
+        assert type(act) is Node and act.kind == kind
         s = _wide_states(store)[state]
         for c in (Condition.of({0: [0]}), Condition.of({})):
             res = apply_action(s, c, a)
@@ -742,18 +737,37 @@ class TestActionShapes:
 class TestLocalCheck:
     # a product is built over the minimal subgraph's variables and checked
     # only where it changed, so an erased factor over other variables than
-    # its source's minus the action's must raise, not build a graph
+    # its source's minus the action's must raise, not build a graph; an
+    # action that raises interns nothing
     @pytest.mark.parametrize("wrong", ["unchanged", "emptied", "elsewhere"])
     def test_wrong_erasure_raises(self, monkeypatch, store, wrong):
         def bad(n, avars, store, memo=None):
             if wrong == "unchanged":  # keeps the action variables
-                return store.intern(n)
+                return n
             if wrong == "emptied":  # loses the other variables too
                 return store.empty_and()
             return store.make_lit(9, 0)  # another variable entirely
 
         monkeypatch.setattr("aobs.acting.erase_action_vars", bad)
         for s in _wide_states(store).values():
+            size = len(store)
             with pytest.raises(OverlappingSubspaces):
                 apply_action(s, Condition.of({0: [0]}),
                              Action((1,), ((0.5, (0,)), (0.5, (1,)))))
+            assert len(store) == size
+
+    def test_mass_leak_interns_nothing(self, store):
+        # inner ORs without unit weight under a unit-mass root: the action
+        # builds its result, finds its mass is not 1 and drops all of it
+        lit = store.make_lit
+        root = store.make_or([
+            (0.5, store.make_and([lit(0, 0), store.make_or(
+                [(0.5, lit(1, 0)), (0.8, lit(1, 1))])])),
+            (0.5, store.make_and([lit(0, 1), store.make_or(
+                [(0.3, lit(1, 0)), (0.4, lit(1, 1))])]))])
+        s = Aobs(root, store, (0, 1))
+        assert len(store) == 9
+        with pytest.raises(MassLeak):
+            apply_action(s, Condition.of({0: [0]}),
+                         Action((1,), ((1.0, (0,)),)))
+        assert len(store) == 9

@@ -17,7 +17,6 @@ from aobs.core import (
     OverlappingSubspaces,
     MismatchedSubspaces,
     PartialAssignment,
-    Pending,
     ExpansionTooLarge,
     RefCounts,
     UnknownVariable,
@@ -626,26 +625,6 @@ class TestIds:
         assert acted > 45
         assert greedy_optimize(untied).root is not untied.root
 
-    def test_pending_keys_never_collide_with_ids(self, store):
-        # the store holds more nodes than pending keys were minted so far,
-        # so a pending key counted up from 0 would be the id of a literal
-        # that the same fold's memo holds
-        minted = abs(Pending(AND, (), (), frozenset()).key) + 1
-        zeros = [store.make_lit(0, u) for u in range(minted + 64)]
-        one = store.make_lit(1, 0)
-        unions = [Pending(OR, (zeros[2 * i], zeros[2 * i + 1]), (0.5, 0.5),
-                          frozenset((0,))) for i in range(8)]
-        union = Pending(OR, tuple(zeros + unions),
-                        (1.0,) * (len(zeros) + len(unions)), frozenset((0,)))
-        product = Pending(AND, (union, one), (), frozenset((0, 1)))
-        assert len(store) > minted + 16
-        expected = store.make_or(
-            [(1.0, z) for z in zeros]
-            + [(1.0, store.make_or(list(zip(u.weights, u.children))))
-               for u in unions])
-        assert store.intern(product) is store.make_and([expected, one])
-        assert store.intern(union) is expected
-
 
 class TestInterning:
     """The unique table is keyed by structure; a hit builds nothing."""
@@ -750,52 +729,61 @@ class TestInterning:
         assert len(s.root.children) == 256
 
 
-class TestPending:
-    """Unions and products built but not interned until a parent keeps
-    them."""
+class TestSweep:
+    """A sweep drops the nodes made since its mark that its root does not
+    reach, and keeps every node made before the mark."""
 
-    def test_union_interns_nothing_and_splices_as_make_or(self, store):
-        a, b, c = (store.make_lit(0, u) for u in range(3))
-        edges = [(0.1, a), (0.3, b), (0.2, a)]
-        size = len(store)
-        u = store.union(edges)
-        assert len(store) == size
-        node = store.make_or(edges)
-        assert (u.weights, u.children) == (node.weights, node.children)
-        assert store.intern(u) is node
-        # an OR parent gets the weights of the interned node, bit for bit
-        assert (store.make_or([(0.4, u), (0.6, c)])
-                is store.make_or([(0.4, node), (0.6, c)]))
-
-    def test_union_of_one_unit_edge_is_the_child(self, store):
-        a = store.make_lit(0, 0)
-        assert store.union([(0.25, a), (0.75, a)]) is a
-
-    def test_intern_builds_nested_pending_nodes_once(self, store):
+    def test_drops_what_the_root_does_not_reach(self, store):
         lit = store.make_lit
-        both = frozenset({0, 1})
-        product = Pending(AND, (lit(0, 0), lit(1, 0)), (), both)
-        other = store.make_and([lit(0, 1), lit(1, 1)])
-        half = Pending(OR, (product, other), (0.4, 0.6), both)
-        node = store.intern(half)
-        assert node is store.make_or([
-            (0.4, store.make_and([lit(0, 0), lit(1, 0)])), (0.6, other)])
-        assert product.node in node.children
-        size = len(store)
-        assert store.intern(half) is node
-        assert len(store) == size
+        old = store.make_and([lit(0, 0), lit(1, 0)])
+        before = set(store._nodes.values())
+        mark = store.mark()
+        dead = store.make_and([lit(0, 1), lit(1, 0)])
+        kept = store.make_and([lit(0, 1), lit(1, 1)])
+        root = store.make_or([(0.5, old), (0.5, kept)])
+        store.make_or([(0.5, dead), (0.5, kept)])
+        store.sweep(root, mark)
+        assert set(store._nodes.values()) == before | set(iter_nodes(root))
+        assert len(store) == 7
+        # a structure swept away and built again is a new node
+        again = store.make_and([lit(0, 1), lit(1, 0)])
+        assert again is not dead and again.key > root.key
 
-    def test_intern_deeper_than_the_recursion_limit(self, store):
-        # the pending form of conftest.level_chain, 2,000 levels deep
-        levels = 1000
-        node = Pending(OR, (store.make_lit(0, 0), store.make_lit(0, 1)),
-                       (0.5, 0.5), frozenset({0}))
-        for v in range(1, levels):
-            omega = frozenset(range(v + 1))
-            node = Pending(OR, tuple(
-                Pending(AND, (store.make_lit(v, u), node), (), omega)
-                for u in (0, 1)), (0.5, 0.5), omega)
-        assert store.intern(node) is level_chain(store, levels).root
+    @pytest.mark.parametrize("root", ["none", "old"])
+    def test_no_new_root_drops_every_new_node(self, store, root):
+        a = store.make_or([(0.5, store.make_lit(0, 0)),
+                           (0.5, store.make_lit(0, 1))])
+        size = len(store)
+        mark = store.mark()
+        store.make_and([a, store.make_lit(1, 0)])
+        store.make_or([(0.3, store.make_lit(0, 0)),
+                       (0.7, store.make_lit(0, 2))])
+        store.sweep(None if root == "none" else a, mark)
+        assert len(store) == size
+        assert store.make_lit(0, 0) in a.children
+
+    def test_random_dags_keep_exactly_the_reachable_new_nodes(self):
+        rng = random.Random(71)
+        for _ in range(30):
+            store = Store()
+            old = store.reintern(random_dag(rng, 4).root)
+            before = set(store._nodes.values())
+            mark = store.mark()
+            roots = [store.reintern(random_dag(rng, 4).root) for _ in range(3)]
+            root = store.make_or(
+                [(1.0, r) for r in rng.sample(roots, rng.randint(1, 3))]
+                + [(1.0, old)])
+            store.sweep(root, mark)
+            assert set(store._nodes.values()) == before | set(iter_nodes(root))
+
+    def test_chain_deeper_than_the_recursion_limit(self, store):
+        mark = store.mark()
+        root = level_chain(store, 1000).root
+        size = len(store)
+        store.sweep(root, mark)
+        assert len(store) == size
+        store.sweep(None, mark)
+        assert len(store) == 0
 
 
 class TestTabularRoundTrip:

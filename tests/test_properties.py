@@ -1,9 +1,9 @@
 """Semantic invariants over random states: a condition's probability is the
 mass of the rows it selects, rewriting a state never changes it, acting
 never changes the total mass, every node an action builds passes the
-store's full checks, an action interns little that its result does not
-keep, and a state's digest, DOT text, optimized form and acted-on form do
-not depend on the store that built it."""
+store's full checks, an action leaves no node in the store that its
+result does not reach, and a state's digest, DOT text, optimized form and
+acted-on form do not depend on the store that built it."""
 import random
 
 import pytest
@@ -17,6 +17,7 @@ from aobs.oracle import Action, Condition, tab_apply_action, tab_equal
 from aobs.query import probability
 
 from conftest import (
+    assert_interned,
     assert_well_formed,
     enum_canonical,
     random_aobs,
@@ -99,7 +100,8 @@ def test_apply_action_conserves_mass(seed, optimize):
 def test_acted_states_are_well_formed(seed, num_vars, dag, optimize):
     # an action builds each product over the variables of the node it
     # replaces and checks only the factors it changed; every node it
-    # makes must still pass the store's full checks, masses bit for bit
+    # makes must still pass the store's full checks, masses bit for bit,
+    # and still be the store's node for its structure after the sweep
     rng = random.Random(seed)
     if dag:
         s = random_dag(rng, num_vars)
@@ -112,15 +114,14 @@ def test_acted_states_are_well_formed(seed, num_vars, dag, optimize):
         result = apply_action(s, _condition(rng, num_vars, 2),
                               _action(rng, num_vars, 2))
         assert_well_formed(result.state.root)
+        assert_interned(result.state)
         s = greedy_optimize(result.state) if optimize else result.state
         assert_well_formed(s.root)
 
 
 def test_actions_intern_what_their_results_keep():
     # 300 random states, half of them optimized, each acted on three times:
-    # at most 2% of the nodes an action interns are unreachable from its
-    # result, the store's empty AND aside (about 19% before unions and
-    # products were kept pending until a parent kept them)
+    # no node an action leaves in the store is unreachable from its result
     rng = random.Random(7)
     interned = dead = 0
     for i in range(300):
@@ -145,7 +146,6 @@ def test_actions_intern_what_their_results_keep():
             before = len(store)
             res = apply_action(s, c, a)
             kept = {n.key for n in iter_nodes(res.state.root)}
-            kept.add(store.empty_and().key)
             new = list(store._nodes.values())[before:]
             interned += len(new)
             dead += sum([n.key not in kept for n in new])
@@ -153,7 +153,7 @@ def test_actions_intern_what_their_results_keep():
                              tab_apply_action(enum_canonical(s), c, a))
             s = res.state
     assert interned > 3000
-    assert dead <= 0.02 * interned
+    assert dead == 0
 
 
 @settings(max_examples=100, deadline=None)

@@ -270,13 +270,20 @@ class TestPassMemo:
         assert probability(s, Condition.of({0: [1]})) == pytest.approx(0.8)
         assert runs[0] == 3
 
-    def test_condition_changed_in_place_gets_a_fresh_pass(self, runs):
+    def test_conditions_are_immutable_and_hash_by_value(self, runs):
+        # the store's entry is keyed on the condition itself, so a
+        # condition must not change once made
+        c = Condition.of({0: [0], 2: [1, 0]})
+        with pytest.raises(TypeError):
+            c.allowed[0] = frozenset({1})
+        with pytest.raises(TypeError):
+            c.allowed[1] = frozenset({1})
+        equal = Condition({2: (0, 1), 0: [0]})
+        assert equal == c and hash(equal) == hash(c)
+        assert len({c, equal, Condition.of({0: [1]})}) == 2
         s = self._state()
-        c = Condition.of({0: [0]})
-        assert probability(s, c) == pytest.approx(0.2)
-        c.allowed[0] = frozenset({1})
-        assert probability(s, c) == pytest.approx(0.8)
-        assert runs[0] == 2
+        assert probability(s, c) == probability(s, equal)
+        assert runs[0] == 1
 
     def test_unknown_variable_stores_nothing(self, runs):
         s = self._state()
