@@ -59,6 +59,8 @@ class ExperimentConfig:
                self.effects_per_action, self.assigns_per_effect,
                self.condition_arity) < 1:
             raise ValueError("all experiment parameters must be positive")
+        if self.oracle_cap < 0:
+            raise ValueError("oracle_cap must not be negative")
         if self.assigns_per_effect > self.num_vars:
             raise ValueError("cannot assign more variables than exist")
         if self.condition_arity > self.num_vars:

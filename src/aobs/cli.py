@@ -334,8 +334,10 @@ def to_dot(s: Aobs) -> str:
     for node in nodes:
         nid = "n" + node.digest[:12]
         if node.kind == LIT:
-            label = f"{s.name_of(node.var)}={node.value}"
-            lines.append(f'  {nid} [shape=plaintext, label="{label}"];')
+            # a DOT string escapes a quote and, for labels, a backslash
+            name = s.name_of(node.var).replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(
+                f'  {nid} [shape=plaintext, label="{name}={node.value}"];')
         elif node.kind == AND:
             lines.append(f'  {nid} [shape=box, label="AND"];')
         else:

@@ -109,7 +109,7 @@ class Node:
     def digest(self) -> str:
         """The structural digest, filled in below this node on first read."""
         if self._hexdigest is None:
-            _fill_digests(self)
+            fold(self, {}, _digest_node, attrgetter("_hexdigest"))
         return self._hexdigest
 
     @property
@@ -136,38 +136,21 @@ def _digest(payload: str) -> str:
     return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()
 
 
-def _render(w: float, name: "str | int") -> str:
-    """An OR edge as the unique table and the digest see it: the weight to
-    ``WEIGHT_DIGITS`` significant digits, then the child's key or digest."""
-    return f"{w:.{WEIGHT_DIGITS - 1}e}:{name}"
-
-
-def _fill_digests(root: Node) -> None:
-    """Digest ``root`` and every node below it without a digest, children
-    first, on an explicit stack.  A literal's payload is ``L|var|value``,
-    an AND's ``A|`` and its children's digests in digest order, an OR's
-    ``O|`` and its edges rendered over the children's digests, in child
-    digest order."""
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if node._hexdigest is not None:
-            stack.pop()
-            continue
-        todo = [c for c in node.children if c._hexdigest is None]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        digests = [c._hexdigest for c in node.children]
-        if node.kind == LIT:
-            payload = f"L|{node.var}|{node.value}"
-        elif node.kind == AND:
-            payload = "A|" + "|".join(sorted(digests))
-        else:
-            payload = "O|" + "|".join([
-                _render(w, d) for d, w in sorted(zip(digests, node.weights))])
-        node._hexdigest = _digest(payload)
+def _digest_node(node: Node) -> str:
+    """Digest ``node``, whose children have their digests.  A literal's
+    payload is ``L|var|value``, an AND's ``A|`` and its children's digests
+    in digest order, an OR's ``O|`` and its edges as ``weight:digest``, the
+    weight to ``WEIGHT_DIGITS`` significant digits, in child digest order."""
+    digests = [c._hexdigest for c in node.children]
+    if node.kind == LIT:
+        payload = f"L|{node.var}|{node.value}"
+    elif node.kind == AND:
+        payload = "A|" + "|".join(sorted(digests))
+    else:
+        payload = "O|" + "|".join([f"{w:.{WEIGHT_DIGITS - 1}e}:{d}" for d, w
+                                   in sorted(zip(digests, node.weights))])
+    node._hexdigest = _digest(payload)
+    return node._hexdigest
 
 
 _by_key = attrgetter("key")
@@ -183,19 +166,20 @@ class Store:
     of an OR are spliced into their parent (the OR's edge weights
     multiplied), so graphs equal up to associativity share one node.
 
-    The unique table is keyed on the children's ids, as a BDD package's
-    is: a literal by ``(var, value)``, an AND by ``AND`` and its children's
-    keys in key order, and an OR by the tuple of its edges rendered as
-    ``weight:child key`` (``WEIGHT_DIGITS`` significant digits) in
-    child-key order.  A structure the table already holds costs one lookup
-    and is returned as it is; only a new node is validated, given its
-    ``omega`` and ``mass``, and the next id from the store's counter as its
-    ``key``.  Ids come from the counter, never from ``len(store)``, so they
-    stay unique when the store drops nodes.  Nothing is digested here:
-    a node's ``digest`` waits until something reads it.  A failed
-    construction interns nothing.  A node is validated once, when it is
-    made, so a caller that knows a new product's variables may pass them
-    to :meth:`_and_node` and check only what it changed.
+    The unique table keys a node on its own fields, as a BDD package's
+    keys on child identities (nodes hash and compare by identity): a
+    literal on ``(var, value)``, an AND on the ``children`` tuple it holds,
+    and an OR on its ``children`` and its weights rounded to
+    ``WEIGHT_DIGITS`` significant digits.  A structure the table already
+    holds costs one lookup and is returned as it is; only a new node is
+    validated, given its ``omega`` and ``mass``, and the next id from the
+    store's counter as its ``key``.  Ids come from the counter, never from
+    ``len(store)``, so they stay unique when the store drops nodes.
+    Nothing is digested here: a node's ``digest`` waits until something
+    reads it.  A failed construction interns nothing.  A node is validated
+    once, when it is made, so a caller that knows a new product's
+    variables may pass them to :meth:`_and_node` and check only what it
+    changed.
 
     Every constructor interns at once.  Only
     :func:`aobs.acting.apply_action` drops nodes: it takes :meth:`mark`
@@ -277,8 +261,8 @@ class Store:
         children's mass product in key order.  A hit costs the key and one
         lookup either way.
         """
-        keys = (AND, *map(_by_key, ordered))
-        node = self._nodes.get(keys)
+        kids = tuple(ordered)
+        node = self._nodes.get(kids)
         if node is not None:
             return node
         if omega is None:
@@ -295,8 +279,8 @@ class Store:
                     seen |= c.omega
         if mass is None:
             mass = math.prod([c.mass for c in ordered], start=1.0)
-        node = self._nodes[keys] = Node(
-            AND, None, None, tuple(ordered), (), next(self._ids), omega, mass)
+        node = self._nodes[kids] = Node(
+            AND, None, None, kids, (), next(self._ids), omega, mass)
         return node
 
     def empty_and(self) -> Node:
@@ -328,8 +312,10 @@ class Store:
         pairs = [merged[k] for k in sorted(merged)]
         if len(pairs) == 1 and abs(pairs[0][0] - 1.0) <= EPS_P:
             return pairs[0][1]
-        edges = tuple([_render(w, c.key) for w, c in pairs])
-        node = self._nodes.get(edges)
+        weights, kids = zip(*pairs)
+        entry = (kids, tuple([float(f"{w:.{WEIGHT_DIGITS - 1}e}")
+                              for w in weights]))
+        node = self._nodes.get(entry)
         if node is not None:
             return node
         omega = pairs[0][1].omega
@@ -338,9 +324,8 @@ class Store:
                 raise MismatchedSubspaces(
                     f"OR children range over {sorted(omega)} vs {sorted(c.omega)}"
                 )
-        weights, kids = zip(*pairs)
         mass = sum([w * c.mass for w, c in pairs])
-        node = self._nodes[edges] = Node(
+        node = self._nodes[entry] = Node(
             OR, None, None, kids, weights, next(self._ids), omega, mass)
         return node
 

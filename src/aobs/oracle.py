@@ -80,12 +80,12 @@ class Action:
             raise AobsError("action variables must be distinct")
         total = 0.0
         for p, values in self.outcomes:
-            if p <= 0:
+            if not p > 0:  # also true for NaN
                 raise AobsError(f"outcome probability must be positive, got {p}")
             if len(values) != len(self.vars):
                 raise AobsError("outcome must assign exactly the action variables")
             total += p
-        if abs(total - 1.0) > 1e-6:
+        if not abs(total - 1.0) <= 1e-6:
             raise AobsError(f"outcome probabilities sum to {total}, expected 1")
 
     @property

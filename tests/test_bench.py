@@ -33,6 +33,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(num_vars=2, num_values=2, num_actions=1,
                              condition_arity=3)
+        with pytest.raises(ValueError):
+            ExperimentConfig(num_vars=4, num_values=2, num_actions=1,
+                             oracle_cap=-1)
 
 
 class TestGenExperiment:

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -290,6 +291,16 @@ class TestDotExport:
         assert text.count("shape=plaintext") == 2
         assert "a=0" in text and "b=1" in text
 
+    def test_label_escapes_quotes_and_backslashes(self):
+        # a quote in a name once ended the label string early
+        names = ['door "front"', "c:\\tap"]
+        s = state_from_json({"universe": names,
+                             "rows": [[1.0, {names[0]: 0, names[1]: 1}]]})
+        labels = re.findall(r'shape=plaintext, label="((?:[^"\\]|\\.)*)"\];',
+                            to_dot(s))
+        assert sorted(re.sub(r"\\(.)", r"\1", x) for x in labels) == [
+            'c:\\tap=1', 'door "front"=0']
+
     def test_deterministic(self):
         a = to_dot(state_from_json(THREE_VAR_STATE))
         b = to_dot(state_from_json(THREE_VAR_STATE))
@@ -507,6 +518,22 @@ class TestActCommand:
                    _write(tmp_path / "a.json", bad),
                    "--out", str(tmp_path / "out.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("condition", [{"X": [0]}, {"X": [1]}],
+                             ids=["fires", "selects-nothing"])
+    def test_nan_outcome_probability_exit_2(self, tmp_path, capsys,
+                                            condition):
+        # once exit 1 from the store when the action fired, 0 when not
+        bad = {"outcomes": [[float("nan"), {"Y": 1}], [1.0, {"Y": 0}]]}
+        out = tmp_path / "out.json"
+        rc = main(["act",
+                   _write(tmp_path / "s.json", TWO_ROW_STATE),
+                   _write(tmp_path / "c.json", condition),
+                   _write(tmp_path / "a.json", bad),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("input error:")
+        assert not out.exists()
 
 
 class TestStateMass:
@@ -825,7 +852,8 @@ class TestBenchCommand:
         ["--actions", "-1"],
         ["--cond-arity", "0"],
         ["--assigns", "5"],  # more than the 4 variables
-    ], ids=["vars", "actions", "cond-arity", "assigns"])
+        ["--oracle-cap", "-1"],  # once turned the oracle check off
+    ], ids=["vars", "actions", "cond-arity", "assigns", "oracle-cap"])
     def test_bad_config_exit_2(self, tmp_path, capsys, bad):
         args = {"--vars": "4", "--values": "2", "--actions": "3",
                 "--seeds": "1", "--out": str(tmp_path / "run.csv")}

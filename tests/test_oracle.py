@@ -1,4 +1,5 @@
 """Tabular reference implementation: canonicalization, probability, acting."""
+import math
 import random
 
 import pytest
@@ -54,6 +55,12 @@ class TestAction:
     def test_probs_must_sum_to_one(self):
         with pytest.raises(AobsError):
             Action((0,), ((0.5, (0,)), (0.6, (1,))))
+
+    @pytest.mark.parametrize("probs", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_probability_rejected(self, probs):
+        # NaN fails every comparison, so a test of p <= 0 alone let it in
+        with pytest.raises(AobsError, match="must be positive"):
+            Action((0,), tuple(zip(probs, ((0,), (1,)))))
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(AobsError):
