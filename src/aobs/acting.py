@@ -30,7 +30,6 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .core import (
     AND,
     EPS_P,
-    LIT,
     OR,
     Aobs,
     AobsError,
@@ -51,46 +50,6 @@ Split = Tuple[List[Product], List[Edge]]  # see :func:`isolate`
 class MassLeak(AobsError):
     """An action or normalization left the root with total mass other
     than 1."""
-
-
-def label_nodes(root: Node, c: Condition) -> LabelMap:
-    """The complete reference labelling: every reachable node labelled
-    included, excluded, or mixed.
-
-    A node is included when all of its substate satisfies the condition,
-    excluded when none of it does, mixed otherwise.  Keys are node ids
-    (``Node.key``), which name a node only within its store.  The pass
-    does not descend below a node whose variables avoid the condition's,
-    so the nodes under it are left out of the plain dict it returns; like
-    that node they are included, and read so through
-    ``labels.get(key, INCLUDED)``.
-
-    The pipeline labels with :func:`aobs.query.condition_pass`, which also
-    leaves out the children of an AND that a rejected literal child
-    excludes; where both label a node, they agree.
-    """
-    allowed = c.allowed
-    cvars = c.variables
-    labels: LabelMap = {}
-
-    def leaf(node: Node) -> Optional[str]:
-        if cvars.isdisjoint(node.omega):
-            return INCLUDED
-        if node.kind != LIT:
-            return None
-        return INCLUDED if node.value in allowed[node.var] else EXCLUDED
-
-    def step(node: Node) -> str:
-        kids = [labels[ch.key] for ch in node.children]
-        if node.kind == AND:
-            if EXCLUDED in kids:
-                return EXCLUDED
-            return MIXED if MIXED in kids else INCLUDED
-        # an OR whose children agree has their label, else it is mixed
-        return kids[0] if len(set(kids)) == 1 else MIXED
-
-    fold(root, labels, step, leaf)
-    return labels
 
 
 def find_minimal_subgraphs(
@@ -271,11 +230,18 @@ def erase_action_vars(
 def action_subgraph(store: Store, a: Action) -> Node:
     """The action's outcome distribution as a weighted union of
     assignments: an OR of one AND of literals per outcome, which collapses
-    to that AND (or literal) when the outcomes agree."""
-    return store.make_or([
-        (p, store.make_and([store.make_lit(v, u)
-                            for v, u in zip(a.vars, values)]))
-        for p, values in a.outcomes])
+    to that AND (or literal) when the outcomes agree.  Each outcome's AND
+    is built over the action's variables with unit mass, unchecked."""
+    avars = a.variables
+
+    def outcome(values: Tuple[int, ...]) -> Node:
+        lits = [store.make_lit(v, u) for v, u in zip(a.vars, values)]
+        if len(lits) < 2:
+            return store.make_and(lits)
+        # ``Action`` rejects a repeated variable, and literals have unit mass
+        return store._and_node(sorted(lits, key=_by_key), avars, 1.0)
+
+    return store.make_or([(p, outcome(values)) for p, values in a.outcomes])
 
 
 def normalize(s: Aobs) -> Aobs:
@@ -319,14 +285,16 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     The belief state is rewritten persistently.  The labels and the
     selected mass are the condition pass's (:func:`aobs.query.condition_pass`);
     after a :func:`aobs.query.probability` on the same state and an equal
-    condition, its pass is reused, not run again.  Each minimal subgraph is
-    split (:func:`isolate`) and becomes one OR of its excluded edges and its
-    grafted products: each factor, or each child of an AND factor, loses the
-    action variables, and the action subgraph joins them; each product is
-    built over the minimal subgraph's variables, checked only where it
-    changed.  Ancestors are rebuilt along affected paths.  Total mass is
-    preserved.  The store keeps only the nodes made here that the result
-    reaches (:meth:`~aobs.core.Store.sweep`), and none if this raises.
+    condition, its pass is reused, not run again.  A minimal subgraph the
+    condition includes is one product, grafted whole.  Any other is split
+    (:func:`isolate`) and becomes one OR of its excluded edges and its
+    grafted products.  In a graft each factor, or each child of an AND
+    factor, loses the action variables, and the action subgraph joins them;
+    each product is built over the minimal subgraph's variables, checked
+    only where it changed.  Ancestors are rebuilt along affected paths.
+    Total mass is preserved.  The store keeps only the nodes made here that
+    the result reaches (:meth:`~aobs.core.Store.sweep`), and none if this
+    raises.
 
     Every OR of ``s`` must have unit weight, as every constructor and every
     pipeline output has; call :func:`normalize` first on a state built
@@ -387,6 +355,9 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
         # rebuilt nodes by key, seeded with the replaced minimal subgraphs
         rebuilt: Dict[int, Node] = {}
         for n in minimal:
+            if labels.get(n.key, INCLUDED) == INCLUDED:  # one product
+                rebuilt[n.key] = graft([n], n.omega, act)
+                continue
             inc, exc = isolate(n, labels, store, splits)
             rebuilt[n.key] = store.make_or(
                 [(w, graft(f, n.omega, act)) for w, f in inc] + exc)

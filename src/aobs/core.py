@@ -253,13 +253,14 @@ class Store:
 
         A caller that passes ``omega`` vouches, by a check of its own, that
         the children's variable sets are disjoint with that union; there
-        are two.  :func:`_products` passes the universe of a total
-        assignment, and :func:`aobs.acting.apply_action` the variables of
-        the node whose products it rebuilds, having checked only the
-        factors it changed.  Otherwise, on a miss, the union is computed
-        here and the sets are checked.  ``mass``, if not given, is the
-        children's mass product in key order.  A hit costs the key and one
-        lookup either way.
+        are three.  :func:`_products` passes the universe of a total
+        assignment, :func:`aobs.acting.action_subgraph` the variables of an
+        action, which has no repeated variable, and
+        :func:`aobs.acting.apply_action` the variables of the node whose
+        products it rebuilds, having checked only the factors it changed.
+        Otherwise, on a miss, the union is computed here and the sets are
+        checked.  ``mass``, if not given, is the children's mass product in
+        key order.  A hit costs the key and one lookup either way.
         """
         kids = tuple(ordered)
         node = self._nodes.get(kids)
@@ -542,7 +543,10 @@ class Aobs:
     var_names: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.root.omega != frozenset(self.universe):
+        # a universe that repeats a variable fails on its length
+        omega = self.root.omega
+        if (len(self.universe) != len(omega)
+                or omega != frozenset(self.universe)):
             raise MismatchedUniverse(
                 f"root ranges over {sorted(self.root.omega)}, "
                 f"universe is {sorted(self.universe)}"

@@ -57,13 +57,17 @@ def _pass(root: Node, allowed: Dict[int, FrozenSet[int]]) -> Pass:
     its step records: the product of its children's for an AND, the
     weighted sum for an OR.
 
-    Two kinds of node are settled without visiting their children, which
+    Three kinds of node are settled without visiting their children, which
     then have no label.  A node whose variables avoid the condition's is
     included, as is everything below it, which a reader takes through
-    ``labels.get(key, INCLUDED)``.  An AND with a literal child that the
-    condition rejects is excluded; no reader descends below an excluded
+    ``labels.get(key, INCLUDED)``.  An AND is settled by the one scan of its
+    children that labels its literal children on condition variables: it
+    is excluded if the condition rejects one of them, and included if no
+    other child meets the condition's variables, so each child it leaves
+    unlabelled avoids the condition.  No reader descends below an excluded
     node, and a child it shares with another parent is labelled through
-    that parent.
+    that parent.  An AND the scan does not settle has all its literal
+    children labelled, and its other children are visited.
     """
     cvars = frozenset(allowed)
     labels: LabelMap = {}
@@ -74,11 +78,20 @@ def _pass(root: Node, allowed: Dict[int, FrozenSet[int]]) -> Pass:
             return INCLUDED
         if node.kind == AND:
             # the literal children are settled here, so they are not visited
+            settled = True  # no other child meets the condition
             for ch in node.children:
                 if ch.kind == LIT:
                     vals = allowed.get(ch.var)
-                    if vals is not None and ch.value not in vals:
-                        return EXCLUDED
+                    if vals is not None:
+                        if ch.value not in vals:
+                            return EXCLUDED
+                        labels[ch.key] = INCLUDED
+                elif settled and not cvars.isdisjoint(ch.omega):
+                    settled = False
+            if settled:
+                return INCLUDED
+            for ch in node.children:
+                if ch.kind == LIT:
                     labels[ch.key] = INCLUDED
         elif node.kind == LIT:  # on a condition variable
             return INCLUDED if node.value in allowed[node.var] else EXCLUDED
@@ -123,11 +136,13 @@ def probability(s: Aobs, c: Condition) -> float:
     the mass that the condition pass (:func:`condition_pass`) selects,
     clamped to [0, 1].
 
-    The pass visits each shared subgraph once.  A node whose variables
-    avoid the condition's counts its ``mass`` and an AND with a literal
-    child that the condition rejects counts 0, both without visiting the
-    node's children.  An :func:`~aobs.acting.apply_action` on the same
-    state and an equal condition reuses the pass.
+    The pass visits each shared subgraph once.  Three kinds of node are
+    counted without visiting their children: a node whose variables avoid
+    the condition's counts its ``mass``, an AND with a literal child that
+    the condition rejects counts 0, and an AND whose condition variables
+    all fall on allowed literal children counts its ``mass``.  An
+    :func:`~aobs.acting.apply_action` on the same state and an equal
+    condition reuses the pass.
     """
     if not s.root.omega.issuperset(c.allowed):
         c.check_within(s.universe)

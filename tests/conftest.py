@@ -2,8 +2,10 @@ import math
 
 import pytest
 
-from aobs.core import AND, LIT, OR, Aobs, Store, enumerate_states, from_tabular, iter_nodes
+from aobs.core import (AND, LIT, OR, Aobs, Store, enumerate_states, fold,
+                       from_tabular, iter_nodes)
 from aobs.oracle import tab_canonical
+from aobs.query import EXCLUDED, INCLUDED, MIXED
 
 
 @pytest.fixture
@@ -63,6 +65,47 @@ def two_var_right(store):
 def enum_canonical(s):
     """Canonical tabular expansion of a belief state."""
     return tab_canonical(enumerate_states(s.root, merge=True))
+
+
+def label_nodes(root, c):
+    """The complete reference labelling: every reachable node labelled
+    included, excluded, or mixed.
+
+    A node is included when all of its substate satisfies the condition,
+    excluded when none of it does, mixed otherwise.  Keys are node ids
+    (``Node.key``), which name a node only within its store.  The walk
+    does not descend below a node whose variables avoid the condition's,
+    so the nodes under it are left out of the plain dict it returns; like
+    that node they are included, and read so through
+    ``labels.get(key, INCLUDED)``.
+
+    The pipeline labels with :func:`aobs.query.condition_pass`, which also
+    leaves out the children of an AND that a rejected literal child
+    excludes and the other children of an AND it settles; where both label
+    a node, they agree.
+    """
+    allowed = c.allowed
+    cvars = c.variables
+    labels = {}
+
+    def leaf(node):
+        if cvars.isdisjoint(node.omega):
+            return INCLUDED
+        if node.kind != LIT:
+            return None
+        return INCLUDED if node.value in allowed[node.var] else EXCLUDED
+
+    def step(node):
+        kids = [labels[ch.key] for ch in node.children]
+        if node.kind == AND:
+            if EXCLUDED in kids:
+                return EXCLUDED
+            return MIXED if MIXED in kids else INCLUDED
+        # an OR whose children agree has their label, else it is mixed
+        return kids[0] if len(set(kids)) == 1 else MIXED
+
+    fold(root, labels, step, leaf)
+    return labels
 
 
 def total_mass(s):

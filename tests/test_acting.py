@@ -14,7 +14,6 @@ from aobs.acting import (
     erase_action_vars,
     find_minimal_subgraphs,
     isolate,
-    label_nodes,
     normalize,
 )
 from aobs.core import (
@@ -44,6 +43,7 @@ from conftest import (
     assert_normal_form,
     assert_well_formed,
     enum_canonical,
+    label_nodes,
     random_aobs,
     total_mass,
 )
@@ -625,6 +625,35 @@ class TestApplyAction:
                 tab = tab_apply_action(tab, c, a)
                 assert tab_equal(enum_canonical(s), tab)
         assert covered and not any(covered)
+
+    @pytest.mark.parametrize("shape", ["root", "below-an-or"])
+    def test_included_minimal_subgraph_is_grafted_whole(
+            self, monkeypatch, store, shape):
+        # the pass settles AND(a=0, b, c) as included, so its action is one
+        # graft of the whole product, with no split
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return isolate(*args, **kwargs)
+
+        monkeypatch.setattr("aobs.acting.isolate", spy)
+        lit = store.make_lit
+        or_c = store.make_or([(0.3, lit(2, 0)), (0.7, lit(2, 1))])
+        root = store.make_and([lit(0, 0), lit(1, 1), or_c])
+        if shape == "below-an-or":
+            other = store.make_and([lit(0, 1), lit(1, 0), or_c])
+            root = store.make_or([(0.4, root), (0.6, other)])
+        s = Aobs(root, store, (0, 1, 2))
+        c = Condition.of({0: [0]})
+        a = Action((1, 2), ((0.5, (0, 1)), (0.5, (2, 0))))
+        res = apply_action(s, c, a)
+        assert not calls
+        assert res.selected_mass == (1.0 if shape == "root" else 0.4)
+        assert tab_equal(enum_canonical(res.state),
+                         tab_apply_action(enum_canonical(s), c, a))
+        assert_normal_form(res.state)
+        assert_well_formed(res.state.root)
 
     def test_product_gains_no_empty_and(self, store):
         lit = store.make_lit

@@ -542,6 +542,21 @@ class TestFromPhysicalState:
             from_physical_state(store, {0: 0, 1: 0}, [0, 1, 0])
 
 
+class TestAobsUniverse:
+    @pytest.mark.parametrize("universe", [
+        pytest.param((0, 0, 1), id="repeat"),
+        pytest.param((0, 1, 1), id="repeat-last"),
+        pytest.param((0, 0), id="repeat-leaving-one-out"),
+        pytest.param((0, 0, 1, 2), id="repeat-and-unknown"),
+    ])
+    def test_repeated_variable_rejected(self, store, universe):
+        # a state document lists each variable once; a universe that
+        # repeats one would be written and then refused on reading
+        root = from_physical_state(store, {0: 1, 1: 0}, [0, 1]).root
+        with pytest.raises(MismatchedUniverse):
+            Aobs(root, store, universe)
+
+
 class TestHashConsing:
     def test_reintern_reproduces_keys(self):
         rng = random.Random(3)

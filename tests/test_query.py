@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aobs import acting, query
-from aobs.acting import apply_action, label_nodes, normalize
+from aobs.acting import apply_action, normalize
 from aobs.core import (AND, LIT, Aobs, ExpansionTooLarge, Node, Store,
                        UnknownVariable, fold, from_tabular, iter_nodes)
 from aobs.oracle import Action, Condition, tab_equal, tab_prob
 from aobs.optimize import greedy_optimize
-from aobs.query import (INCLUDED, condition_pass, probability,
+from aobs.query import (INCLUDED, MIXED, condition_pass, probability,
                         select_substate)
 
-from conftest import enum_canonical, random_aobs, random_dag
+from conftest import enum_canonical, label_nodes, random_aobs, random_dag
 
 
 class TestProbability:
@@ -215,6 +215,22 @@ class TestConditionPass:
         got = apply_action(s, c, a)  # served from the store's entry
         assert got.selected_mass == p
         assert got.state.root is res.state.root
+
+    def test_settles_a_product_the_condition_meets_only_in_literals(self):
+        # AND(a=0, b=1, OR over c) under {a: [0]}: its literal on the
+        # condition settles it, so the pass visits none of its other children
+        store = Store()
+        a0, b1 = store.make_lit(0, 0), store.make_lit(1, 1)
+        c0, c1 = store.make_lit(2, 0), store.make_lit(2, 1)
+        or_c = store.make_or([(0.3, c0), (0.7, c1)])
+        root = store.make_and([a0, b1, or_c])
+        s = Aobs(root, store, (0, 1, 2))
+        labels, label, mass = condition_pass(s, Condition.of({0: [0]}))
+        assert label == INCLUDED and mass == root.mass
+        assert labels == {root.key: INCLUDED, a0.key: INCLUDED}
+        labels, label, mass = condition_pass(s, Condition.of({2: [1]}))
+        assert label == MIXED and mass == 0.7
+        assert {a0.key, b1.key, or_c.key, c1.key} <= labels.keys()
 
 
 class TestPassMemo:
