@@ -138,10 +138,11 @@ def _spliced(factors: list) -> list:
 
 def _check_cover(factors: list, omega: FrozenSet[int]) -> None:
     """Raise :class:`OverlappingSubspaces` unless the factors' variable
-    sets are disjoint and their union is ``omega``."""
+    sets are disjoint and their union is ``omega``, identity first."""
     omegas = [f.omega for f in factors]
-    if (sum(map(len, omegas)) != len(omega)
-            or frozenset().union(*omegas) != omega):
+    union = omegas[0] if len(omegas) == 1 else frozenset().union(*omegas)
+    if union is not omega and (sum(map(len, omegas)) != len(omega)
+                               or union != omega):
         raise OverlappingSubspaces(f"factors over {list(map(sorted, omegas))}"
                                    f" do not partition {sorted(omega)}")
 
@@ -166,10 +167,13 @@ def _split_and(n: Node, labels: LabelMap, splits: Dict[int, "Split | str"],
     where it differs from ``n``: both halves of a mixed child must range
     exactly over that child's variables."""
     label = labels.get
-    fixed = [ch for ch in n.children if label(ch.key, INCLUDED) == INCLUDED]
-    mixed = [ch for ch in n.children if label(ch.key, INCLUDED) == MIXED]
-    if len(fixed) + len(mixed) != len(n.children):
-        raise AobsError("mixed AND node with an excluded child")
+    fixed: List[Node] = []
+    mixed: List[Node] = []
+    for ch in n.children:  # one pass, labels are INCLUDED, MIXED or EXCLUDED
+        lab = label(ch.key, INCLUDED)
+        if lab == EXCLUDED:
+            raise AobsError("mixed AND node with an excluded child")
+        (fixed if lab == INCLUDED else mixed).append(ch)
     if len(mixed) > 1:
         mixed.sort(key=lambda ch: min(ch.omega))
     parts: List[Tuple[list, float, Node]] = []  # (inc half, share, exc)
@@ -230,18 +234,20 @@ def erase_action_vars(
 def action_subgraph(store: Store, a: Action) -> Node:
     """The action's outcome distribution as a weighted union of
     assignments: an OR of one AND of literals per outcome, which collapses
-    to that AND (or literal) when the outcomes agree.  Each outcome's AND
-    is built over the action's variables with unit mass, unchecked."""
+    to that AND (or literal) when the outcomes agree.  Both are built over
+    the action's variables unchecked (``Action`` checked the weights), the
+    ANDs with unit mass; equal outcomes are merged as ``make_or`` would."""
     avars = a.variables
-
-    def outcome(values: Tuple[int, ...]) -> Node:
-        lits = [store.make_lit(v, u) for v, u in zip(a.vars, values)]
-        if len(lits) < 2:
-            return store.make_and(lits)
-        # ``Action`` rejects a repeated variable, and literals have unit mass
-        return store._and_node(sorted(lits, key=_by_key), avars, 1.0)
-
-    return store.make_or([(p, outcome(values)) for p, values in a.outcomes])
+    merged: Dict[int, Edge] = {}
+    for p, values in a.outcomes:
+        # ``Action`` rejects a repeated variable, and literals have mass 1
+        lits = sorted([store.make_lit(v, u) for v, u in zip(a.vars, values)],
+                      key=_by_key)
+        g = (store._and_node(lits, avars, 1.0) if len(lits) > 1
+             else store.make_and(lits))
+        prev = merged.get(g.key)
+        merged[g.key] = (prev[0] + p if prev else p, g)
+    return store._or_node([merged[k] for k in sorted(merged)], avars)
 
 
 def normalize(s: Aobs) -> Aobs:
@@ -320,19 +326,23 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
 
     def graft(factors: List[Node], omega: FrozenSet[int], act: Node) -> Node:
         """The product over ``omega`` of ``act`` and the factors less the
-        action variables.  Factors that meet them are erased, each checked
-        to lose exactly them; the rest are kept as they are."""
-        out = _spliced(factors)
-        touched = [g for g in out if not avars.isdisjoint(g.omega)]
-        for g in touched:
-            out.remove(g)
-            if not g.omega <= avars:  # else it erases away
+        action variables, in one pass: a product of one AND is read through
+        its children, any other is spliced already.  Factors that meet the
+        action variables are erased, each checked to lose exactly them;
+        the rest are kept as they are."""
+        if len(factors) == 1 and factors[0].kind == AND:
+            factors = factors[0].children
+        out: List[Node] = []
+        for g in factors:
+            if avars.isdisjoint(g.omega):
+                out.append(g)
+            elif not g.omega <= avars:  # else it erases away
                 e = erase_action_vars(g, avars, store, erased)
                 _check_cover([e], g.omega - avars)
-                out += _spliced([e])
+                out += e.children if e.kind == AND else (e,)
         if not out:  # the action's outcomes alone
             return act
-        out += _spliced([act])
+        out += act.children if act.kind == AND else (act,)
         return store._and_node(sorted(out, key=_by_key), omega)
 
     # Only ancestors of minimal subgraphs change, and every such ancestor

@@ -18,6 +18,9 @@ three bodies:
   have probability 0: its assignment is checked like any other, and the
   row is then left out.  The probabilities must sum to 1 (within 1e-6).
 
+An action's outcome probabilities must sum to 1 within 1e-6, and are
+divided by their total if it is off by more than 1e-9.
+
 Variable values, table indices, condition values and action values must
 be JSON integers; probabilities and weights must be JSON numbers.  ``aobs
 eval`` and ``aobs act`` take only states of total mass 1; ``aobs act``

@@ -67,7 +67,9 @@ class Action:
     """A state-independent probabilistic action.
 
     ``vars`` is the ordered variable set the action overwrites; each outcome is
-    a (probability, values) pair where ``values`` aligns with ``vars``.
+    a (probability, values) pair where ``values`` aligns with ``vars``.  The
+    probabilities must sum to 1 within 1e-6, and are divided by their total
+    when it is off by more than ``EPS_P``, so that acting keeps mass 1.
     """
 
     vars: Tuple[int, ...]
@@ -87,6 +89,9 @@ class Action:
             total += p
         if not abs(total - 1.0) <= 1e-6:
             raise AobsError(f"outcome probabilities sum to {total}, expected 1")
+        if abs(total - 1.0) > EPS_P:
+            object.__setattr__(self, "outcomes", tuple(
+                (p / total, values) for p, values in self.outcomes))
 
     @property
     def variables(self) -> frozenset:

@@ -424,6 +424,26 @@ class TestEvalCommand:
 
 
 class TestActCommand:
+    def test_act_then_eval_with_outcomes_off_within_tolerance(self, tmp_path,
+                                                              capsys):
+        # the outcomes sum to 0.9999999: act divides them by their total,
+        # so the root keeps unit mass, and eval reads what the oracle gives
+        doc = _row_doc([0.4, {"a": 1, "b": 0}], [0.6, {"a": 0, "b": 1}])
+        action = {"outcomes": [[0.3333333, {"b": u}] for u in range(3)]}
+        out = tmp_path / "out.json"
+        rc = main(["act", _write(tmp_path / "s.json", doc),
+                   _write(tmp_path / "c.json", {"a": [1]}),
+                   _write(tmp_path / "a.json", action), "--out", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        rc = main(["eval", str(out), _write(tmp_path / "b.json", {"b": [1]})])
+        assert rc == 0
+        s = state_from_json(doc)
+        acted = tab_apply_action(enum_canonical(s), Condition.of({0: [1]}),
+                                 action_from_json(action, s))
+        expected = tab_prob(acted, Condition.of({1: [1]}))
+        assert abs(float(capsys.readouterr().out) - expected) < 1e-9
+
     def test_overwrite_pipeline(self, tmp_path, capsys):
         out = tmp_path / "out.json"
         rc = main(["act",

@@ -1,4 +1,5 @@
 """Node construction, interning, semantics, and size metric."""
+import itertools
 import json
 import random
 
@@ -106,10 +107,32 @@ class TestMakeOr:
         merged = {c.key: w for w, c in n.edges()}
         assert abs(merged[lit.key] - 0.5) < 1e-12
 
-    def test_subspace_mismatch_rejected(self, store):
-        with pytest.raises(MismatchedSubspaces):
-            store.make_or([(0.5, store.make_lit(0, 0)),
-                           (0.5, store.make_lit(1, 0))])
+    def test_subspace_mismatch_rejected(self):
+        # an OR keeps its children in key order, the order they were made
+        # in, so the odd child, over fewer or as many variables, is compared
+        # first, in the middle or last.  The rows of one table share one
+        # variable-set object, which the check compares by identity first.
+        for odd_vars, odd_at in itertools.product([(1,), (0, 2)],
+                                                   [0, 1, 2, None]):
+            store = Store()
+
+            def odd():
+                return store.make_and([store.make_lit(v, 3) for v in odd_vars])
+
+            if odd_at is None:  # after two rows that share one set
+                rows = [(0.5, {0: u, 1: u}) for u in range(2)]
+                kids = list(from_tabular(store, rows, [0, 1]).root.children)
+                assert kids[0].omega is kids[1].omega
+                kids.append(odd())
+            else:
+                kids = [odd() if i == odd_at else store.make_and(
+                    [store.make_lit(0, i), store.make_lit(1, i)])
+                    for i in range(3)]
+            assert [k.key for k in kids] == sorted(k.key for k in kids)
+            assert kids[-1 if odd_at is None else odd_at].omega == frozenset(
+                odd_vars)
+            with pytest.raises(MismatchedSubspaces):
+                store.make_or([(1 / 3, k) for k in kids])
 
     def test_nonpositive_weight_rejected(self, store):
         with pytest.raises(AobsError):

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from aobs.core import AobsError, UnknownVariable
+from aobs.acting import apply_action
+from aobs.core import EPS_P, AobsError, Store, UnknownVariable, from_tabular
 from aobs.oracle import (
     Action,
     Condition,
@@ -14,7 +15,7 @@ from aobs.oracle import (
     tab_prob,
 )
 
-from conftest import random_tabular
+from conftest import enum_canonical, random_tabular
 
 FOUR_ROW_TABLE = [
     (0.28, ((0, 0), (1, 0), (2, 0))),
@@ -55,6 +56,22 @@ class TestAction:
     def test_probs_must_sum_to_one(self):
         with pytest.raises(AobsError):
             Action((0,), ((0.5, (0,)), (0.6, (1,))))
+
+    def test_probs_summing_to_one_kept_as_given(self):
+        assert ACTION_YZ.outcomes == ((0.7, (2, 1)), (0.3, (2, 0)))
+
+    def test_probs_off_within_tolerance_are_divided(self):
+        # three thirds to 7 digits sum to 0.9999999, which the action
+        # accepts; acting must still keep the root's mass within EPS_P
+        a = Action((1,), tuple((0.3333333, (u,)) for u in range(3)))
+        total = sum([0.3333333] * 3)
+        assert a.outcomes == tuple((0.3333333 / total, (u,)) for u in range(3))
+        rows = [(0.4, ((0, 1), (1, 0))), (0.6, ((0, 0), (1, 1)))]
+        c = Condition.of({0: [1]})
+        expected = tab_apply_action(rows, c, a)
+        assert abs(sum(p for p, _ in expected) - 1.0) <= EPS_P
+        s = from_tabular(Store(), [(p, dict(row)) for p, row in rows], [0, 1])
+        assert tab_equal(enum_canonical(apply_action(s, c, a).state), expected)
 
     @pytest.mark.parametrize("probs", [(math.nan, 1.0), (1.0, math.nan)])
     def test_nan_probability_rejected(self, probs):

@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aobs.acting import apply_action, normalize
+from aobs.acting import action_subgraph, apply_action, normalize
 from aobs.cli import to_dot
 from aobs.core import Aobs, Store, enumerate_states, iter_nodes
 from aobs.optimize import greedy_optimize
@@ -41,6 +41,35 @@ def _action(rng, num_vars, num_values):
     return Action(avars, tuple(
         (p / sum(raw), tuple(rng.randrange(num_values) for _ in avars))
         for p in raw))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=SEEDS, num_avars=st.integers(1, 3),
+       num_outcomes=st.integers(1, 4), num_values=st.integers(1, 3))
+def test_action_subgraph_is_the_general_union(seed, num_avars, num_outcomes,
+                                              num_values):
+    # the vouched union of an action's outcomes is the node the general
+    # constructors give, in one store, and its weights and mass are theirs
+    # bit for bit in another; few values make outcomes repeat
+    rng = random.Random(seed)
+    avars = tuple(rng.sample(range(5), num_avars))
+    raw = [rng.random() + 0.1 for _ in range(num_outcomes)]
+    a = Action(avars, tuple(
+        (p / sum(raw), tuple(rng.randrange(num_values) for _ in avars))
+        for p in raw))
+
+    def general(store):
+        return store.make_or([
+            (p, store.make_and([store.make_lit(v, u)
+                                for v, u in zip(a.vars, values)]))
+            for p, values in a.outcomes])
+
+    store = Store()
+    got = action_subgraph(store, a)
+    assert general(store) is got
+    want = general(Store())
+    assert ((got.digest, got.kind, got.weights, got.mass, got.omega)
+            == (want.digest, want.kind, want.weights, want.mass, want.omega))
 
 
 @settings(max_examples=150, deadline=None)
