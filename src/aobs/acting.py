@@ -138,11 +138,14 @@ def _spliced(factors: list) -> list:
 
 def _check_cover(factors: list, omega: FrozenSet[int]) -> None:
     """Raise :class:`OverlappingSubspaces` unless the factors' variable
-    sets are disjoint and their union is ``omega``, identity first."""
+    sets are disjoint and their union is ``omega``."""
     omegas = [f.omega for f in factors]
-    union = omegas[0] if len(omegas) == 1 else frozenset().union(*omegas)
-    if union is not omega and (sum(map(len, omegas)) != len(omega)
-                               or union != omega):
+    if len(omegas) == 1:
+        covers = omegas[0] == omega
+    else:
+        covers = (sum(map(len, omegas)) == len(omega)
+                  and frozenset().union(*omegas) == omega)
+    if not covers:
         raise OverlappingSubspaces(f"factors over {list(map(sorted, omegas))}"
                                    f" do not partition {sorted(omega)}")
 
@@ -234,20 +237,18 @@ def erase_action_vars(
 def action_subgraph(store: Store, a: Action) -> Node:
     """The action's outcome distribution as a weighted union of
     assignments: an OR of one AND of literals per outcome, which collapses
-    to that AND (or literal) when the outcomes agree.  Both are built over
-    the action's variables unchecked (``Action`` checked the weights), the
-    ANDs with unit mass; equal outcomes are merged as ``make_or`` would."""
+    to that AND (or literal) when the outcomes agree.  Each outcome's AND
+    is built over the action's variables with unit mass, unchecked."""
     avars = a.variables
-    merged: Dict[int, Edge] = {}
-    for p, values in a.outcomes:
-        # ``Action`` rejects a repeated variable, and literals have mass 1
-        lits = sorted([store.make_lit(v, u) for v, u in zip(a.vars, values)],
-                      key=_by_key)
-        g = (store._and_node(lits, avars, 1.0) if len(lits) > 1
-             else store.make_and(lits))
-        prev = merged.get(g.key)
-        merged[g.key] = (prev[0] + p if prev else p, g)
-    return store._or_node([merged[k] for k in sorted(merged)], avars)
+
+    def outcome(values: Tuple[int, ...]) -> Node:
+        lits = [store.make_lit(v, u) for v, u in zip(a.vars, values)]
+        if len(lits) < 2:
+            return store.make_and(lits)
+        # ``Action`` rejects a repeated variable, and literals have unit mass
+        return store._and_node(sorted(lits, key=_by_key), avars, 1.0)
+
+    return store.make_or([(p, outcome(values)) for p, values in a.outcomes])
 
 
 def normalize(s: Aobs) -> Aobs:

@@ -19,7 +19,7 @@ three bodies:
   row is then left out.  The probabilities must sum to 1 (within 1e-6).
 
 An action's outcome probabilities must sum to 1 within 1e-6, and are
-divided by their total if it is off by more than 1e-9.
+divided by their total if it is off by more than 1e-12.
 
 Variable values, table indices, condition values and action values must
 be JSON integers; probabilities and weights must be JSON numbers.  ``aobs

@@ -179,7 +179,7 @@ class Store:
     reads it.  A failed construction interns nothing.  A node is validated
     once, when it is made, so a caller that knows a new product's
     variables may pass them to :meth:`_and_node` and check only what it
-    changed, and one that knows a new union's, to :meth:`_or_node`.
+    changed.
 
     Every constructor interns at once.  Only
     :func:`aobs.acting.apply_action` drops nodes: it takes :meth:`mark`
@@ -258,11 +258,9 @@ class Store:
         action, which has no repeated variable, and
         :func:`aobs.acting.apply_action` the variables of the node whose
         products it rebuilds, having checked only the factors it changed.
-        :meth:`_or_node` has one such caller, ``action_subgraph`` again, for
-        the union of its outcomes.  Otherwise, on a miss, the union is
-        computed here and the sets are checked.  ``mass``, if not given, is
-        the children's mass product in key order.  A hit costs the key and
-        one lookup either way.
+        Otherwise, on a miss, the union is computed here and the sets are
+        checked.  ``mass``, if not given, is the children's mass product in
+        key order.  A hit costs the key and one lookup either way.
         """
         kids = tuple(ordered)
         node = self._nodes.get(kids)
@@ -312,15 +310,7 @@ class Store:
                 merged[g.key] = (prev[0] + v if prev else v, g)
         if not merged:
             raise AobsError("OR node requires at least one child")
-        return self._or_node([merged[k] for k in sorted(merged)])
-
-    def _or_node(self, pairs: List[Tuple[float, Node]],
-                 omega: Optional[frozenset] = None) -> Node:
-        """Intern the OR of ``pairs``, merged edges in child key order with
-        checked weights and no OR child; one edge of weight 1 is its child.
-        A caller that passes ``omega`` vouches that every child ranges over
-        it, as for :meth:`_and_node`; otherwise, on a miss, each child's set
-        is compared with the first child's, identity first."""
+        pairs = [merged[k] for k in sorted(merged)]
         if len(pairs) == 1 and abs(pairs[0][0] - 1.0) <= EPS_P:
             return pairs[0][1]
         weights, kids = zip(*pairs)
@@ -329,13 +319,12 @@ class Store:
         node = self._nodes.get(entry)
         if node is not None:
             return node
-        if omega is None:
-            omega = pairs[0][1].omega
-            for _, c in pairs[1:]:
-                if c.omega is not omega and c.omega != omega:
-                    raise MismatchedSubspaces(
-                        f"OR children range over {sorted(omega)} vs "
-                        f"{sorted(c.omega)}")
+        omega = pairs[0][1].omega
+        for _, c in pairs[1:]:  # identity first: children often share a set
+            if c.omega is not omega and c.omega != omega:
+                raise MismatchedSubspaces(
+                    f"OR children range over {sorted(omega)} vs {sorted(c.omega)}"
+                )
         mass = sum([w * c.mass for w, c in pairs])
         node = self._nodes[entry] = Node(
             OR, None, None, kids, weights, next(self._ids), omega, mass)

@@ -69,7 +69,9 @@ class Action:
     ``vars`` is the ordered variable set the action overwrites; each outcome is
     a (probability, values) pair where ``values`` aligns with ``vars``.  The
     probabilities must sum to 1 within 1e-6, and are divided by their total
-    when it is off by more than ``EPS_P``, so that acting keeps mass 1.
+    when it is off by more than 1e-12, so that a sequence of acts keeps
+    mass 1: probabilities built as ``p / sum(raw)`` are off by a few ulps
+    and are kept bit for bit as given.
     """
 
     vars: Tuple[int, ...]
@@ -89,7 +91,7 @@ class Action:
             total += p
         if not abs(total - 1.0) <= 1e-6:
             raise AobsError(f"outcome probabilities sum to {total}, expected 1")
-        if abs(total - 1.0) > EPS_P:
+        if abs(total - 1.0) > 1e-12:
             object.__setattr__(self, "outcomes", tuple(
                 (p / total, values) for p, values in self.outcomes))
 

@@ -73,6 +73,21 @@ class TestAction:
         s = from_tabular(Store(), [(p, dict(row)) for p, row in rows], [0, 1])
         assert tab_equal(enum_canonical(apply_action(s, c, a).state), expected)
 
+    def test_acts_off_below_eps_p_keep_mass_in_sequence(self):
+        # each total is 6e-10 short, under EPS_P, but two acts on disjoint
+        # variables over the whole state would leave the root 1.2e-9 short
+        a0, a1 = (Action((v,), ((0.5, (0,)), (0.5 - 6e-10, (1,))))
+                  for v in (0, 1))
+        assert sum(p for p, _ in a0.outcomes) == pytest.approx(1.0, abs=1e-15)
+        rows = [(1.0, ((0, 0), (1, 0)))]
+        everything = Condition({})
+        s = from_tabular(Store(), [(p, dict(row)) for p, row in rows], [0, 1])
+        for a in (a0, a1):
+            s = apply_action(s, everything, a).state
+            rows = tab_apply_action(rows, everything, a)
+        assert abs(s.root.mass - 1.0) <= 1e-15
+        assert tab_equal(enum_canonical(s), rows)
+
     @pytest.mark.parametrize("probs", [(math.nan, 1.0), (1.0, math.nan)])
     def test_nan_probability_rejected(self, probs):
         # NaN fails every comparison, so a test of p <= 0 alone let it in

@@ -48,9 +48,10 @@ def _action(rng, num_vars, num_values):
        num_outcomes=st.integers(1, 4), num_values=st.integers(1, 3))
 def test_action_subgraph_is_the_general_union(seed, num_avars, num_outcomes,
                                               num_values):
-    # the vouched union of an action's outcomes is the node the general
-    # constructors give, in one store, and its weights and mass are theirs
-    # bit for bit in another; few values make outcomes repeat
+    # the union of an action's outcomes, each product built unchecked over
+    # the action's variables, is the node the general constructors give, in
+    # one store, and its weights and mass are theirs bit for bit in another;
+    # few values make outcomes repeat
     rng = random.Random(seed)
     avars = tuple(rng.sample(range(5), num_avars))
     raw = [rng.random() + 0.1 for _ in range(num_outcomes)]
