@@ -36,7 +36,6 @@ from .core import (
     Node,
     OverlappingSubspaces,
     Store,
-    _by_key,
     fold,
 )
 from .oracle import Action, Condition
@@ -88,18 +87,18 @@ def find_minimal_subgraphs(
 
 def isolate(n: Node, labels: LabelMap, store: Store,
             memo: Optional[Dict[int, "Split | str"]] = None) -> Split:
-    """Split ``n`` into ``(included, excluded)``: the ``(weight, factors)``
-    products the condition selects, not yet interned, and the ``(weight,
-    node)`` edges it excludes.  Over unit-weight ORs, their OR is ``n``.
+    """Split the mixed node ``n`` into ``(included, excluded)``: the
+    ``(weight, factors)`` products the condition selects, not yet interned,
+    and the ``(weight, node)`` edges it excludes.  Over unit-weight ORs,
+    their OR is ``n``.
 
     ``labels`` holds the condition's labels of ``n`` and the nodes below
-    it; a node missing from it is included.
-    A pure node is its own one edge, a mixed OR takes in its children's
-    edges with the weights multiplied, and a mixed AND is split by
-    :func:`_split_and`.  ``memo`` maps node keys to splits; splitting
+    it; a node missing from it is included.  A mixed OR takes in its
+    children's splits with the weights multiplied, and a mixed AND is split
+    by :func:`_split_and`.  ``memo`` maps node keys to splits; splitting
     depends only on the node and the condition, so all isolations of one
-    action can share one memo.  It holds a pure node's label: only an OR
-    parent reads the node's one-edge split, so only an OR parent builds it.
+    action can share one memo.  It holds a pure node's label, which an OR
+    parent reads as the node's one edge.
     """
     splits: Dict[int, "Split | str"] = {} if memo is None else memo
 
@@ -114,19 +113,16 @@ def isolate(n: Node, labels: LabelMap, store: Store,
         exc: List[Edge] = []
         for w, ch in zip(node.weights, node.children):
             split = splits[ch.key]
-            ch_inc, ch_exc = (_one_edge(ch, split) if type(split) is str
-                              else split)
-            inc += [(w * v, f) for v, f in ch_inc]
-            exc += [(w * v, g) for v, g in ch_exc]
+            if split == INCLUDED:
+                inc.append((w, [ch]))
+            elif split == EXCLUDED:
+                exc.append((w, ch))
+            else:
+                inc += [(w * v, f) for v, f in split[0]]
+                exc += [(w * v, g) for v, g in split[1]]
         return inc, exc
 
-    split = fold(n, splits, step, leaf)
-    return _one_edge(n, split) if type(split) is str else split
-
-
-def _one_edge(node: Node, label: str) -> Split:
-    """The split of a pure node: the node itself, included or excluded."""
-    return ([(1.0, [node])], []) if label == INCLUDED else ([], [(1.0, node)])
+    return fold(n, splits, step, leaf)
 
 
 def _spliced(factors: list) -> list:
@@ -198,7 +194,7 @@ def _split_and(n: Node, labels: LabelMap, splits: Dict[int, "Split | str"],
     prefix = 1.0
     for i, (half, share, exc_half) in enumerate(parts):
         kids = factors + _spliced([exc_half]) + mixed[i + 1:]
-        term = store._and_node(sorted(kids, key=_by_key), n.omega)
+        term = store._and_node(kids, n.omega)
         excluded.append((prefix * (1.0 - share), term))
         prefix *= share
         factors = factors + _spliced(half)
@@ -242,11 +238,9 @@ def action_subgraph(store: Store, a: Action) -> Node:
     avars = a.variables
 
     def outcome(values: Tuple[int, ...]) -> Node:
-        lits = [store.make_lit(v, u) for v, u in zip(a.vars, values)]
-        if len(lits) < 2:
-            return store.make_and(lits)
         # ``Action`` rejects a repeated variable, and literals have unit mass
-        return store._and_node(sorted(lits, key=_by_key), avars, 1.0)
+        return store._and_node(
+            [store.make_lit(v, u) for v, u in zip(a.vars, values)], avars, 1.0)
 
     return store.make_or([(p, outcome(values)) for p, values in a.outcomes])
 
@@ -341,10 +335,8 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
                 e = erase_action_vars(g, avars, store, erased)
                 _check_cover([e], g.omega - avars)
                 out += e.children if e.kind == AND else (e,)
-        if not out:  # the action's outcomes alone
-            return act
         out += act.children if act.kind == AND else (act,)
-        return store._and_node(sorted(out, key=_by_key), omega)
+        return store._and_node(out, omega)
 
     # Only ancestors of minimal subgraphs change, and every such ancestor
     # covers ``need`` and is included or mixed: an AND ancestor's other

@@ -164,7 +164,9 @@ class Store:
     given structure, so identical subgraphs are physically shared.  It also
     keeps every node in normal form: an AND child of an AND and an OR child
     of an OR are spliced into their parent (the OR's edge weights
-    multiplied), so graphs equal up to associativity share one node.
+    multiplied), so graphs equal up to associativity share one node; an
+    AND holds its children in key order, and a product of one child is
+    that child, whatever a caller passes.
 
     The unique table keys a node on its own fields, as a BDD package's
     keys on child identities (nodes hash and compare by identity): a
@@ -199,8 +201,8 @@ class Store:
     was moved to, so each call counts only what changed since the last.
     ``last_pass`` is the computed-table entry of
     :func:`aobs.query.condition_pass`: the last ``(root, condition,
-    result)`` of the condition pass, so an action after a read on the same
-    state and an equal condition reuses the read's pass.  A full
+    result)`` of the condition pass, so an action or a select after a read
+    on the same state and an equal condition reuses its pass.  A full
     ``Store.collect(roots)`` that drops what a caller's roots do not reach
     needs a walk from those roots, not a sweep of the table's tail, since
     dead nodes then lie anywhere in it; it must also prune ``factored``,
@@ -241,37 +243,38 @@ class Store:
                 kept.extend(c.children)
             else:
                 kept.append(c)
-        if len(kept) == 1:
-            return kept[0]
-        return self._and_node(sorted(kept, key=_by_key))
+        return self._and_node(kept)
 
-    def _and_node(self, ordered: List[Node],
+    def _and_node(self, children: List[Node],
                   omega: Optional[frozenset] = None,
                   mass: Optional[float] = None) -> Node:
-        """Intern the AND of ``ordered``: children in key order, none of
-        them an AND, and not just one.
+        """Intern the AND of ``children``, none of them an AND, in any order:
+        they are sorted by key here, and a lone child is returned as it is.
 
         A caller that passes ``omega`` vouches, by a check of its own, that
         the children's variable sets are disjoint with that union; there
-        are three.  :func:`_products` passes the universe of a total
+        are four.  :func:`_products` passes the universe of a total
         assignment, :func:`aobs.acting.action_subgraph` the variables of an
-        action, which has no repeated variable, and
-        :func:`aobs.acting.apply_action` the variables of the node whose
-        products it rebuilds, having checked only the factors it changed.
-        Otherwise, on a miss, the union is computed here and the sets are
+        action, which has no repeated variable, and ``graft`` in
+        :func:`aobs.acting.apply_action` and :func:`aobs.acting._split_and`
+        the variables of the node whose products they rebuild, having
+        checked only the factors they changed.  Otherwise, on a miss, the
+        union is computed here and the sets are
         checked.  ``mass``, if not given, is the children's mass product in
-        key order.  A hit costs the key and one lookup either way.
+        key order.  A hit costs the sort, the key and one lookup either way.
         """
-        kids = tuple(ordered)
+        if len(children) == 1:
+            return children[0]
+        kids = tuple(sorted(children, key=_by_key))
         node = self._nodes.get(kids)
         if node is not None:
             return node
         if omega is None:
-            omegas = [c.omega for c in ordered]
+            omegas = [c.omega for c in kids]
             omega = frozenset().union(*omegas)
             if len(omega) != sum(map(len, omegas)):
                 seen: set = set()
-                for c in ordered:
+                for c in kids:
                     clash = seen & c.omega
                     if clash:
                         raise OverlappingSubspaces(
@@ -279,7 +282,7 @@ class Store:
                         )
                     seen |= c.omega
         if mass is None:
-            mass = math.prod([c.mass for c in ordered], start=1.0)
+            mass = math.prod([c.mass for c in kids], start=1.0)
         node = self._nodes[kids] = Node(
             AND, None, None, kids, (), next(self._ids), omega, mass)
         return node
@@ -480,10 +483,10 @@ def enumerate_states(
 
 def _expand(
     n: Node, cap: int, merge: bool,
-    allows: Optional[Callable[[int, int], bool]] = None,
+    leaf: Optional[Callable[[Node], Optional[list]]] = None,
 ) -> List[Tuple[float, StateTuple]]:
-    """:func:`enumerate_states` with only the literals that ``allows``
-    accepts (all if it is None): the rows of the states they select."""
+    """:func:`enumerate_states`, with ``leaf`` passed to :func:`fold`: a
+    node for which it gives rows is not expanded, and has those rows."""
     memo: Dict[int, List[Tuple[float, StateTuple]]] = {}
 
     def check(size: int) -> None:
@@ -492,9 +495,7 @@ def _expand(
 
     def step(node: Node) -> List[Tuple[float, StateTuple]]:
         if node.kind == LIT:
-            if allows is None or allows(node.var, node.value):
-                return [(1.0, ((node.var, node.value),))]
-            return []
+            return [(1.0, ((node.var, node.value),))]
         if node.kind == AND:
             rows = [(1.0, ())]
             for c in node.children:
@@ -513,15 +514,7 @@ def _expand(
             rows.extend((w * p, s) for p, s in sub)
         return _merge_rows(rows) if merge else rows
 
-    def leaf(node: Node) -> Optional[List[Tuple[float, StateTuple]]]:
-        # an AND over a literal the filter rejects selects nothing
-        if node.kind == AND and any(
-                ch.kind == LIT and not allows(ch.var, ch.value)
-                for ch in node.children):
-            return []
-        return None
-
-    return fold(n, memo, step, None if allows is None else leaf)
+    return fold(n, memo, step, leaf)
 
 
 def _merge_rows(
@@ -675,9 +668,7 @@ def _products(store: Store, universe: Sequence[int]
         except KeyError:  # a literal this call has not met yet
             lits = [table.get(u) or table.setdefault(u, store.make_lit(v, u))
                     for v, table in tables for u in (assignments[v],)]
-        if len(lits) == 1:
-            return lits[0]
-        return store._and_node(sorted(lits, key=_by_key), known, 1.0)
+        return store._and_node(lits, known, 1.0)
 
     return product
 

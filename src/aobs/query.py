@@ -4,10 +4,10 @@ probability and substate selection.
 One bottom-up pass evaluates a condition over the DAG
 (:func:`condition_pass`): it labels each node it visits included, excluded
 or mixed and gives the mass the condition selects.  :func:`probability`
-reads the selected mass from it, and :func:`aobs.acting.apply_action` the
-labels and the selected mass.  The store keeps the last pass, so an act
-after a read on the same state and an equal condition does not run it
-again.
+reads the selected mass from it, :func:`select_substate` the labels, and
+:func:`aobs.acting.apply_action` both.  The store keeps the last pass, so
+a select or an act after a read on the same state and an equal condition
+does not run it again.
 """
 from __future__ import annotations
 
@@ -151,11 +151,16 @@ def probability(s: Aobs, c: Condition) -> float:
 
 def select_substate(s: Aobs, c: Condition, cap: int = 10**6) -> TabularPBS:
     """The satisfying physical states with their (unnormalized) masses: the
-    expansion of the state over the literals the condition allows.
+    expansion of the state with every node that the condition pass
+    (:func:`condition_pass`) labels excluded left out.
 
     The total mass of the returned canonical collection equals
-    ``probability(s, c)``.
+    ``probability(s, c)``.  After a :func:`probability` on the same state
+    and an equal condition, its pass is reused, not run again.
     """
     if not s.root.omega.issuperset(c.allowed):
         c.check_within(s.universe)
-    return tab_canonical(_expand(s.root, cap, False, c.allows))
+    label = condition_pass(s, c)[0].get
+    return tab_canonical(_expand(
+        s.root, cap, False,
+        lambda node: [] if label(node.key) == EXCLUDED else None))

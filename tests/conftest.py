@@ -113,14 +113,17 @@ def total_mass(s):
 
 
 def assert_normal_form(s, eps=1e-9):
-    """No AND under AND, no OR under OR, every OR's weights sum to 1."""
+    """No AND under AND, no OR under OR, no AND of one child, no OR of one
+    edge, every OR's weights sum to 1."""
     for node in iter_nodes(s.root):
         if node.kind == AND:
             assert all(ch.kind != AND for ch in node.children), \
                 "AND node has an AND child"
+            assert len(node.children) != 1, "AND node has one child"
         elif node.kind == OR:
             assert all(ch.kind != OR for ch in node.children), \
                 "OR node has an OR child"
+            assert len(node.children) != 1, "OR node has one edge"
             assert abs(sum(node.weights) - 1.0) <= eps, \
                 f"OR weights sum to {sum(node.weights)}"
 

@@ -28,6 +28,7 @@ from aobs.core import (
     from_physical_state,
     from_tabular,
     iter_nodes,
+    size_metric,
 )
 from aobs.bench import ExperimentConfig, gen_experiment
 from aobs.optimize import greedy_optimize
@@ -230,8 +231,8 @@ class TestIsolate:
         assert tab_equal(_node_enum(_split_node(store, split)), _node_enum(n))
 
     def test_pure_or_unchanged(self, store):
-        # an OR over pure children is split into its own edges, and a pure
-        # node is its own one edge; neither interns a node
+        # an OR over pure children is split into its own edges, each pure
+        # child its own one edge, and interns no node
         c = _cond_b1()
         b0 = store.make_and([store.make_lit(0, 0), store.make_lit(1, 0)])
         b1 = store.make_and([store.make_lit(0, 0), store.make_lit(1, 1)])
@@ -239,8 +240,6 @@ class TestIsolate:
         labels = label_nodes(n, c)
         size = len(store)
         assert isolate(n, labels, store) == ([(0.6, [b1])], [(0.4, b0)])
-        assert isolate(b1, labels, store) == ([(1.0, [b1])], [])
-        assert isolate(b0, labels, store) == ([], [(1.0, b0)])
         assert len(store) == size
 
     def test_split_reuses_later_mixed_children(self, store):
@@ -664,6 +663,26 @@ class TestApplyAction:
         assert not any(n.is_empty_and for n in store._nodes.values())
         assert tab_equal(enum_canonical(res.state), [
             (0.5, ((0, 0), (1, 1), (2, 0))), (0.5, ((0, 0), (1, 2), (2, 0)))])
+
+    @pytest.mark.parametrize("shape", ["one-variable", "lit-under-or"])
+    def test_action_without_variables_keeps_the_state(self, store, shape):
+        # an action on no variables grafts nothing onto each product, so
+        # the store hands every product back whole, not as a one-child AND
+        lit = store.make_lit
+        if shape == "one-variable":
+            s = from_tabular(store, [(0.5, {0: 0}), (0.5, {0: 1})], (0,))
+            on_or, size = {0: [1]}, 7
+        else:
+            s = Aobs(store.make_and([lit(0, 0), store.make_or(
+                [(0.5, lit(1, 0)), (0.5, lit(1, 1))])]), store, (0, 1))
+            on_or, size = {1: [1]}, 12
+        assert size_metric(s) == size
+        noop = Action((), ((1.0, ()),))
+        for c in (Condition.of({}), Condition.of(on_or)):
+            res = apply_action(s, c, noop)
+            assert res.state.root is s.root
+            assert size_metric(res.state) == size
+            assert_normal_form(res.state)
 
     @pytest.mark.parametrize("optimize", [False, True])
     def test_telescoped_split_against_oracle(self, optimize):

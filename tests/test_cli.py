@@ -484,6 +484,22 @@ class TestActCommand:
         assert tab_equal(enum_canonical(result),
                          enum_canonical(state_from_json(TWO_ROW_STATE)))
 
+    @pytest.mark.parametrize("condition", [{}, {"a": [1]}])
+    def test_action_without_variables_keeps_the_size(self, tmp_path, capsys,
+                                                      condition):
+        # outcomes that assign nothing leave every product whole: no
+        # one-child AND is written
+        doc = {"universe": ["a"], "rows": [[0.5, {"a": 0}], [0.5, {"a": 1}]]}
+        out = tmp_path / "out.json"
+        rc = main(["act", _write(tmp_path / "s.json", doc),
+                   _write(tmp_path / "c.json", condition),
+                   _write(tmp_path / "a.json", {"outcomes": [[1.0, {}]]}),
+                   "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out == "size before: 7\nsize after: 7\n"
+        nodes = json.loads(out.read_text())["nodes"]
+        assert not [e for e in nodes if e[0] == "and" and len(e[1]) == 1]
+
     def test_writes_table(self, tmp_path):
         out = tmp_path / "out.json"
         rc = main(["act",

@@ -88,6 +88,29 @@ class TestMakeAnd:
         a, b = store.make_lit(0, 0), store.make_lit(1, 1)
         assert store.make_and([a, b]) is store.make_and([b, a])
 
+    @pytest.mark.parametrize("vouched", [False, True])
+    def test_and_node_sorts_and_collapses(self, vouched):
+        # the store's AND constructor takes spliced children in any order
+        # and sorts them itself, on a miss as on a hit, so every caller
+        # gets the node make_and gives
+        rng = random.Random(11)
+        for _ in range(20):
+            store = Store()
+            lits = [store.make_lit(v, rng.randrange(2)) for v in range(6)]
+            kids = rng.sample(lits, len(lits))
+            omega = frozenset(range(6)) if vouched else None
+            node = store._and_node(kids, omega)
+            assert [c.key for c in node.children] == sorted(
+                c.key for c in lits)
+            assert node is store.make_and(lits)
+            assert store._and_node(rng.sample(lits, len(lits)), omega) is node
+            # a lone child is returned as it is
+            assert store._and_node([lits[0]], lits[0].omega if vouched
+                                   else None) is lits[0]
+        empty = Store()._and_node([])
+        assert empty.is_empty_and and empty.omega == frozenset()
+        assert empty.mass == 1.0
+
 
 class TestMakeOr:
     def test_two_values(self, store):

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from aobs import acting, query
 from aobs.acting import apply_action, normalize
 from aobs.core import (AND, LIT, Aobs, ExpansionTooLarge, Node, Store,
-                       UnknownVariable, fold, from_tabular, iter_nodes)
-from aobs.oracle import Action, Condition, tab_equal, tab_prob
+                       UnknownVariable, enumerate_states, fold, from_tabular,
+                       iter_nodes)
+from aobs.oracle import Action, Condition, tab_canonical, tab_equal, tab_prob
 from aobs.optimize import greedy_optimize
 from aobs.query import (INCLUDED, MIXED, condition_pass, probability,
                         select_substate)
@@ -83,6 +84,8 @@ class TestSelectSubstate:
         assert tab_equal(got, enum_canonical(three_var_state))
 
     def test_mass_equals_probability(self):
+        # each case cold, then warm: after a probability whose condition
+        # pass the select reuses
         rng = random.Random(37)
         for _ in range(50):
             s, _ = random_aobs(rng)
@@ -90,9 +93,28 @@ class TestSelectSubstate:
                 v: rng.sample(range(3), rng.randint(1, 2))
                 for v in rng.sample(range(4), 2)
             })
-            rows = select_substate(s, c)
-            assert abs(sum(p for p, _ in rows) - probability(s, c)) < 1e-9
-            assert all(c.satisfied_by(st) for _, st in rows)
+            want = tab_canonical([(p, st) for p, st in enumerate_states(s.root)
+                                  if c.satisfied_by(st)])
+            s.store.last_pass = None
+            cold = select_substate(s, c)
+            s.store.last_pass = None
+            prob = probability(s, c)
+            entry = s.store.last_pass
+            warm = select_substate(s, c)
+            assert s.store.last_pass is entry
+            for rows in (cold, warm):
+                assert tab_equal(rows, want)
+                assert abs(sum(p for p, _ in rows) - prob) < 1e-9
+
+    def test_zero_probability_condition_expands_nothing(self, store):
+        # twelve two-valued variables beside one the condition rules out:
+        # the pass excludes the root, so nothing is expanded and the cap
+        # on the 4,096 rows of the other variables is never reached
+        halves = [store.make_or([(0.5, store.make_lit(v, 0)),
+                                 (0.5, store.make_lit(v, 1))])
+                  for v in range(13)]
+        s = Aobs(store.make_and(halves), store, tuple(range(13)))
+        assert select_substate(s, Condition.of({12: [2]}), cap=1000) == []
 
     def test_cap(self, three_var_state):
         with pytest.raises(ExpansionTooLarge):
