@@ -15,17 +15,23 @@ same state and an equal condition labels nothing again.
 The store interns every node as it is built, and an action keeps only
 what its result reaches: :func:`apply_action` marks the store before it
 builds and sweeps the nodes made since that its result does not reach, so
-a union that a parent splices or a factor that a graft erases leaves
-nothing behind, and an action that raises leaves the store as it was.
+a factor that a graft erases leaves nothing behind, and an action that
+raises leaves the store as it was.  Little is built for the sweep to
+drop: a minimal subgraph's union below the root is handed to its OR
+parents as edges, never interned, and a factor over action variables only
+is dropped without an empty AND in its place.
 
 Each product built in place of a node ``n``, a graft or an excluded term,
-is one constructor call over ``n.omega``.  The store checked ``n`` when it
-made it, so only the factors that changed are checked here.
+is one constructor call over ``n.omega``, given its factors in key order.
+The store checked ``n`` when it made it, so only the factors that changed
+are checked here.
 """
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .core import (
     AND,
@@ -36,6 +42,7 @@ from .core import (
     Node,
     OverlappingSubspaces,
     Store,
+    _or_edges,
     fold,
 )
 from .oracle import Action, Condition
@@ -44,6 +51,11 @@ from .query import EXCLUDED, INCLUDED, MIXED, LabelMap, condition_pass
 Edge = Tuple[float, Node]
 Product = Tuple[float, List[Node]]  # a product not built yet, as its factors
 Split = Tuple[List[Product], List[Edge]]  # see :func:`isolate`
+
+_by_key = attrgetter("key")
+
+#: what :func:`erase_action_vars` holds for a descendant it drops
+_DROPPED = object()
 
 
 class MassLeak(AobsError):
@@ -63,7 +75,15 @@ def find_minimal_subgraphs(
     covers the action and condition variables; it is minimal when no child also
     qualifies.  Within an AND at most one child can cover the full union (its
     children are variable-disjoint); within an OR every included/mixed child is
-    explored.  They are listed in depth-first order.
+    explored.  They are listed in depth-first order, the order
+    :func:`apply_action` builds their replacements in.
+
+    A mixed minimal subgraph is an AND: a mixed OR has an included or
+    mixed child, which covers the OR's variables and so qualifies.  The
+    store splices an AND child into its parent AND, so every parent of a
+    mixed minimal subgraph is an OR, and :func:`apply_action` hands each
+    such subgraph's replacement union, unless it is the root, to its
+    parents as edges, without interning it.
     """
     need = avars | c.variables
     label = labels.get
@@ -95,10 +115,12 @@ def isolate(n: Node, labels: LabelMap, store: Store,
     ``labels`` holds the condition's labels of ``n`` and the nodes below
     it; a node missing from it is included.  A mixed OR takes in its
     children's splits with the weights multiplied, and a mixed AND is split
-    by :func:`_split_and`.  ``memo`` maps node keys to splits; splitting
-    depends only on the node and the condition, so all isolations of one
-    action can share one memo.  It holds a pure node's label, which an OR
-    parent reads as the node's one edge.
+    by :func:`_split_and`.  A mixed AND ``n`` is split without a fold over
+    its own children: only its mixed children are folded.  ``memo`` maps
+    node keys to splits; splitting depends only on the node and the
+    condition, so all isolations of one action can share one memo.  It
+    holds a pure node's label, which an OR parent reads as the node's one
+    edge.
     """
     splits: Dict[int, "Split | str"] = {} if memo is None else memo
 
@@ -122,6 +144,14 @@ def isolate(n: Node, labels: LabelMap, store: Store,
                 exc += [(w * v, g) for v, g in split[1]]
         return inc, exc
 
+    if n.kind == AND and n.key not in splits:
+        # fold below the mixed children only, in key order as a fold over
+        # ``n`` would: its included children need no visit of their own
+        label = labels.get
+        for ch in n.children:
+            if label(ch.key) == MIXED:
+                fold(ch, splits, step, leaf)
+        splits[n.key] = step(n)
     return fold(n, splits, step, leaf)
 
 
@@ -130,6 +160,18 @@ def _spliced(factors: list) -> list:
     place, as the store's constructors splice them."""
     return [g for f in factors
             for g in (f.children if f.kind == AND else (f,))]
+
+
+def _placed(kids: List[Node], new: Iterable[Node]) -> List[Node]:
+    """``kids``, a list in key order, with each of ``new`` put in its
+    place: appended if it is newer than the last, else placed by
+    bisection.  The list is changed in place and returned."""
+    for g in new:
+        if kids and g.key < kids[-1].key:
+            insort(kids, g, key=_by_key)
+        else:
+            kids.append(g)
+    return kids
 
 
 def _check_cover(factors: list, omega: FrozenSet[int]) -> None:
@@ -162,9 +204,13 @@ def _split_and(n: Node, labels: LabelMap, splits: Dict[int, "Split | str"],
     A half of one product is spliced into the included product; a half
     of several is the OR of their products.
 
-    Each term is one constructor call over ``n.omega``, checked only
-    where it differs from ``n``: both halves of a mixed child must range
-    exactly over that child's variables."""
+    Every product keeps its factors in key order: the included children
+    are a key-ordered run of ``n.children``, and the few other factors
+    are put in their places (:func:`_placed`), so no term is sorted again
+    and the included product goes to ``graft`` in key order.  Each term
+    is one constructor call over ``n.omega``, checked only where it
+    differs from ``n``: both halves of a mixed child must range exactly
+    over that child's variables."""
     label = labels.get
     fixed: List[Node] = []
     mixed: List[Node] = []
@@ -193,11 +239,11 @@ def _split_and(n: Node, labels: LabelMap, splits: Dict[int, "Split | str"],
     factors: List[Node] = fixed  # included children and halves, spliced
     prefix = 1.0
     for i, (half, share, exc_half) in enumerate(parts):
-        kids = factors + _spliced([exc_half]) + mixed[i + 1:]
-        term = store._and_node(kids, n.omega)
+        kids = _placed(factors[:], _spliced([exc_half]) + mixed[i + 1:])
+        term = store._and_sorted(kids, n.omega)
         excluded.append((prefix * (1.0 - share), term))
         prefix *= share
-        factors = factors + _spliced(half)
+        factors = _placed(factors[:], _spliced(half))
     return [(prefix, factors)], excluded
 
 
@@ -210,24 +256,37 @@ def erase_action_vars(
     """Remove every maximal descendant ranging only over action variables.
 
     Assumes the node is purely included and its OR weights sum to 1, so the
-    erased parts carry unit mass and can be dropped without rescaling.  If the
-    whole node vanishes the empty-AND identity is returned; a subgraph whose
-    variables are disjoint from ``avars`` is returned unchanged.  ``memo``
-    maps node keys to erased nodes; erasing depends only on the node and
-    ``avars``, so all grafts of one action can share one memo.
+    erased parts carry unit mass and can be dropped without rescaling.  A
+    descendant over action variables only is left out of its parent AND,
+    and nothing is interned in its place; if the whole node ranges over
+    action variables only, the empty-AND identity is returned.  A subgraph
+    whose variables are disjoint from ``avars`` is returned unchanged.
+    ``memo`` maps node keys to erased nodes, and a dropped descendant to
+    :data:`_DROPPED`; erasing depends only on the node and ``avars``, so
+    all grafts of one action can share one memo.
     """
+    if n.omega <= avars:
+        return store.empty_and()
     erased: Dict[int, Node] = {} if memo is None else memo
     if n.key in erased:  # a factor several grafts share
         return erased[n.key]
+    rebuild = store.rebuilder(erased)
 
     def leaf(node: Node) -> Optional[Node]:
         if avars.isdisjoint(node.omega):
             return node
         if node.omega <= avars:
-            return store.empty_and()
+            return _DROPPED
         return None
 
-    return fold(n, erased, store.rebuilder(erased), leaf)
+    def step(node: Node) -> Node:
+        # an OR's children share its variables, so only an AND drops any
+        if node.kind != AND:
+            return rebuild(node)
+        return store.make_and([e for c in node.children
+                               if (e := erased[c.key]) is not _DROPPED])
+
+    return fold(n, erased, step, leaf)
 
 
 def action_subgraph(store: Store, a: Action) -> Node:
@@ -268,7 +327,7 @@ def normalize(s: Aobs) -> Aobs:
         return store.make_or([(w * ch.mass / node.mass, memo[ch.key])
                               for w, ch in zip(node.weights, node.children)])
 
-    return Aobs(fold(s.root, memo, step), store, s.universe, s.var_names)
+    return s.with_root(fold(s.root, memo, step))
 
 
 @dataclass
@@ -288,20 +347,24 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     after a :func:`aobs.query.probability` on the same state and an equal
     condition, its pass is reused, not run again.  A minimal subgraph the
     condition includes is one product, grafted whole.  Any other is split
-    (:func:`isolate`) and becomes one OR of its excluded edges and its
+    (:func:`isolate`) and becomes the union of its excluded edges and its
     grafted products.  In a graft each factor, or each child of an AND
     factor, loses the action variables, and the action subgraph joins them;
     each product is built over the minimal subgraph's variables, checked
-    only where it changed.  Ancestors are rebuilt along affected paths.
-    Total mass is preserved.  The store keeps only the nodes made here that
-    the result reaches (:meth:`~aobs.core.Store.sweep`), and none if this
-    raises.
+    only where it changed, from factors kept in key order.  Ancestors are
+    rebuilt along affected paths.  A union below the root is not interned:
+    its parents are ORs (see :func:`find_minimal_subgraphs`), which take
+    its edges (:func:`aobs.core._or_edges`) and splice them as they would
+    splice the union.  Total mass is preserved.  The store keeps only the
+    nodes made here that the result reaches
+    (:meth:`~aobs.core.Store.sweep`), and none if this raises.
 
     Every OR of ``s`` must have unit weight, as every constructor and every
     pipeline output has; call :func:`normalize` first on a state built
     otherwise.  The store splices as it builds and each step preserves mass,
     so the result is in normal form; :class:`MassLeak` is raised if its root
-    mass is not 1.
+    mass is not 1.  The result is ``s`` over the new root
+    (:meth:`~aobs.core.Aobs.with_root`).
     """
     omega = s.root.omega
     if not omega.issuperset(c.allowed):
@@ -319,35 +382,55 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     erased: Dict[int, Node] = {}
     splits: Dict[int, "Split | str"] = {}
 
-    def graft(factors: List[Node], omega: FrozenSet[int], act: Node) -> Node:
-        """The product over ``omega`` of ``act`` and the factors less the
-        action variables, in one pass: a product of one AND is read through
-        its children, any other is spliced already.  Factors that meet the
-        action variables are erased, each checked to lose exactly them;
-        the rest are kept as they are."""
+    def graft(factors: List[Node], omega: FrozenSet[int]) -> Node:
+        """The product over ``omega`` of the action subgraph and the
+        factors, given in key order, less the action variables, in one
+        pass: a product of one AND is read through its children, any
+        other is spliced already.  The kept factors stay in key order;
+        factors that meet the action variables are erased, each checked to
+        lose exactly them, and their remainders and the action subgraph's
+        factors are put in their places (:func:`_placed`)."""
         if len(factors) == 1 and factors[0].kind == AND:
             factors = factors[0].children
         out: List[Node] = []
+        new: List[Node] = []
         for g in factors:
             if avars.isdisjoint(g.omega):
                 out.append(g)
             elif not g.omega <= avars:  # else it erases away
                 e = erase_action_vars(g, avars, store, erased)
                 _check_cover([e], g.omega - avars)
-                out += e.children if e.kind == AND else (e,)
-        out += act.children if act.kind == AND else (act,)
-        return store._and_node(out, omega)
+                new += e.children if e.kind == AND else (e,)
+        new += act_factors
+        return store._and_sorted(_placed(out, new), omega)
 
     # Only ancestors of minimal subgraphs change, and every such ancestor
     # covers ``need`` and is included or mixed: an AND ancestor's other
     # children are disjoint from the minimal subgraph's variables, which
     # contain the condition's, so they are included.  Any other node is kept
-    # as is.  A qualifying literal is minimal, so it is in ``rebuilt`` already.
+    # as is.  A qualifying literal is minimal, so it is never an ancestor.
     def kept(node: Node) -> Optional[Node]:
         if (not need <= node.omega
                 or labels.get(node.key, INCLUDED) == EXCLUDED):
             return node
         return None
+
+    # rebuilt nodes by key, seeded with the replaced minimal subgraphs
+    rebuilt: Dict[int, "Node | List[Edge]"] = {}
+
+    def rebuild(node: Node) -> Node:
+        """A :func:`fold` step: ``node`` over its children's results in
+        ``rebuilt``, where a union handed on as edges is spliced."""
+        if node.kind == AND:
+            return store.make_and([rebuilt[ch.key] for ch in node.children])
+        edges: List[Edge] = []
+        for w, ch in zip(node.weights, node.children):
+            got = rebuilt[ch.key]
+            if got.__class__ is list:  # a union's edges
+                edges += [(w * v, g) for v, g in got]
+            else:
+                edges.append((w, got))
+        return store.make_or(edges)
 
     # every node made from here on that the result does not reach is swept,
     # and all of them if the action raises
@@ -355,20 +438,23 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     new_root = None
     try:
         act = action_subgraph(store, a)
-        # rebuilt nodes by key, seeded with the replaced minimal subgraphs
-        rebuilt: Dict[int, Node] = {}
+        act_factors = act.children if act.kind == AND else (act,)
         for n in minimal:
             if labels.get(n.key, INCLUDED) == INCLUDED:  # one product
-                rebuilt[n.key] = graft([n], n.omega, act)
+                rebuilt[n.key] = graft([n], n.omega)
                 continue
             inc, exc = isolate(n, labels, store, splits)
-            rebuilt[n.key] = store.make_or(
-                [(w, graft(f, n.omega, act)) for w, f in inc] + exc)
-        root = fold(s.root, rebuilt, store.rebuilder(rebuilt), kept)
+            union = [(w, graft(f, n.omega)) for w, f in inc] + exc
+            if n is s.root:
+                rebuilt[n.key] = store.make_or(union)
+            else:  # its parents are ORs (see find_minimal_subgraphs)
+                kids, weights = _or_edges(union)
+                rebuilt[n.key] = list(zip(weights, kids))
+        root = fold(s.root, rebuilt, rebuild, kept)
         if abs(root.mass - 1.0) > EPS_P:
             raise MassLeak(f"root mass is {root.mass}, expected 1")
         new_root = root
     finally:
         store.sweep(new_root, mark)
-    result = Aobs(new_root, store, s.universe, s.var_names)
-    return ApplyResult(result, min(selected, 1.0))  # as `probability` clamps
+    # the selected mass is clamped as `probability` clamps it
+    return ApplyResult(s.with_root(new_root), min(selected, 1.0))

@@ -32,6 +32,9 @@ EPS_P = 1e-9
 #: keys, so float noise below a relative 5e-12 does not break structural
 #: sharing, while weights of any magnitude keep their relative precision
 WEIGHT_DIGITS = 12
+#: the printf format that rounds a weight to ``WEIGHT_DIGITS`` significant
+#: digits, in OR keys and digests
+_WEIGHT_KEY = f"%.{WEIGHT_DIGITS - 1}e"
 
 LIT = "lit"
 AND = "and"
@@ -147,7 +150,7 @@ def _digest_node(node: Node) -> str:
     elif node.kind == AND:
         payload = "A|" + "|".join(sorted(digests))
     else:
-        payload = "O|" + "|".join([f"{w:.{WEIGHT_DIGITS - 1}e}:{d}" for d, w
+        payload = "O|" + "|".join([f"{_WEIGHT_KEY % w}:{d}" for d, w
                                    in sorted(zip(digests, node.weights))])
     node._hexdigest = _digest(payload)
     return node._hexdigest
@@ -249,7 +252,7 @@ class Store:
                   omega: Optional[frozenset] = None,
                   mass: Optional[float] = None) -> Node:
         """Intern the AND of ``children``, none of them an AND, in any order:
-        they are sorted by key here, and a lone child is returned as it is.
+        they are sorted by key and handed to :meth:`_and_sorted`.
 
         A caller that passes ``omega`` vouches, by a check of its own, that
         the children's variable sets are disjoint with that union; there
@@ -258,14 +261,26 @@ class Store:
         action, which has no repeated variable, and ``graft`` in
         :func:`aobs.acting.apply_action` and :func:`aobs.acting._split_and`
         the variables of the node whose products they rebuild, having
-        checked only the factors they changed.  Otherwise, on a miss, the
-        union is computed here and the sets are
+        checked only the factors they changed; the last two keep their
+        factors in key order and call :meth:`_and_sorted` directly.
+        Otherwise, on a miss, the union is computed here and the sets are
         checked.  ``mass``, if not given, is the children's mass product in
         key order.  A hit costs the sort, the key and one lookup either way.
         """
-        if len(children) == 1:
-            return children[0]
-        kids = tuple(sorted(children, key=_by_key))
+        return self._and_sorted(sorted(children, key=_by_key), omega, mass)
+
+    def _and_sorted(self, kids: Sequence[Node],
+                    omega: Optional[frozenset] = None,
+                    mass: Optional[float] = None) -> Node:
+        """Intern the AND of ``kids``, none of them an AND, given in
+        strictly increasing key order: the body of :meth:`_and_node`, which
+        a caller that already holds its children in key order calls
+        without the sort.  A lone child is returned as it is, and no
+        children give the empty AND; ``omega`` and ``mass`` are as for
+        :meth:`_and_node`.  A hit costs the key and one lookup."""
+        if len(kids) == 1:
+            return kids[0]
+        kids = tuple(kids)
         node = self._nodes.get(kids)
         if node is not None:
             return node
@@ -295,40 +310,26 @@ class Store:
         """Intern the weighted union of ``children``.
 
         OR children are spliced in with their edge weights multiplied, and
-        duplicate child nodes are merged by summing their weights.  A single
-        child with weight 1 collapses to the child itself.  Children must all
-        range over the same variable set and weights must be positive and
-        finite.  The edges are kept in child-key order.
+        duplicate child nodes are merged by summing their weights
+        (:func:`_or_edges`).  A single child with weight 1 collapses to the
+        child itself.  Children must all range over the same variable set
+        and weights must be positive and finite.  The edges are kept in
+        child-key order.
         """
-        merged: Dict[int, Tuple[float, Node]] = {}
-        for w, c in children:
-            if not 0.0 < w < math.inf:  # also false for NaN
-                raise AobsError(
-                    f"OR edge weight must be positive and finite, got {w}"
-                )
-            spliced = (zip([w * v for v in c.weights], c.children)
-                       if c.kind == OR else ((w, c),))
-            for v, g in spliced:
-                prev = merged.get(g.key)
-                merged[g.key] = (prev[0] + v if prev else v, g)
-        if not merged:
-            raise AobsError("OR node requires at least one child")
-        pairs = [merged[k] for k in sorted(merged)]
-        if len(pairs) == 1 and abs(pairs[0][0] - 1.0) <= EPS_P:
-            return pairs[0][1]
-        weights, kids = zip(*pairs)
-        entry = (kids, tuple([float(f"{w:.{WEIGHT_DIGITS - 1}e}")
-                              for w in weights]))
+        kids, weights = _or_edges(children)
+        if len(kids) == 1 and weights[0] == 1.0:
+            return kids[0]
+        entry = (kids, tuple([float(_WEIGHT_KEY % w) for w in weights]))
         node = self._nodes.get(entry)
         if node is not None:
             return node
-        omega = pairs[0][1].omega
-        for _, c in pairs[1:]:  # identity first: children often share a set
+        omega = kids[0].omega
+        for c in kids[1:]:  # identity first: children often share a set
             if c.omega is not omega and c.omega != omega:
                 raise MismatchedSubspaces(
                     f"OR children range over {sorted(omega)} vs {sorted(c.omega)}"
                 )
-        mass = sum([w * c.mass for w, c in pairs])
+        mass = sum([w * c.mass for w, c in zip(weights, kids)])
         node = self._nodes[entry] = Node(
             OR, None, None, kids, weights, next(self._ids), omega, mass)
         return node
@@ -381,6 +382,45 @@ class Store:
         """Copy a node (and its subgraph) from another store into this one."""
         memo: Dict[int, Node] = {}
         return fold(node, memo, self.rebuilder(memo))
+
+
+def _or_edges(children: Iterable[Tuple[float, Node]]
+             ) -> Tuple[Tuple[Node, ...], Tuple[float, ...]]:
+    """The children and weights of the union :meth:`Store.make_or` makes
+    of ``children``, without interning it: each OR child spliced in with
+    its edge weights multiplied, a child met more than once given the sum
+    of its weights, in the order met, and the children in key order.  A
+    lone child whose weight is 1 within ``EPS_P`` gets weight 1.0, since
+    the union is that child.  Every weight given must be positive and
+    finite.  An OR that takes these edges in place of the union gets the
+    edges it would splice from it, bit for bit."""
+    weight: Dict[int, float] = {}  # child key -> summed edge weight
+    kid: Dict[int, Node] = {}
+    for w, c in children:
+        if not 0.0 < w < math.inf:  # also false for NaN
+            raise AobsError(
+                f"OR edge weight must be positive and finite, got {w}")
+        if c.kind == OR:
+            for v, g in zip(c.weights, c.children):
+                key = g.key
+                if key in weight:
+                    weight[key] += w * v
+                else:
+                    weight[key] = w * v
+                    kid[key] = g
+        else:
+            key = c.key
+            if key in weight:
+                weight[key] += w
+            else:
+                weight[key] = w
+                kid[key] = c
+    if not weight:
+        raise AobsError("OR node requires at least one child")
+    keys = sorted(weight)
+    if len(keys) == 1 and abs(weight[keys[0]] - 1.0) <= EPS_P:
+        return (kid[keys[0]],), (1.0,)
+    return tuple([kid[k] for k in keys]), tuple([weight[k] for k in keys])
 
 
 def iter_nodes(root: Node) -> Iterator[Node]:
@@ -544,6 +584,22 @@ class Aobs:
                 f"root ranges over {sorted(self.root.omega)}, "
                 f"universe is {sorted(self.universe)}"
             )
+
+    def with_root(self, root: Node) -> "Aobs":
+        """This state's store, universe and names over ``root``, which must
+        range over this state's variables.  The universe was checked when
+        this state was made, so only the two roots' variable sets are
+        compared, identity first, and no set is built from the universe."""
+        omega = self.root.omega
+        if root.omega is not omega and root.omega != omega:
+            raise MismatchedUniverse(
+                f"root ranges over {sorted(root.omega)}, "
+                f"the state over {sorted(omega)}"
+            )
+        out = object.__new__(Aobs)
+        out.root, out.store = root, self.store
+        out.universe, out.var_names = self.universe, self.var_names
+        return out
 
     def name_of(self, var: int) -> str:
         if self.var_names is not None:

@@ -41,12 +41,13 @@ def greedy_optimize(s: Aobs) -> Aobs:
 
     Products may be shared elsewhere in the DAG, so a local gain does not
     guarantee a global one: the result is kept only if its ``size_metric``
-    is not larger than the input's.  Semantics are unchanged.  Factored
-    nodes are memoized in the store's ``factored`` table across calls, each
-    output as its own fixed point, so the fold costs only the part of the
-    graph built since the last call.  A node whose children factor to
-    themselves is its own result, an OR unless one of its groups gains, and
-    is not interned again.
+    is not larger than the input's.  Semantics are unchanged, and the
+    result is ``s`` over the new root (:meth:`~aobs.core.Aobs.with_root`).
+    Factored nodes are memoized in the store's ``factored`` table across
+    calls, each output as its own fixed point, so the fold costs only the
+    part of the graph built since the last call.  A node whose children
+    factor to themselves is its own result, an OR unless one of its groups
+    gains, and is not interned again.
 
     When the root changes, the guard reads both sizes from the store's
     reference-count table (``Store.refcounts``) instead of walking either
@@ -83,7 +84,7 @@ def greedy_optimize(s: Aobs) -> Aobs:
     if sizes.move(root) > before:
         sizes.move(s.root)
         return s
-    return Aobs(root, store, s.universe, s.var_names)
+    return s.with_root(root)
 
 
 def _factors(n: Node) -> Sequence[Node]:

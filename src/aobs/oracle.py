@@ -45,10 +45,6 @@ class Condition:
     def variables(self) -> frozenset:
         return frozenset(self.allowed)
 
-    def allows(self, var: int, value: int) -> bool:
-        vals = self.allowed.get(var)
-        return vals is None or value in vals
-
     def satisfied_by(self, state: StateTuple) -> bool:
         assignment = dict(state)
         for var, vals in self.allowed.items():

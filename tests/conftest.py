@@ -130,12 +130,16 @@ def assert_normal_form(s, eps=1e-9):
 
 def assert_well_formed(root):
     """Every node below ``root`` is what the store's full checks would
-    make it: an AND's variables are the disjoint union of its children's,
+    make it: an AND's or OR's children are in strictly increasing key
+    order, an AND's variables are the disjoint union of its children's,
     an OR's children range over its variables, and each mass equals the
     product or weighted sum of the children's, recomputed in child order,
     bit for bit."""
     for node in iter_nodes(root):
         kids = node.children
+        keys = [ch.key for ch in kids]
+        assert all(a < b for a, b in zip(keys, keys[1:])), \
+            f"{node} keeps its children out of key order"
         if node.kind == LIT:
             assert node.omega == {node.var} and node.mass == 1.0
         elif node.kind == AND:

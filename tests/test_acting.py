@@ -46,6 +46,7 @@ from conftest import (
     enum_canonical,
     label_nodes,
     random_aobs,
+    random_dag,
     total_mass,
 )
 
@@ -192,6 +193,30 @@ class TestFindMinimalSubgraphs:
                     assert labels[n.key] in (INCLUDED, MIXED)
                     assert avars | c.variables <= n.omega
 
+    def test_mixed_minimal_subgraphs_have_only_or_parents(self):
+        # a mixed OR has a child that qualifies, so a mixed minimal
+        # subgraph is an AND, and the store splices an AND into its parent
+        # AND: apply_action hands such a subgraph's union to its parents,
+        # all ORs, as edges
+        rng = random.Random(29)
+        mixed = 0
+        for _ in range(60):
+            s = random_dag(rng, 6)
+            cvars = rng.sample(range(6), rng.randint(1, 3))
+            c = Condition.of({v: [rng.randrange(2)] for v in cvars})
+            avars = frozenset(rng.sample(range(6), rng.randint(1, 3)))
+            labels = label_nodes(s.root, c)
+            if labels[s.root.key] == EXCLUDED:
+                continue
+            for n in find_minimal_subgraphs(s.root, c, avars, labels):
+                if labels[n.key] != MIXED:
+                    continue
+                mixed += 1
+                assert n.kind == AND
+                assert all(p.kind == OR for p in iter_nodes(s.root)
+                           if any(ch is n for ch in p.children))
+        assert mixed >= 20
+
 
 def _product(store, factors):
     """A split's product interned."""
@@ -319,6 +344,22 @@ class TestEraseActionVars:
         ])
         got = erase_action_vars(n, frozenset({1}), store)
         assert got is store.make_lit(0, 0)
+
+    def test_drops_action_only_factors_without_the_empty_and(self, store):
+        # a factor over action variables only is left out of its parent and
+        # nothing is interned in its place; a top-level call on such a
+        # node, also one a shared memo holds as dropped, gives the empty AND
+        lit = store.make_lit
+        b = store.make_or([(0.5, lit(1, 0)), (0.5, lit(1, 1))])
+        n = store.make_and([lit(0, 0), b, lit(2, 0)])
+        size = len(store)
+        memo = {}
+        got = erase_action_vars(n, frozenset({1, 2}), store, memo)
+        assert got is lit(0, 0)
+        assert len(store) == size
+        assert not any(x.is_empty_and for x in store._nodes.values())
+        assert erase_action_vars(b, frozenset({1, 2}), store,
+                                 memo).is_empty_and
 
     def test_disjoint_subgraph_returned_as_is(self, three_var_state):
         root = three_var_state.root
@@ -551,9 +592,23 @@ class TestApplyAction:
     @pytest.mark.parametrize("shape", [
         "included", "telescoped", "two-minimal-unions", "half-of-two-products",
         "single-outcome", "product-inside-action"])
-    def test_interns_only_what_the_result_keeps(self, store, shape):
-        # no node is built only to be spliced or erased by its parent
+    def test_interns_only_what_the_result_keeps(self, store, shape,
+                                                monkeypatch):
+        # no node is built only to be spliced or erased by its parent;
+        # three shapes still build one and leave it to the sweep: the lone
+        # outcome's AND that each graft splices, the erased half's OR and
+        # its products, and the outcome union spliced into the minimal
+        # subgraph's union
         lit = store.make_lit
+        dropped = []
+        sweep = store.sweep
+
+        def counted(root, mark):
+            before = len(store)
+            sweep(root, mark)
+            dropped.append(before - len(store))
+
+        monkeypatch.setattr(store, "sweep", counted)
 
         def coin(v, p):
             return store.make_or([(p, lit(v, 0)), (1.0 - p, lit(v, 1))])
@@ -600,6 +655,8 @@ class TestApplyAction:
         kept = {n.key for n in iter_nodes(res.state.root)}
         dead = {n.key for n in store._nodes.values()} - before - kept
         assert not dead
+        if shape in ("included", "telescoped", "two-minimal-unions"):
+            assert dropped == [0]
         assert tab_equal(enum_canonical(res.state),
                          tab_apply_action(enum_canonical(s), c, a))
 

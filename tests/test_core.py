@@ -23,6 +23,7 @@ from aobs.core import (
     UnknownVariable,
     WEIGHT_DIGITS,
     Store,
+    _or_edges,
     count_states,
     enumerate_states,
     from_physical_state,
@@ -111,6 +112,25 @@ class TestMakeAnd:
         assert empty.is_empty_and and empty.omega == frozenset()
         assert empty.mass == 1.0
 
+    @pytest.mark.parametrize("vouched", [False, True])
+    def test_and_sorted_matches_and_node(self, vouched):
+        # the key-ordered entry is _and_node's body without the sort: on
+        # a miss it makes the node _and_node would make, on a hit it
+        # returns that node, and it collapses one child and no children
+        # the same way
+        rng = random.Random(12)
+        for _ in range(20):
+            store = Store()
+            lits = [store.make_lit(v, rng.randrange(2)) for v in range(6)]
+            omega = frozenset(range(6)) if vouched else None
+            ordered = sorted(lits, key=lambda c: c.key)
+            made = store._and_sorted(ordered, omega)  # a miss
+            assert made is store._and_node(rng.sample(lits, len(lits)), omega)
+            assert store._and_sorted(tuple(ordered), omega) is made  # a hit
+            assert made.omega == frozenset(range(6)) and made.mass == 1.0
+            assert store._and_sorted([lits[3]]) is lits[3]
+            assert store._and_sorted([]) is store._and_node([])
+
 
 class TestMakeOr:
     def test_two_values(self, store):
@@ -122,6 +142,21 @@ class TestMakeOr:
     def test_singleton_weight_one_collapse(self, store):
         lit = store.make_lit(0, 0)
         assert store.make_or([(1.0, lit)]) is lit
+
+    def test_edges_splice_as_the_union_would(self, store):
+        # an OR that takes a union's edges in the union's place gets the
+        # edges it would splice from the union, bit for bit, also where the
+        # union merges a child met twice, splices an OR child, or is one
+        # child
+        a, b, c = (store.make_lit(0, u) for u in range(3))
+        inner = store.make_or([(0.3, a), (0.7, b)])
+        for union in ([(0.1, a), (0.25, b), (0.15, a), (0.5, inner)],
+                      [(0.3, a), (0.7 + 1e-12, a)]):
+            kids, weights = _or_edges(union)
+            edges = [(0.4 * w, k) for w, k in zip(weights, kids)]
+            assert (_or_edges(edges + [(0.6, c)])
+                    == _or_edges([(0.4, store.make_or(union)), (0.6, c)]))
+        assert _or_edges([(0.3, a), (0.7 + 1e-12, a)]) == ((a,), (1.0,))
 
     def test_duplicate_children_merged(self, store):
         lit = store.make_lit(0, 0)
@@ -601,6 +636,33 @@ class TestAobsUniverse:
         root = from_physical_state(store, {0: 1, 1: 0}, [0, 1]).root
         with pytest.raises(MismatchedUniverse):
             Aobs(root, store, universe)
+
+
+class TestWithRoot:
+    def test_keeps_universe_and_names(self, three_var_state):
+        s = three_var_state
+        store = s.store
+        other = store.make_and([store.make_lit(0, 1), store.make_lit(1, 0),
+                                store.make_lit(2, 1)])
+        t = s.with_root(other)
+        assert t.root is other and t.store is store
+        assert t.universe == s.universe and t.var_names == s.var_names
+        assert t == Aobs(other, store, s.universe, s.var_names)
+        # an action's and the optimizer's results are the input over a new
+        # root
+        res = apply_action(s, Condition.of({1: [1]}),
+                           Action((2,), ((0.5, (0,)), (0.5, (1,)))))
+        for out in (res.state, greedy_optimize(res.state)):
+            assert out.root is not s.root
+            assert out.universe is s.universe and out.var_names is s.var_names
+
+    def test_root_over_other_variables_rejected(self, three_var_state):
+        store = three_var_state.store
+        lit = store.make_lit
+        for root in (store.make_and([lit(0, 0), lit(1, 0)]),
+                     store.make_and([lit(0, 0), lit(1, 0), lit(3, 0)])):
+            with pytest.raises(MismatchedUniverse):
+                three_var_state.with_root(root)
 
 
 class TestHashConsing:

@@ -36,8 +36,11 @@ THREE_ROW_TABLE = [(0.2, ((0, 0), (1, 0))),
 
 class TestCondition:
     def test_allows_unconstrained(self):
+        # an unconstrained variable accepts any value
         c = Condition.of({1: [1]})
-        assert c.allows(0, 5) and c.allows(1, 1) and not c.allows(1, 0)
+        assert c.satisfied_by(((0, 5), (1, 1)))
+        assert c.satisfied_by(((0, 0), (1, 1)))
+        assert not c.satisfied_by(((0, 5), (1, 0)))
 
     def test_satisfied_by(self):
         c = Condition.of({1: [1], 2: [0]})
