@@ -6,31 +6,11 @@ into the products the condition selects and the edges it excludes, graft the
 action's outcome subgraph onto each product with the action variables erased,
 and rebuild the ancestors.  The store keeps every node it builds in normal
 form, and each step preserves mass, so the result needs no normalizing pass.
-
-The labels and the selected mass come from the one condition pass of
-:func:`aobs.query.condition_pass`, which :func:`aobs.query.probability`
-runs too.  The store keeps the last pass, so an action after a read on the
-same state and an equal condition labels nothing again.
-
-The store interns every node as it is built, and an action keeps only
-what its result reaches: :func:`apply_action` marks the store before it
-builds and sweeps the nodes made since that its result does not reach, so
-a factor that a graft erases leaves nothing behind, and an action that
-raises leaves the store as it was.  Little is built for the sweep to
-drop: a minimal subgraph's union below the root is handed to its OR
-parents as edges, never interned, and a factor over action variables only
-is dropped without an empty AND in its place.
-
-Each product built in place of a node ``n``, a graft or an excluded term,
-is one constructor call over ``n.omega``, given its factors in key order.
-The store checked ``n`` when it made it, so only the factors that changed
-are checked here.
 """
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .core import (
@@ -42,6 +22,8 @@ from .core import (
     Node,
     OverlappingSubspaces,
     Store,
+    _by_key,
+    _factors,
     _or_edges,
     fold,
 )
@@ -51,8 +33,6 @@ from .query import EXCLUDED, INCLUDED, MIXED, LabelMap, condition_pass
 Edge = Tuple[float, Node]
 Product = Tuple[float, List[Node]]  # a product not built yet, as its factors
 Split = Tuple[List[Product], List[Edge]]  # see :func:`isolate`
-
-_by_key = attrgetter("key")
 
 #: what :func:`erase_action_vars` holds for a descendant it drops
 _DROPPED = object()
@@ -81,9 +61,7 @@ def find_minimal_subgraphs(
     A mixed minimal subgraph is an AND: a mixed OR has an included or
     mixed child, which covers the OR's variables and so qualifies.  The
     store splices an AND child into its parent AND, so every parent of a
-    mixed minimal subgraph is an OR, and :func:`apply_action` hands each
-    such subgraph's replacement union, unless it is the root, to its
-    parents as edges, without interning it.
+    mixed minimal subgraph is an OR.
     """
     need = avars | c.variables
     label = labels.get
@@ -115,12 +93,10 @@ def isolate(n: Node, labels: LabelMap, store: Store,
     ``labels`` holds the condition's labels of ``n`` and the nodes below
     it; a node missing from it is included.  A mixed OR takes in its
     children's splits with the weights multiplied, and a mixed AND is split
-    by :func:`_split_and`.  A mixed AND ``n`` is split without a fold over
-    its own children: only its mixed children are folded.  ``memo`` maps
-    node keys to splits; splitting depends only on the node and the
-    condition, so all isolations of one action can share one memo.  It
-    holds a pure node's label, which an OR parent reads as the node's one
-    edge.
+    by :func:`_split_and`.  ``memo`` maps node keys to splits; splitting
+    depends only on the node and the condition, so all isolations of one
+    action can share one memo.  It holds a pure node's label, which an OR
+    parent reads as the node's one edge.
     """
     splits: Dict[int, "Split | str"] = {} if memo is None else memo
 
@@ -155,13 +131,6 @@ def isolate(n: Node, labels: LabelMap, store: Store,
     return fold(n, splits, step, leaf)
 
 
-def _spliced(factors: list) -> list:
-    """The factors of a product with each AND factor's children in its
-    place, as the store's constructors splice them."""
-    return [g for f in factors
-            for g in (f.children if f.kind == AND else (f,))]
-
-
 def _placed(kids: List[Node], new: Iterable[Node]) -> List[Node]:
     """``kids``, a list in key order, with each of ``new`` put in its
     place: appended if it is newer than the last, else placed by
@@ -192,25 +161,18 @@ def _split_and(n: Node, labels: LabelMap, splits: Dict[int, "Split | str"],
                store: Store) -> Split:
     """The split of the mixed AND ``n``, its mixed children split in
     ``splits``.  The included product holds the included children and the
-    included half of each mixed child.  Excluded term ``i`` swaps the
+    included half of each mixed child: the half itself if it is one
+    product, else the OR of its products.  Excluded term ``i`` swaps the
     included half of mixed child ``i`` for its excluded half, and keeps the
     mixed children after it whole: over unit-weight ORs each is the union
     of its own two halves.
 
     Mixed children are taken in the order of their lowest variable, which
-    the graph fixes (children of an AND share no variable), so the terms
-    do not depend on the ids the store handed out.
-
-    A half of one product is spliced into the included product; a half
-    of several is the OR of their products.
-
-    Every product keeps its factors in key order: the included children
-    are a key-ordered run of ``n.children``, and the few other factors
-    are put in their places (:func:`_placed`), so no term is sorted again
-    and the included product goes to ``graft`` in key order.  Each term
-    is one constructor call over ``n.omega``, checked only where it
-    differs from ``n``: both halves of a mixed child must range exactly
-    over that child's variables."""
+    the graph fixes, so the terms do not depend on the store's ids.  Every
+    product keeps its factors in key order (:func:`_placed`), and each
+    term is built over ``n.omega``, checked only where it differs from
+    ``n``: each half of a mixed child must range exactly over that child's
+    variables."""
     label = labels.get
     fixed: List[Node] = []
     mixed: List[Node] = []
@@ -239,11 +201,11 @@ def _split_and(n: Node, labels: LabelMap, splits: Dict[int, "Split | str"],
     factors: List[Node] = fixed  # included children and halves, spliced
     prefix = 1.0
     for i, (half, share, exc_half) in enumerate(parts):
-        kids = _placed(factors[:], _spliced([exc_half]) + mixed[i + 1:])
+        kids = _placed(factors[:], [*_factors(exc_half), *mixed[i + 1:]])
         term = store._and_sorted(kids, n.omega)
         excluded.append((prefix * (1.0 - share), term))
         prefix *= share
-        factors = _placed(factors[:], _spliced(half))
+        factors = _placed(factors[:], [g for f in half for g in _factors(f)])
     return [(prefix, factors)], excluded
 
 
@@ -268,8 +230,6 @@ def erase_action_vars(
     if n.omega <= avars:
         return store.empty_and()
     erased: Dict[int, Node] = {} if memo is None else memo
-    if n.key in erased:  # a factor several grafts share
-        return erased[n.key]
     rebuild = store.rebuilder(erased)
 
     def leaf(node: Node) -> Optional[Node]:
@@ -298,8 +258,9 @@ def action_subgraph(store: Store, a: Action) -> Node:
 
     def outcome(values: Tuple[int, ...]) -> Node:
         # ``Action`` rejects a repeated variable, and literals have unit mass
-        return store._and_node(
-            [store.make_lit(v, u) for v, u in zip(a.vars, values)], avars, 1.0)
+        lits = [store.make_lit(v, u) for v, u in zip(a.vars, values)]
+        lits.sort(key=_by_key)
+        return store._and_sorted(lits, avars, 1.0)
 
     return store.make_or([(p, outcome(values)) for p, values in a.outcomes])
 
@@ -343,33 +304,23 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     """Apply a state-independent action to the condition-selected substate.
 
     The belief state is rewritten persistently.  The labels and the
-    selected mass are the condition pass's (:func:`aobs.query.condition_pass`);
-    after a :func:`aobs.query.probability` on the same state and an equal
-    condition, its pass is reused, not run again.  A minimal subgraph the
-    condition includes is one product, grafted whole.  Any other is split
-    (:func:`isolate`) and becomes the union of its excluded edges and its
-    grafted products.  In a graft each factor, or each child of an AND
-    factor, loses the action variables, and the action subgraph joins them;
-    each product is built over the minimal subgraph's variables, checked
-    only where it changed, from factors kept in key order.  Ancestors are
-    rebuilt along affected paths.  A union below the root is not interned:
-    its parents are ORs (see :func:`find_minimal_subgraphs`), which take
-    its edges (:func:`aobs.core._or_edges`) and splice them as they would
-    splice the union.  Total mass is preserved.  The store keeps only the
-    nodes made here that the result reaches
+    selected mass come from :func:`aobs.query.condition_pass`, which a read
+    on the same state and an equal condition may already have run.  A
+    minimal subgraph the condition includes is one product, grafted whole;
+    any other is split (:func:`isolate`) and becomes the union of its
+    excluded edges and its grafted products.  Ancestors are rebuilt along
+    affected paths; a union below the root is handed to its OR parents as
+    edges (:func:`aobs.core._or_edges`), not interned.  The store keeps only
+    the nodes made here that the result reaches
     (:meth:`~aobs.core.Store.sweep`), and none if this raises.
 
     Every OR of ``s`` must have unit weight, as every constructor and every
     pipeline output has; call :func:`normalize` first on a state built
-    otherwise.  The store splices as it builds and each step preserves mass,
-    so the result is in normal form; :class:`MassLeak` is raised if its root
-    mass is not 1.  The result is ``s`` over the new root
+    otherwise.  Each step preserves mass, so :class:`MassLeak` is raised if
+    the result's root mass is not 1.  The result is ``s`` over the new root
     (:meth:`~aobs.core.Aobs.with_root`).
     """
-    omega = s.root.omega
-    if not omega.issuperset(c.allowed):
-        c.check_within(s.universe)
-    if not omega.issuperset(a.vars):
+    if not s.root.omega.issuperset(a.vars):
         a.check_within(s.universe)
     labels, root_label, selected = condition_pass(s, c)
     if root_label == EXCLUDED:
@@ -384,14 +335,13 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
 
     def graft(factors: List[Node], omega: FrozenSet[int]) -> Node:
         """The product over ``omega`` of the action subgraph and the
-        factors, given in key order, less the action variables, in one
-        pass: a product of one AND is read through its children, any
-        other is spliced already.  The kept factors stay in key order;
-        factors that meet the action variables are erased, each checked to
-        lose exactly them, and their remainders and the action subgraph's
-        factors are put in their places (:func:`_placed`)."""
-        if len(factors) == 1 and factors[0].kind == AND:
-            factors = factors[0].children
+        factors, less the action variables; a product of one AND is read
+        through its children.  Factors that meet the action variables are
+        erased, each checked to lose exactly them.  The kept factors stay
+        in key order and the new ones are put in their places
+        (:func:`_placed`)."""
+        if len(factors) == 1:
+            factors = _factors(factors[0])
         out: List[Node] = []
         new: List[Node] = []
         for g in factors:
@@ -400,7 +350,7 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
             elif not g.omega <= avars:  # else it erases away
                 e = erase_action_vars(g, avars, store, erased)
                 _check_cover([e], g.omega - avars)
-                new += e.children if e.kind == AND else (e,)
+                new += _factors(e)
         new += act_factors
         return store._and_sorted(_placed(out, new), omega)
 
@@ -438,7 +388,7 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     new_root = None
     try:
         act = action_subgraph(store, a)
-        act_factors = act.children if act.kind == AND else (act,)
+        act_factors = _factors(act)
         for n in minimal:
             if labels.get(n.key, INCLUDED) == INCLUDED:  # one product
                 rebuilt[n.key] = graft([n], n.omega)

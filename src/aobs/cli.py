@@ -2,18 +2,13 @@
 and DOT export, plus the JSON document formats they exchange.
 
 A state document holds a ``universe`` list of variable names and one of
-three bodies:
+two bodies (a nested ``root`` body is no longer read):
 
 * ``nodes``, the node table that ``aobs act`` writes.  Each entry is
   ``["lit", name, value]``, ``["and", [i, ...]]`` or
   ``["or", [w, ...], [i, ...]]``; every ``i`` is the index of an earlier
   entry and the last entry is the root.  A node shared in the graph is
   written and read once, and the table has no depth limit.
-* ``root``, one nested node: ``{"lit": [name, value]}``, ``{"and": [...]}``
-  or ``{"or": {"weights": [...], "children": [...]}}``.  Shared nodes are
-  spelled out again wherever they occur.  This is the only body with a
-  depth limit: ``json.load`` and the reader recurse, so documents nested
-  deeper than about 495 ANDs exit 2.
 * ``rows``, a list of ``[probability, assignment]`` pairs.  A row may
   have probability 0: its assignment is checked like any other, and the
   row is then left out.  The probabilities must sum to 1 (within 1e-6).
@@ -186,35 +181,6 @@ def _table_root(entries: Any, index: Dict[str, int], store: Store) -> Node:
     return built[-1]
 
 
-def _node_from_json(obj: Any, index: Dict[str, int], store: Store) -> Node:
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise SchemaError(f"node must be a single-key object, got {obj!r}")
-    if "lit" in obj:
-        spec = obj["lit"]
-        if not isinstance(spec, list) or len(spec) != 2:
-            raise SchemaError(f"lit must be [name, integer], got {spec!r}")
-        return store.make_lit(_variable(spec[0], index),
-                              _integer(spec[1], "literal value"))
-    if "and" in obj:
-        kids = obj["and"]
-        if not isinstance(kids, list):
-            raise SchemaError("and must hold a list of nodes")
-        return store.make_and([_node_from_json(k, index, store) for k in kids])
-    if "or" in obj:
-        spec = obj["or"]
-        if (not isinstance(spec, dict)
-                or set(spec) != {"weights", "children"}
-                or not isinstance(spec["weights"], list)
-                or not isinstance(spec["children"], list)
-                or len(spec["weights"]) != len(spec["children"])):
-            raise SchemaError("or must hold parallel 'weights' and 'children'")
-        return store.make_or([
-            (_number(w, "weight"), _node_from_json(k, index, store))
-            for w, k in zip(spec["weights"], spec["children"])
-        ])
-    raise SchemaError(f"unknown node kind in {obj!r}")
-
-
 def _rows(rows: Any,
           index: Dict[str, int]) -> List[Tuple[float, Dict[int, int]]]:
     """The rows as ``(probability, {variable: value})`` pairs, each field
@@ -243,8 +209,8 @@ def _rows(rows: Any,
 
 
 def state_from_json(doc: Any, store: Optional[Store] = None) -> Aobs:
-    """Parse a state document: ``universe`` plus a ``nodes`` table, a nested
-    ``root`` node or a tabular ``rows`` list (see the module docstring)."""
+    """Parse a state document: ``universe`` plus a ``nodes`` table or a
+    tabular ``rows`` list (see the module docstring)."""
     if store is None:
         store = Store()
     if not isinstance(doc, dict) or "universe" not in doc:
@@ -259,18 +225,11 @@ def state_from_json(doc: Any, store: Optional[Store] = None) -> Aobs:
     try:
         if "nodes" in doc:
             root = _table_root(doc["nodes"], index, store)
-        elif "root" in doc:
-            try:
-                root = _node_from_json(doc["root"], index, store)
-            except RecursionError:
-                raise SchemaError(
-                    "'root' is nested too deeply to read; "
-                    "write the state as a 'nodes' table") from None
         elif "rows" in doc:
             rows = _rows(doc["rows"], index)
             return from_tabular(store, rows, universe, tuple(names))
         else:
-            raise SchemaError("state document needs 'nodes', 'root' or 'rows'")
+            raise SchemaError("state document needs 'nodes' or 'rows'")
         return Aobs(root, store, universe, tuple(names))
     except SchemaError:
         raise

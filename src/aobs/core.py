@@ -115,10 +115,6 @@ class Node:
             fold(self, {}, _digest_node, attrgetter("_hexdigest"))
         return self._hexdigest
 
-    @property
-    def is_empty_and(self) -> bool:
-        return self.kind == AND and not self.children
-
     def edges(self) -> Iterator[Tuple[float, "Node"]]:
         """Yield (weight, child) pairs; AND edges carry an implicit weight 1."""
         if self.kind == OR:
@@ -159,6 +155,12 @@ def _digest_node(node: Node) -> str:
 _by_key = attrgetter("key")
 
 
+def _factors(n: Node) -> Sequence[Node]:
+    """The factors of the product ``n``: its children for an AND, else
+    ``n`` alone."""
+    return n.children if n.kind == AND else (n,)
+
+
 class Store:
     """Interning table for :class:`Node` objects.
 
@@ -181,20 +183,15 @@ class Store:
     store's counter as its ``key``.  Ids come from the counter, never from
     ``len(store)``, so they stay unique when the store drops nodes.
     Nothing is digested here: a node's ``digest`` waits until something
-    reads it.  A failed construction interns nothing.  A node is validated
-    once, when it is made, so a caller that knows a new product's
-    variables may pass them to :meth:`_and_node` and check only what it
-    changed.
+    reads it.  A failed construction interns nothing.
 
     Every constructor interns at once.  Only
-    :func:`aobs.acting.apply_action` drops nodes: it takes :meth:`mark`
-    before it builds and ends with :meth:`sweep`, which drops each node
-    made since the mark that the action's result does not reach, and all
-    of them if the action raised.  The sweep's contract is that nothing
-    outside the action holds a node made after its mark: the action sets
-    ``last_pass`` before the mark, and ``factored`` and ``refcounts`` only
-    ever see roots an action has returned.  A structure dropped and built
-    again gets a new id.
+    :func:`aobs.acting.apply_action` drops nodes, through :meth:`mark` and
+    :meth:`sweep`.  The sweep's contract is that nothing outside the
+    action holds a node made after its mark: the action sets ``last_pass``
+    before the mark, and ``factored`` and ``refcounts`` only ever see roots
+    an action has returned.  A structure dropped and built again gets a
+    new id.
 
     ``factored`` is the memo of :func:`aobs.optimize.greedy_optimize`: node
     key -> factored node, kept across calls.  Interned nodes are immutable
@@ -205,12 +202,7 @@ class Store:
     ``last_pass`` is the computed-table entry of
     :func:`aobs.query.condition_pass`: the last ``(root, condition,
     result)`` of the condition pass, so an action or a select after a read
-    on the same state and an equal condition reuses its pass.  A full
-    ``Store.collect(roots)`` that drops what a caller's roots do not reach
-    needs a walk from those roots, not a sweep of the table's tail, since
-    dead nodes then lie anywhere in it; it must also prune ``factored``,
-    reset ``refcounts`` and clear ``last_pass``, or they keep the dropped
-    nodes alive.
+    on the same state and an equal condition reuses its pass.
     """
 
     def __init__(self) -> None:
@@ -246,38 +238,22 @@ class Store:
                 kept.extend(c.children)
             else:
                 kept.append(c)
-        return self._and_node(kept)
-
-    def _and_node(self, children: List[Node],
-                  omega: Optional[frozenset] = None,
-                  mass: Optional[float] = None) -> Node:
-        """Intern the AND of ``children``, none of them an AND, in any order:
-        they are sorted by key and handed to :meth:`_and_sorted`.
-
-        A caller that passes ``omega`` vouches, by a check of its own, that
-        the children's variable sets are disjoint with that union; there
-        are four.  :func:`_products` passes the universe of a total
-        assignment, :func:`aobs.acting.action_subgraph` the variables of an
-        action, which has no repeated variable, and ``graft`` in
-        :func:`aobs.acting.apply_action` and :func:`aobs.acting._split_and`
-        the variables of the node whose products they rebuild, having
-        checked only the factors they changed; the last two keep their
-        factors in key order and call :meth:`_and_sorted` directly.
-        Otherwise, on a miss, the union is computed here and the sets are
-        checked.  ``mass``, if not given, is the children's mass product in
-        key order.  A hit costs the sort, the key and one lookup either way.
-        """
-        return self._and_sorted(sorted(children, key=_by_key), omega, mass)
+        kept.sort(key=_by_key)
+        return self._and_sorted(kept)
 
     def _and_sorted(self, kids: Sequence[Node],
                     omega: Optional[frozenset] = None,
                     mass: Optional[float] = None) -> Node:
         """Intern the AND of ``kids``, none of them an AND, given in
-        strictly increasing key order: the body of :meth:`_and_node`, which
-        a caller that already holds its children in key order calls
-        without the sort.  A lone child is returned as it is, and no
-        children give the empty AND; ``omega`` and ``mass`` are as for
-        :meth:`_and_node`.  A hit costs the key and one lookup."""
+        strictly increasing key order.  A lone child is returned as it is,
+        and no children give the empty AND.  A hit costs the key and one
+        lookup.
+
+        A caller that passes ``omega`` vouches, by a check of its own, that
+        the children's variable sets are disjoint with that union;
+        otherwise, on a miss, the union is computed here and the sets are
+        checked.  ``mass``, if not given, is the children's mass product
+        in key order."""
         if len(kids) == 1:
             return kids[0]
         kids = tuple(kids)
@@ -724,7 +700,8 @@ def _products(store: Store, universe: Sequence[int]
         except KeyError:  # a literal this call has not met yet
             lits = [table.get(u) or table.setdefault(u, store.make_lit(v, u))
                     for v, table in tables for u in (assignments[v],)]
-        return store._and_node(lits, known, 1.0)
+        lits.sort(key=_by_key)
+        return store._and_sorted(lits, known, 1.0)
 
     return product
 

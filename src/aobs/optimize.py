@@ -8,9 +8,9 @@ AND and no OR under an OR, and a later action keeps the factoring.
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .core import AND, LIT, OR, Aobs, Node, Store, fold
+from .core import AND, LIT, OR, Aobs, Node, Store, _factors, fold
 
 Edge = Tuple[float, Node]
 
@@ -85,10 +85,6 @@ def greedy_optimize(s: Aobs) -> Aobs:
         sizes.move(s.root)
         return s
     return s.with_root(root)
-
-
-def _factors(n: Node) -> Sequence[Node]:
-    return n.children if n.kind == AND else (n,)
 
 
 def _factor_union(edges: List[Edge], store: Store, memo: Dict[int, Node],

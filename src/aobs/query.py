@@ -28,7 +28,8 @@ Pass = Tuple[LabelMap, str, float]
 
 def condition_pass(s: Aobs, c: Condition) -> Pass:
     """The condition pass over ``s``: ``(labels, root label, selected
-    mass)``.  The caller checks that ``c`` is within the universe.
+    mass)``.  Raises :class:`~aobs.core.UnknownVariable` if ``c`` names a
+    variable outside the universe.
 
     The result is kept in ``s.store.last_pass``, keyed by the root node and
     the condition, so a second call on the same root with an equal
@@ -37,6 +38,8 @@ def condition_pass(s: Aobs, c: Condition) -> Pass:
     labels and must not change them.
     """
     root = s.root
+    if not root.omega.issuperset(c.allowed):
+        c.check_within(s.universe)
     last = s.store.last_pass
     if (last is not None and last[0] is root
             and (last[1] is c or last[1] == c)):
@@ -134,32 +137,15 @@ def _pass(root: Node, allowed: Dict[int, FrozenSet[int]]) -> Pass:
 def probability(s: Aobs, c: Condition) -> float:
     """Probability of the conjunctive condition holding on the belief state:
     the mass that the condition pass (:func:`condition_pass`) selects,
-    clamped to [0, 1].
-
-    The pass visits each shared subgraph once.  Three kinds of node are
-    counted without visiting their children: a node whose variables avoid
-    the condition's counts its ``mass``, an AND with a literal child that
-    the condition rejects counts 0, and an AND whose condition variables
-    all fall on allowed literal children counts its ``mass``.  An
-    :func:`~aobs.acting.apply_action` on the same state and an equal
-    condition reuses the pass.
-    """
-    if not s.root.omega.issuperset(c.allowed):
-        c.check_within(s.universe)
+    clamped to [0, 1]."""
     return min(max(condition_pass(s, c)[2], 0.0), 1.0)
 
 
 def select_substate(s: Aobs, c: Condition, cap: int = 10**6) -> TabularPBS:
     """The satisfying physical states with their (unnormalized) masses: the
     expansion of the state with every node that the condition pass
-    (:func:`condition_pass`) labels excluded left out.
-
-    The total mass of the returned canonical collection equals
-    ``probability(s, c)``.  After a :func:`probability` on the same state
-    and an equal condition, its pass is reused, not run again.
-    """
-    if not s.root.omega.issuperset(c.allowed):
-        c.check_within(s.universe)
+    (:func:`condition_pass`) labels excluded left out, in canonical
+    order.  Their total mass equals ``probability(s, c)``."""
     label = condition_pass(s, c)[0].get
     return tab_canonical(_expand(
         s.root, cap, False,

@@ -334,7 +334,7 @@ class TestEraseActionVars:
     def test_full(self, store):
         n = store.make_and([store.make_lit(0, 0), store.make_lit(1, 1)])
         got = erase_action_vars(n, frozenset({0, 1}), store)
-        assert got.is_empty_and
+        assert got.kind == AND and not got.children
 
     def test_vanishing_or_folds_into_parent(self, store):
         n = store.make_and([
@@ -357,9 +357,10 @@ class TestEraseActionVars:
         got = erase_action_vars(n, frozenset({1, 2}), store, memo)
         assert got is lit(0, 0)
         assert len(store) == size
-        assert not any(x.is_empty_and for x in store._nodes.values())
-        assert erase_action_vars(b, frozenset({1, 2}), store,
-                                 memo).is_empty_and
+        assert not any(x.kind == AND and not x.children
+                       for x in store._nodes.values())
+        e = erase_action_vars(b, frozenset({1, 2}), store, memo)
+        assert e.kind == AND and not e.children
 
     def test_disjoint_subgraph_returned_as_is(self, three_var_state):
         root = three_var_state.root
@@ -717,7 +718,8 @@ class TestApplyAction:
                  (0, 1, 2))
         res = apply_action(s, Condition.of({0: [0]}),
                            Action((1,), ((0.5, (1,)), (0.5, (2,)))))
-        assert not any(n.is_empty_and for n in store._nodes.values())
+        assert not any(n.kind == AND and not n.children
+                       for n in store._nodes.values())
         assert tab_equal(enum_canonical(res.state), [
             (0.5, ((0, 0), (1, 1), (2, 0))), (0.5, ((0, 0), (1, 2), (2, 0)))])
 

@@ -34,18 +34,7 @@ from aobs.oracle import (
 
 from conftest import enum_canonical, level_chain, random_dag, random_tabular
 
-THREE_VAR_STATE = {
-    "universe": ["a", "b", "c"],
-    "root": {"and": [
-        {"lit": ["a", 0]},
-        {"or": {"weights": [0.4, 0.6],
-                "children": [{"lit": ["b", 0]}, {"lit": ["b", 1]}]}},
-        {"or": {"weights": [0.7, 0.3],
-                "children": [{"lit": ["c", 0]}, {"lit": ["c", 1]}]}},
-    ]},
-}
-
-# the same state as a node table: children first, the root last
+# a node table: children first, the root last
 THREE_VAR_TABLE = {
     "universe": ["a", "b", "c"],
     "nodes": [
@@ -77,10 +66,15 @@ def _write(path, doc):
 
 class TestStateDocuments:
     def test_round_trip_same_ref(self):
-        # the nested form, the table form and the written table of one
-        # state intern to one root
-        s = state_from_json(THREE_VAR_STATE)
-        assert state_from_json(THREE_VAR_TABLE, s.store).root is s.root
+        # the table, the same graph built in the store and the table
+        # written from it intern to one root
+        store = Store()
+        lit = store.make_lit
+        built = store.make_and([
+            lit(0, 0), store.make_or([(0.4, lit(1, 0)), (0.6, lit(1, 1))]),
+            store.make_or([(0.7, lit(2, 0)), (0.3, lit(2, 1))])])
+        s = state_from_json(THREE_VAR_TABLE, store)
+        assert s.root is built
         written = state_to_json(s)
         assert set(written) == {"universe", "nodes"}
         again = state_from_json(written, s.store)
@@ -111,7 +105,7 @@ class TestStateDocuments:
 
     def test_missing_universe(self):
         with pytest.raises(SchemaError):
-            state_from_json({"root": {"lit": ["a", 0]}})
+            state_from_json({"nodes": [["lit", "a", 0]]})
 
     @pytest.mark.parametrize("universe", [[], ["a", "a"], [["a"]], "a"])
     def test_bad_universe(self, universe):
@@ -120,13 +114,21 @@ class TestStateDocuments:
 
     def test_unknown_node_kind(self):
         with pytest.raises(SchemaError):
-            state_from_json({"universe": ["a"], "root": {"xor": []}})
+            state_from_json({"universe": ["a"], "nodes": [["xor", []]]})
 
     def test_structural_error_reported_as_schema(self):
-        doc = {"universe": ["a"],
-               "root": {"and": [{"lit": ["a", 0]}, {"lit": ["a", 1]}]}}
+        doc = {"universe": ["a"], "nodes": [
+            ["lit", "a", 0], ["lit", "a", 1], ["and", [0, 1]]]}
         with pytest.raises(SchemaError):
             state_from_json(doc)
+
+    def test_nested_root_body_is_not_read(self, tmp_path, capsys):
+        doc = {"universe": ["a"], "root": {"lit": ["a", 0]}}
+        rc = main(["eval", _write(tmp_path / "s.json", doc),
+                   _write(tmp_path / "c.json", {})])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "input error: state document needs 'nodes' or 'rows'\n")
 
 
 def _table(*nodes):
@@ -252,12 +254,12 @@ class TestReaderErrors:
 
 class TestConditionAction:
     def test_condition(self):
-        s = state_from_json(THREE_VAR_STATE)
+        s = state_from_json(THREE_VAR_TABLE)
         c = condition_from_json({"b": [1], "c": [0]}, s)
         assert c.allowed == {1: frozenset({1}), 2: frozenset({0})}
 
     def test_condition_unknown_var(self):
-        s = state_from_json(THREE_VAR_STATE)
+        s = state_from_json(THREE_VAR_TABLE)
         with pytest.raises(SchemaError):
             condition_from_json({"q": [0]}, s)
 
@@ -276,7 +278,7 @@ class TestConditionAction:
 
 class TestDotExport:
     def test_shapes_and_edges(self):
-        text = to_dot(state_from_json(THREE_VAR_STATE))
+        text = to_dot(state_from_json(THREE_VAR_TABLE))
         assert text.count("shape=box") == 1
         assert text.count("shape=ellipse") == 2
         assert text.count("shape=plaintext") == 5
@@ -302,29 +304,29 @@ class TestDotExport:
             'c:\\tap=1', 'door "front"=0']
 
     def test_deterministic(self):
-        a = to_dot(state_from_json(THREE_VAR_STATE))
-        b = to_dot(state_from_json(THREE_VAR_STATE))
+        a = to_dot(state_from_json(THREE_VAR_TABLE))
+        b = to_dot(state_from_json(THREE_VAR_TABLE))
         assert a == b
 
 
 class TestEvalCommand:
     def test_conjunction(self, tmp_path, capsys):
         rc = main(["eval",
-                   _write(tmp_path / "s.json", THREE_VAR_STATE),
+                   _write(tmp_path / "s.json", THREE_VAR_TABLE),
                    _write(tmp_path / "c.json", {"b": [1], "c": [0]})])
         assert rc == 0
         assert capsys.readouterr().out.strip() == "0.42"
 
     def test_empty_condition(self, tmp_path, capsys):
         rc = main(["eval",
-                   _write(tmp_path / "s.json", THREE_VAR_STATE),
+                   _write(tmp_path / "s.json", THREE_VAR_TABLE),
                    _write(tmp_path / "c.json", {})])
         assert rc == 0
         assert capsys.readouterr().out.strip() == "1"
 
     def test_unknown_variable_exit_2(self, tmp_path, capsys):
         rc = main(["eval",
-                   _write(tmp_path / "s.json", THREE_VAR_STATE),
+                   _write(tmp_path / "s.json", THREE_VAR_TABLE),
                    _write(tmp_path / "c.json", {"nope": [0]})])
         assert rc == 2
 
@@ -334,23 +336,15 @@ class TestEvalCommand:
         assert rc == 2
 
     def test_deeply_nested_document_exit_2(self, tmp_path, capsys):
-        # legal, but nested deeper than the recursive reader can follow
-        root = '{"lit": ["a", 0]}'
-        for _ in range(900):
-            root = '{"and": [' + root + ']}'
+        # JSON nested deeper than json.loads can follow
+        depth = 100_000
         path = tmp_path / "s.json"
-        path.write_text('{"universe": ["a"], "root": ' + root + '}')
+        path.write_text('{"universe": ["a"], "nodes": '
+                        + "[" * depth + "]" * depth + "}")
         rc = main(["eval", str(path), _write(tmp_path / "c.json", {"a": [0]})])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("input error:")
-
-    def test_nested_root_too_deep_for_the_reader(self):
-        # json.load is not involved: the nested reader itself is too deep
-        root = {"lit": ["a", 0]}
-        for _ in range(5000):
-            root = {"and": [root]}
-        with pytest.raises(SchemaError, match="nested too deeply"):
-            state_from_json({"universe": ["a"], "root": root})
+        assert capsys.readouterr().err == (
+            f"input error: cannot read {path}: nested too deeply\n")
 
     def test_library_recursion_error_is_not_blamed_on_input(
             self, tmp_path, monkeypatch):
@@ -359,7 +353,7 @@ class TestEvalCommand:
 
         monkeypatch.setattr("aobs.cli.probability", deep)
         with pytest.raises(RecursionError):
-            main(["eval", _write(tmp_path / "s.json", THREE_VAR_STATE),
+            main(["eval", _write(tmp_path / "s.json", THREE_VAR_TABLE),
                   _write(tmp_path / "c.json", {})])
 
     @pytest.mark.parametrize("nodes", [
@@ -391,17 +385,11 @@ class TestEvalCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("input error:")
 
-    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("layout", ["root", "nodes"])
-    def test_non_finite_weight_exit_2(self, tmp_path, capsys, weight, layout):
-        if layout == "root":
-            doc = {"universe": ["a"], "root": {"or": {
-                "weights": [weight, 0.5],
-                "children": [{"lit": ["a", 0]}, {"lit": ["a", 1]}]}}}
-        else:
-            doc = {"universe": ["a"], "nodes": [
-                ["lit", "a", 0], ["lit", "a", 1],
-                ["or", [weight, 0.5], [0, 1]]]}
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")],
+                             ids=["nodes-nan", "nodes-inf"])
+    def test_non_finite_weight_exit_2(self, tmp_path, capsys, weight):
+        doc = {"universe": ["a"], "nodes": [
+            ["lit", "a", 0], ["lit", "a", 1], ["or", [weight, 0.5], [0, 1]]]}
         rc = main(["eval", _write(tmp_path / "s.json", doc),
                    _write(tmp_path / "c.json", {"a": [0]})])
         assert rc == 2
@@ -513,10 +501,10 @@ class TestActCommand:
         assert set(json.loads(text)) == {"universe", "nodes"}
 
     @pytest.mark.parametrize("state, condition, action", [
-        pytest.param({"universe": ["X"], "root": {"lit": ["X", True]}}, {},
-                     {"outcomes": [[1.0, {"X": 0}]]}, id="nested-lit-true"),
-        pytest.param({"universe": ["X"], "root": {"lit": ["X", 1.0]}}, {},
-                     {"outcomes": [[1.0, {"X": 0}]]}, id="nested-lit-float"),
+        pytest.param({"universe": ["X"], "nodes": [["lit", "X", True]]}, {},
+                     {"outcomes": [[1.0, {"X": 0}]]}, id="table-lit-true"),
+        pytest.param({"universe": ["X"], "nodes": [["lit", "X", 1.0]]}, {},
+                     {"outcomes": [[1.0, {"X": 0}]]}, id="table-lit-float"),
         pytest.param({"universe": ["X"], "nodes": [["lit", "X", "1"]]}, {},
                      {"outcomes": [[1.0, {"X": 0}]]}, id="table-lit-string"),
         pytest.param({"universe": ["X"], "rows": [[1.0, {"X": 1.9}]]}, {},
@@ -821,20 +809,20 @@ class TestCompactOutput:
 
 class TestExportDotCommand:
     def test_to_file_and_stable(self, tmp_path, capsys):
-        spath = _write(tmp_path / "s.json", THREE_VAR_STATE)
+        spath = _write(tmp_path / "s.json", THREE_VAR_TABLE)
         out1, out2 = tmp_path / "a.dot", tmp_path / "b.dot"
         assert main(["export-dot", spath, "--out", str(out1)]) == 0
         assert main(["export-dot", spath, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_to_stdout(self, tmp_path, capsys):
-        spath = _write(tmp_path / "s.json", THREE_VAR_STATE)
+        spath = _write(tmp_path / "s.json", THREE_VAR_TABLE)
         assert main(["export-dot", spath]) == 0
         assert capsys.readouterr().out.startswith("digraph aobs {")
 
     @pytest.mark.parametrize("out", ["missing/a.dot", "."])
     def test_unwritable_out_exit_2(self, tmp_path, capsys, out):
-        spath = _write(tmp_path / "s.json", THREE_VAR_STATE)
+        spath = _write(tmp_path / "s.json", THREE_VAR_TABLE)
         assert main(["export-dot", spath, "--out", str(tmp_path / out)]) == 2
         assert "cannot write" in capsys.readouterr().err
 

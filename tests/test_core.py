@@ -79,7 +79,7 @@ class TestMakeAnd:
 
     def test_empty_and_identity(self, store):
         e = store.empty_and()
-        assert e.is_empty_and and e.omega == frozenset()
+        assert e.kind == AND and not e.children and e.omega == frozenset()
         assert enumerate_states(e) == [(1.0, ())]
         # identity element: dropped from products
         lit = store.make_lit(0, 0)
@@ -91,33 +91,33 @@ class TestMakeAnd:
 
     @pytest.mark.parametrize("vouched", [False, True])
     def test_and_node_sorts_and_collapses(self, vouched):
-        # the store's AND constructor takes spliced children in any order
-        # and sorts them itself, on a miss as on a hit, so every caller
-        # gets the node make_and gives
+        # make_and takes its children in any order and sorts them, on a
+        # miss as on a hit; _and_sorted, given them in key order, finds
+        # the same node, vouched or not, and collapses one child and no
+        # children the same way
         rng = random.Random(11)
         for _ in range(20):
             store = Store()
             lits = [store.make_lit(v, rng.randrange(2)) for v in range(6)]
-            kids = rng.sample(lits, len(lits))
-            omega = frozenset(range(6)) if vouched else None
-            node = store._and_node(kids, omega)
+            node = store.make_and(rng.sample(lits, len(lits)))  # a miss
             assert [c.key for c in node.children] == sorted(
                 c.key for c in lits)
-            assert node is store.make_and(lits)
-            assert store._and_node(rng.sample(lits, len(lits)), omega) is node
+            assert store.make_and(rng.sample(lits, len(lits))) is node
+            omega = frozenset(range(6)) if vouched else None
+            assert store._and_sorted(node.children, omega) is node  # a hit
             # a lone child is returned as it is
-            assert store._and_node([lits[0]], lits[0].omega if vouched
-                                   else None) is lits[0]
-        empty = Store()._and_node([])
-        assert empty.is_empty_and and empty.omega == frozenset()
-        assert empty.mass == 1.0
+            assert store._and_sorted([lits[0]], lits[0].omega if vouched
+                                     else None) is lits[0]
+            assert store.make_and([lits[0]]) is lits[0]
+        empty = Store()._and_sorted([])
+        assert empty.kind == AND and not empty.children
+        assert empty.omega == frozenset() and empty.mass == 1.0
 
     @pytest.mark.parametrize("vouched", [False, True])
     def test_and_sorted_matches_and_node(self, vouched):
-        # the key-ordered entry is _and_node's body without the sort: on
-        # a miss it makes the node _and_node would make, on a hit it
-        # returns that node, and it collapses one child and no children
-        # the same way
+        # on a miss, _and_sorted makes the node make_and would make, with
+        # the vouched variable set or the one it computes, and the
+        # children's mass product; make_and then finds it
         rng = random.Random(12)
         for _ in range(20):
             store = Store()
@@ -125,11 +125,11 @@ class TestMakeAnd:
             omega = frozenset(range(6)) if vouched else None
             ordered = sorted(lits, key=lambda c: c.key)
             made = store._and_sorted(ordered, omega)  # a miss
-            assert made is store._and_node(rng.sample(lits, len(lits)), omega)
+            assert made is store.make_and(rng.sample(lits, len(lits)))
             assert store._and_sorted(tuple(ordered), omega) is made  # a hit
             assert made.omega == frozenset(range(6)) and made.mass == 1.0
             assert store._and_sorted([lits[3]]) is lits[3]
-            assert store._and_sorted([]) is store._and_node([])
+            assert store._and_sorted([]) is store.make_and([])
 
 
 class TestMakeOr:

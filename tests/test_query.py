@@ -324,10 +324,17 @@ class TestPassMemo:
         assert runs[0] == 1
 
     def test_unknown_variable_stores_nothing(self, runs):
+        # the condition pass checks the condition before it runs; an
+        # action checks its own variables before the pass
         s = self._state()
-        with pytest.raises(UnknownVariable):
-            probability(s, Condition.of({9: [0]}))
-        with pytest.raises(UnknownVariable):
+        unknown = Condition.of({9: [0]})
+        with pytest.raises(UnknownVariable, match="condition"):
+            probability(s, unknown)
+        with pytest.raises(UnknownVariable, match="condition"):
+            select_substate(s, unknown)
+        with pytest.raises(UnknownVariable, match="condition"):
+            apply_action(s, unknown, self.ACT)
+        with pytest.raises(UnknownVariable, match="action"):
             apply_action(s, Condition.of({1: [1]}),
                          Action((9,), ((1.0, (0,)),)))
         assert s.store.last_pass is None and runs[0] == 0
