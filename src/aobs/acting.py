@@ -83,8 +83,7 @@ def find_minimal_subgraphs(
     return out
 
 
-def isolate(n: Node, labels: LabelMap, store: Store,
-            memo: Optional[Dict[int, "Split | str"]] = None) -> Split:
+def isolate(n: Node, labels: LabelMap, store: Store) -> Split:
     """Split the mixed node ``n`` into ``(included, excluded)``: the
     ``(weight, factors)`` products the condition selects, not yet interned,
     and the ``(weight, node)`` edges it excludes.  Over unit-weight ORs,
@@ -93,12 +92,10 @@ def isolate(n: Node, labels: LabelMap, store: Store,
     ``labels`` holds the condition's labels of ``n`` and the nodes below
     it; a node missing from it is included.  A mixed OR takes in its
     children's splits with the weights multiplied, and a mixed AND is split
-    by :func:`_split_and`.  ``memo`` maps node keys to splits; splitting
-    depends only on the node and the condition, so all isolations of one
-    action can share one memo.  It holds a pure node's label, which an OR
-    parent reads as the node's one edge.
+    by :func:`_split_and`.
     """
-    splits: Dict[int, "Split | str"] = {} if memo is None else memo
+    # node key -> split; a pure node's is its label, its one edge
+    splits: Dict[int, "Split | str"] = {}
 
     def leaf(node: Node) -> Optional[str]:
         label = labels.get(node.key, INCLUDED)
@@ -120,14 +117,14 @@ def isolate(n: Node, labels: LabelMap, store: Store,
                 exc += [(w * v, g) for v, g in split[1]]
         return inc, exc
 
-    if n.kind == AND and n.key not in splits:
+    if n.kind == AND:
         # fold below the mixed children only, in key order as a fold over
         # ``n`` would: its included children need no visit of their own
         label = labels.get
         for ch in n.children:
             if label(ch.key) == MIXED:
                 fold(ch, splits, step, leaf)
-        splits[n.key] = step(n)
+        return step(n)
     return fold(n, splits, step, leaf)
 
 
@@ -213,7 +210,7 @@ def erase_action_vars(
     n: Node,
     avars: FrozenSet[int],
     store: Store,
-    memo: Optional[Dict[int, Node]] = None,
+    memo: Dict[int, Node],
 ) -> Node:
     """Remove every maximal descendant ranging only over action variables.
 
@@ -225,12 +222,11 @@ def erase_action_vars(
     whose variables are disjoint from ``avars`` is returned unchanged.
     ``memo`` maps node keys to erased nodes, and a dropped descendant to
     :data:`_DROPPED`; erasing depends only on the node and ``avars``, so
-    all grafts of one action can share one memo.
+    all grafts of one action share one memo.
     """
     if n.omega <= avars:
         return store.empty_and()
-    erased: Dict[int, Node] = {} if memo is None else memo
-    rebuild = store.rebuilder(erased)
+    rebuild = store.rebuilder(memo)
 
     def leaf(node: Node) -> Optional[Node]:
         if avars.isdisjoint(node.omega):
@@ -244,9 +240,9 @@ def erase_action_vars(
         if node.kind != AND:
             return rebuild(node)
         return store.make_and([e for c in node.children
-                               if (e := erased[c.key]) is not _DROPPED])
+                               if (e := memo[c.key]) is not _DROPPED])
 
-    return fold(n, erased, step, leaf)
+    return fold(n, memo, step, leaf)
 
 
 def action_subgraph(store: Store, a: Action) -> Node:
@@ -309,10 +305,11 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     minimal subgraph the condition includes is one product, grafted whole;
     any other is split (:func:`isolate`) and becomes the union of its
     excluded edges and its grafted products.  Ancestors are rebuilt along
-    affected paths; a union below the root is handed to its OR parents as
-    edges (:func:`aobs.core._or_edges`), not interned.  The store keeps only
-    the nodes made here that the result reaches
-    (:meth:`~aobs.core.Store.sweep`), and none if this raises.
+    affected paths; that union is handed to the OR parents of its subgraph
+    as edges (:func:`aobs.core._or_edges`), and interned only if the
+    subgraph is the root.  The store keeps only the nodes made here that
+    the result reaches (:meth:`~aobs.core.Store.sweep`), and none if this
+    raises.
 
     Every OR of ``s`` must have unit weight, as every constructor and every
     pipeline output has; call :func:`normalize` first on a state built
@@ -320,8 +317,7 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     the result's root mass is not 1.  The result is ``s`` over the new root
     (:meth:`~aobs.core.Aobs.with_root`).
     """
-    if not s.root.omega.issuperset(a.vars):
-        a.check_within(s.universe)
+    a.check_within(s.root.omega)
     labels, root_label, selected = condition_pass(s, c)
     if root_label == EXCLUDED:
         return ApplyResult(s, 0.0)
@@ -331,7 +327,6 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     need = avars | c.variables
     minimal = find_minimal_subgraphs(s.root, c, avars, labels)
     erased: Dict[int, Node] = {}
-    splits: Dict[int, "Split | str"] = {}
 
     def graft(factors: List[Node], omega: FrozenSet[int]) -> Node:
         """The product over ``omega`` of the action subgraph and the
@@ -393,14 +388,14 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
             if labels.get(n.key, INCLUDED) == INCLUDED:  # one product
                 rebuilt[n.key] = graft([n], n.omega)
                 continue
-            inc, exc = isolate(n, labels, store, splits)
-            union = [(w, graft(f, n.omega)) for w, f in inc] + exc
-            if n is s.root:
-                rebuilt[n.key] = store.make_or(union)
-            else:  # its parents are ORs (see find_minimal_subgraphs)
-                kids, weights = _or_edges(union)
-                rebuilt[n.key] = list(zip(weights, kids))
+            inc, exc = isolate(n, labels, store)
+            # its parents are ORs (see find_minimal_subgraphs)
+            kids, weights = _or_edges(
+                [(w, graft(f, n.omega)) for w, f in inc] + exc)
+            rebuilt[n.key] = list(zip(weights, kids))
         root = fold(s.root, rebuilt, rebuild, kept)
+        if root.__class__ is list:  # the root itself was split
+            root = store.make_or(root)
         if abs(root.mass - 1.0) > EPS_P:
             raise MassLeak(f"root mass is {root.mass}, expected 1")
         new_root = root

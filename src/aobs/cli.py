@@ -1,8 +1,8 @@
 """Command-line surface: benchmark runs, verification, evaluation, acting,
 and DOT export, plus the JSON document formats they exchange.
 
-A state document holds a ``universe`` list of variable names and one of
-two bodies (a nested ``root`` body is no longer read):
+A state document holds a ``universe`` list of variable names and exactly
+one of two bodies (a nested ``root`` body is no longer read):
 
 * ``nodes``, the node table that ``aobs act`` writes.  Each entry is
   ``["lit", name, value]``, ``["and", [i, ...]]`` or
@@ -13,7 +13,11 @@ two bodies (a nested ``root`` body is no longer read):
   have probability 0: its assignment is checked like any other, and the
   row is then left out.  The probabilities must sum to 1 (within 1e-6).
 
-An action's outcome probabilities must sum to 1 within 1e-6, and are
+An action document's ``outcomes`` are ``[probability, assignment]`` pairs
+too, read and checked as rows are, with errors worded for outcomes
+(``each outcome must be ...``, ``outcome value ...``); a name outside the
+universe reads ``unknown variable 'q'`` in either.  Every outcome assigns
+the same variables.  The probabilities must sum to 1 within 1e-6, and are
 divided by their total if it is off by more than 1e-12.
 
 Variable values, table indices, condition values and action values must
@@ -181,28 +185,30 @@ def _table_root(entries: Any, index: Dict[str, int], store: Store) -> Node:
     return built[-1]
 
 
-def _rows(rows: Any,
-          index: Dict[str, int]) -> List[Tuple[float, Dict[int, int]]]:
-    """The rows as ``(probability, {variable: value})`` pairs, each field
-    checked inline, as :func:`_table_root` checks its entries."""
-    if not isinstance(rows, list):
-        raise SchemaError("'rows' must be a list")
+def _pairs(items: Any, index: Dict[str, int],
+           what: str) -> List[Tuple[float, Dict[int, int]]]:
+    """A list of ``[probability, assignment]`` pairs, the ``rows`` of a
+    state or the ``outcomes`` of an action (``what`` is ``"row"`` or
+    ``"outcome"``), as ``(probability, {variable: value})`` pairs.  Each
+    field is checked inline, as :func:`_table_root` checks its entries."""
+    if not isinstance(items, list):
+        raise SchemaError(f"'{what}s' must be a list")
     out = []
     append = out.append
-    for row in rows:
-        if (not isinstance(row, list) or len(row) != 2
-                or not isinstance(row[1], dict)):
-            raise SchemaError("each row must be [probability, assignment]")
-        p, assignment = row
+    for item in items:
+        if (not isinstance(item, list) or len(item) != 2
+                or not isinstance(item[1], dict)):
+            raise SchemaError(f"each {what} must be [probability, assignment]")
+        p, assignment = item
         if type(p) is not float:
-            p = _number(p, "row probability")
+            p = _number(p, f"{what} probability")
         try:  # names are dict keys, so hashable; only strings are in index
             state = {index[name]: v for name, v in assignment.items()
                      if type(v) is int}
         except KeyError:
             state = None
         if state is None or len(state) != len(assignment):
-            state = {_variable(name, index): _integer(v, "row value")
+            state = {_variable(name, index): _integer(v, f"{what} value")
                      for name, v in assignment.items()}
         append((p, state))
     return out
@@ -223,10 +229,12 @@ def state_from_json(doc: Any, store: Optional[Store] = None) -> Aobs:
     index = {name: i for i, name in enumerate(names)}
     universe = tuple(range(len(names)))
     try:
+        if "nodes" in doc and "rows" in doc:
+            raise SchemaError("state document has both 'nodes' and 'rows'")
         if "nodes" in doc:
             root = _table_root(doc["nodes"], index, store)
         elif "rows" in doc:
-            rows = _rows(doc["rows"], index)
+            rows = _pairs(doc["rows"], index, "row")
             return from_tabular(store, rows, universe, tuple(names))
         else:
             raise SchemaError("state document needs 'nodes' or 'rows'")
@@ -237,10 +245,15 @@ def state_from_json(doc: Any, store: Optional[Store] = None) -> Aobs:
         raise SchemaError(str(exc)) from exc
 
 
+def _index(s: Aobs) -> Dict[str, int]:
+    """The state's variables by name."""
+    return {s.name_of(v): v for v in s.universe}
+
+
 def condition_from_json(doc: Any, s: Aobs) -> Condition:
     if not isinstance(doc, dict):
         raise SchemaError("condition document must be an object")
-    index = {s.name_of(v): v for v in s.universe}
+    index = _index(s)
     constraints = {}
     for name, values in doc.items():
         if name not in index:
@@ -253,32 +266,18 @@ def condition_from_json(doc: Any, s: Aobs) -> Condition:
 
 
 def action_from_json(doc: Any, s: Aobs) -> Action:
+    """The action document's outcomes over its variables in name order,
+    which fixes the order the action's literals are made in."""
     if not isinstance(doc, dict) or "outcomes" not in doc:
         raise SchemaError("action document needs an 'outcomes' list")
-    index = {s.name_of(v): v for v in s.universe}
-    outcomes = doc["outcomes"]
-    if not isinstance(outcomes, list) or not outcomes:
-        raise SchemaError("'outcomes' must be a non-empty list")
-    names = None
-    rows = []
-    for outcome in outcomes:
-        if (not isinstance(outcome, list) or len(outcome) != 2
-                or not isinstance(outcome[1], dict)):
-            raise SchemaError("each outcome must be [probability, assignment]")
-        p, assignment = outcome
-        if names is None:
-            names = sorted(assignment)
-        elif sorted(assignment) != names:
+    outcomes = _pairs(doc["outcomes"], _index(s), "outcome")
+    avars = tuple(sorted(outcomes[0][1], key=s.name_of)) if outcomes else ()
+    for _, values in outcomes:
+        if values.keys() != outcomes[0][1].keys():
             raise SchemaError("outcomes must all assign the same variables")
-        rows.append((_number(p, "outcome probability"),
-                     tuple(_integer(assignment[n], "action value")
-                           for n in names)))
     try:
-        avars = tuple(index[n] for n in names)
-    except KeyError as exc:
-        raise SchemaError(f"action on unknown variable {exc}") from exc
-    try:
-        return Action(avars, tuple(rows))
+        return Action(avars, tuple((p, tuple([values[v] for v in avars]))
+                                   for p, values in outcomes))
     except AobsError as exc:
         raise SchemaError(str(exc)) from exc
 

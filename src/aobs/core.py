@@ -480,10 +480,6 @@ def count_states(n: Node) -> int:
     return fold(n, memo, step)
 
 
-def _merge_assign(a: StateTuple, b: StateTuple) -> StateTuple:
-    return tuple(sorted(a + b))
-
-
 def enumerate_states(
     n: Node, cap: int = 10**6, merge: bool = False
 ) -> List[Tuple[float, StateTuple]]:
@@ -517,9 +513,8 @@ def _expand(
             for c in node.children:
                 sub = memo[c.key]
                 check(len(rows) * len(sub))
-                rows = [
-                    (p * q, _merge_assign(s, t)) for p, s in rows for q, t in sub
-                ]
+                rows = [(p * q, tuple(sorted(s + t)))
+                        for p, s in rows for q, t in sub]
                 if merge:
                     rows = _merge_rows(rows)
             return rows
@@ -660,21 +655,10 @@ def from_physical_state(
     universe: Sequence[int],
     var_names: Optional[Sequence[str]] = None,
 ) -> Aobs:
-    """Build a unit-mass belief state from a total variable assignment."""
-    _check_total(assignments, set(universe))
-    root = _products(store, universe)(assignments)
-    return Aobs(root, store, tuple(universe),
-                tuple(var_names) if var_names is not None else None)
-
-
-def _check_total(assignments: Mapping[int, int], universe: set) -> None:
-    """Raise unless ``assignments`` assigns exactly the ``universe``."""
-    missing = universe - set(assignments)
-    if missing:
-        raise PartialAssignment(f"missing variables {sorted(missing)}")
-    extra = set(assignments) - universe
-    if extra:
-        raise UnknownVariable(f"unknown variables {sorted(extra)}")
+    """Build a unit-mass belief state from a total variable assignment:
+    the one-row table of :func:`from_tabular`, whose union of one product
+    is that product."""
+    return from_tabular(store, [(1.0, assignments)], universe, var_names)
 
 
 def _products(store: Store, universe: Sequence[int]
@@ -746,8 +730,12 @@ def from_tabular(
     product = _products(store, universe)
     edges = []
     for p, state in rows:
-        if state.keys() != variables:
-            _check_total(state, variables)
+        if state.keys() != variables:  # assigns too few or too many
+            missing = variables - state.keys()
+            if missing:
+                raise PartialAssignment(f"missing variables {sorted(missing)}")
+            raise UnknownVariable(
+                f"unknown variables {sorted(state.keys() - variables)}")
         if p != 0:
             edges.append((p / total, product(state)))
     root = store.make_or(edges)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Mapping, Tuple
 
 from .core import EPS_P, AobsError, StateTuple, UnknownVariable
 
@@ -52,10 +52,11 @@ class Condition:
                 return False
         return True
 
-    def check_within(self, universe: Sequence[int]) -> None:
-        unknown = self.variables - set(universe)
-        if unknown:
-            raise UnknownVariable(f"condition on unknown variables {sorted(unknown)}")
+    def check_within(self, known: Collection[int]) -> None:
+        """Raise :class:`~aobs.core.UnknownVariable`, naming the condition,
+        unless every variable it constrains is in ``known``: a state's
+        universe, or its root's variable set, which is cheapest to check."""
+        _check_known("condition", self.allowed, known)
 
 
 @dataclass(frozen=True)
@@ -95,10 +96,23 @@ class Action:
     def variables(self) -> frozenset:
         return frozenset(self.vars)
 
-    def check_within(self, universe: Sequence[int]) -> None:
-        unknown = self.variables - set(universe)
-        if unknown:
-            raise UnknownVariable(f"action on unknown variables {sorted(unknown)}")
+    def check_within(self, known: Collection[int]) -> None:
+        """Raise :class:`~aobs.core.UnknownVariable`, naming the action,
+        unless every variable it overwrites is in ``known``, as
+        :meth:`Condition.check_within` does."""
+        _check_known("action", self.vars, known)
+
+
+def _check_known(what: str, variables: Iterable[int],
+                 known: Collection[int]) -> None:
+    """Raise :class:`~aobs.core.UnknownVariable` if any of ``variables`` is
+    not in ``known``; the message names ``what`` and the unknown variables.
+    A frozen set ``known`` is checked without building a set."""
+    if isinstance(known, frozenset) and known.issuperset(variables):
+        return
+    unknown = set(variables).difference(known)
+    if unknown:
+        raise UnknownVariable(f"{what} on unknown variables {sorted(unknown)}")
 
 
 def tab_canonical(b: TabularPBS) -> TabularPBS:
@@ -112,10 +126,7 @@ def tab_canonical(b: TabularPBS) -> TabularPBS:
 def tab_prob(b: TabularPBS, c: Condition) -> float:
     """Probability mass of the rows satisfying the condition."""
     if b:
-        universe = {var for var, _ in b[0][1]}
-        unknown = c.variables - universe
-        if unknown:
-            raise UnknownVariable(f"condition on unknown variables {sorted(unknown)}")
+        c.check_within([var for var, _ in b[0][1]])
     return sum(p for p, state in b if c.satisfied_by(state))
 
 
@@ -126,10 +137,9 @@ def tab_apply_action(b: TabularPBS, c: Condition, a: Action) -> TabularPBS:
     replaced by one row per outcome with the action variables overwritten.
     """
     if b:
-        universe = {var for var, _ in b[0][1]}
-        unknown = (c.variables | a.variables) - universe
-        if unknown:
-            raise UnknownVariable(f"unknown variables {sorted(unknown)}")
+        universe = frozenset(var for var, _ in b[0][1])
+        c.check_within(universe)
+        a.check_within(universe)
     out: TabularPBS = []
     for p, state in b:
         if not c.satisfied_by(state):

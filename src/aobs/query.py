@@ -38,8 +38,7 @@ def condition_pass(s: Aobs, c: Condition) -> Pass:
     labels and must not change them.
     """
     root = s.root
-    if not root.omega.issuperset(c.allowed):
-        c.check_within(s.universe)
+    c.check_within(root.omega)
     last = s.store.last_pass
     if (last is not None and last[0] is root
             and (last[1] is c or last[1] == c)):

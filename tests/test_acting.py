@@ -287,6 +287,24 @@ class TestIsolate:
         _assert_pure_split(store, split, c)
         assert tab_equal(_node_enum(_split_node(store, split)), _node_enum(n))
 
+    def test_second_call_interns_nothing(self, store):
+        # each call keeps its own memo; a second call on the same mixed AND
+        # meets every node it builds in the store, so the minimal subgraphs
+        # of one action need no shared memo
+        lit = store.make_lit
+        n = store.make_and([store.make_or([
+            (0.5, store.make_and([lit(u, 0), store.make_or(
+                [(0.5, lit(v, 0)), (0.5, lit(v, 1))])])),
+            (0.5, store.make_and([lit(u, 1), lit(v, 0)]))])
+            for u, v in ((0, 1), (2, 3))])
+        labels = label_nodes(n, Condition.of({1: [0], 3: [0]}))
+        size = len(store)
+        first = isolate(n, labels, store)
+        assert len(store) > size  # the included halves of the mixed ORs
+        size = len(store)
+        assert isolate(n, labels, store) == first
+        assert len(store) == size
+
     def test_soundness_on_random_graphs(self):
         rng = random.Random(29)
         checked = 0
@@ -328,12 +346,12 @@ class TestIsolate:
 class TestEraseActionVars:
     def test_partial(self, store):
         n = store.make_and([store.make_lit(0, 0), store.make_lit(1, 1)])
-        got = erase_action_vars(n, frozenset({1}), store)
+        got = erase_action_vars(n, frozenset({1}), store, {})
         assert got is store.make_lit(0, 0)
 
     def test_full(self, store):
         n = store.make_and([store.make_lit(0, 0), store.make_lit(1, 1)])
-        got = erase_action_vars(n, frozenset({0, 1}), store)
+        got = erase_action_vars(n, frozenset({0, 1}), store, {})
         assert got.kind == AND and not got.children
 
     def test_vanishing_or_folds_into_parent(self, store):
@@ -342,7 +360,7 @@ class TestEraseActionVars:
             store.make_or([(0.5, store.make_lit(1, 0)),
                            (0.5, store.make_lit(1, 1))]),
         ])
-        got = erase_action_vars(n, frozenset({1}), store)
+        got = erase_action_vars(n, frozenset({1}), store, {})
         assert got is store.make_lit(0, 0)
 
     def test_drops_action_only_factors_without_the_empty_and(self, store):
@@ -366,8 +384,8 @@ class TestEraseActionVars:
         root = three_var_state.root
         or_b = next(ch for ch in root.children if ch.omega == {1})
         store = three_var_state.store
-        assert erase_action_vars(or_b, frozenset({0, 2}), store) is or_b
-        got = erase_action_vars(root, frozenset({2}), store)
+        assert erase_action_vars(or_b, frozenset({0, 2}), store, {}) is or_b
+        got = erase_action_vars(root, frozenset({2}), store, {})
         assert any(ch is or_b for ch in got.children)
 
 
@@ -666,7 +684,7 @@ class TestApplyAction:
         # a graft drops it, and erases only factors with other variables
         covered = []
 
-        def spy(n, avars, store, memo=None):
+        def spy(n, avars, store, memo):
             covered.append(n.omega <= avars)
             return erase_action_vars(n, avars, store, memo)
 

@@ -130,6 +130,17 @@ class TestStateDocuments:
         assert capsys.readouterr().err == (
             "input error: state document needs 'nodes' or 'rows'\n")
 
+    def test_both_bodies_exit_2(self, tmp_path, capsys):
+        # the reader once took the table and left the rows unread
+        doc = {"universe": ["a"], "nodes": [["lit", "a", 0]],
+               "rows": [[1.0, {"a": 1}]]}
+        rc = main(["eval", _write(tmp_path / "s.json", doc),
+                   _write(tmp_path / "c.json", {"a": [1]})])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == (
+            "input error: state document has both 'nodes' and 'rows'\n")
+
 
 def _table(*nodes):
     return {"universe": ["a", "b"], "nodes": list(nodes)}
@@ -252,7 +263,54 @@ class TestReaderErrors:
         assert str(exc.value) == "unknown variable 0"
 
 
+# one malformed action document per message, with that message; the
+# outcomes are read as a state's rows are, and worded as outcomes
+ACTION_ERRORS = [
+    ("outcomes-not-a-list", {"outcomes": {"Y": 1}},
+     "'outcomes' must be a list"),
+    ("outcomes-empty", {"outcomes": []}, "action needs at least one outcome"),
+    ("outcome-of-three", {"outcomes": [[1.0, {"Y": 1}, 3]]},
+     "each outcome must be [probability, assignment]"),
+    ("outcome-an-object", {"outcomes": [{"p": 1.0}]},
+     "each outcome must be [probability, assignment]"),
+    ("outcome-probability-string", {"outcomes": [["1.0", {"Y": 1}]]},
+     "outcome probability must be a number, got '1.0'"),
+    ("outcome-value-float", {"outcomes": [[1.0, {"Y": 1.5}]]},
+     "outcome value must be an integer, got 1.5"),
+    ("outcome-value-bool", {"outcomes": [[1.0, {"Y": True}]]},
+     "outcome value must be an integer, got True"),
+    ("outcome-unknown-variable", {"outcomes": [[1.0, {"Y": 1, "q": 0}]]},
+     "unknown variable 'q'"),
+    ("outcomes-assign-different-variables",
+     {"outcomes": [[0.5, {"Y": 1}], [0.5, {"Z": 1}]]},
+     "outcomes must all assign the same variables"),
+]
+
+
 class TestConditionAction:
+    @pytest.mark.parametrize(
+        "doc, message",
+        [pytest.param(doc, message, id=name)
+         for name, doc, message in ACTION_ERRORS])
+    def test_action_error_exit_2(self, tmp_path, capsys, doc, message):
+        rc = main(["act", _write(tmp_path / "s.json", TWO_ROW_STATE),
+                   _write(tmp_path / "c.json", {}),
+                   _write(tmp_path / "a.json", doc),
+                   "--out", str(tmp_path / "out.json")])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == f"input error: {message}\n"
+
+    def test_action_variables_in_name_order(self):
+        # the action's variables, and so the order its literals are made
+        # in, follow the names, not the universe
+        s = state_from_json({"universe": ["b", "a"],
+                             "rows": [[1.0, {"a": 0, "b": 0}]]})
+        a = action_from_json({"outcomes": [[0.5, {"b": 1, "a": 2}],
+                                           [0.5, {"a": 3, "b": 4}]]}, s)
+        assert a.vars == (1, 0)
+        assert a.outcomes == ((0.5, (2, 1)), (0.5, (3, 4)))
+
     def test_condition(self):
         s = state_from_json(THREE_VAR_TABLE)
         c = condition_from_json({"b": [1], "c": [0]}, s)

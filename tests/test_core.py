@@ -622,6 +622,22 @@ class TestFromPhysicalState:
         with pytest.raises(OverlappingSubspaces):
             from_physical_state(store, {0: 0, 1: 0}, [0, 1, 0])
 
+    @pytest.mark.parametrize("num_vars", [1, 2, 5])
+    def test_is_the_one_row_table(self, num_vars):
+        # the same nodes, made in the same order, as from_tabular over the
+        # one-row table: its union of one product is that product
+        rng = random.Random(num_vars)
+        universe = rng.sample(range(8), num_vars)
+        state = {v: rng.randrange(3) for v in universe}
+        g = from_physical_state(Store(), state, universe, None)
+        t = from_tabular(Store(), [(1.0, state)], universe)
+        assert [(n.key, n.kind, n.var, n.value) for n in iter_nodes(g.root)] \
+            == [(n.key, n.kind, n.var, n.value) for n in iter_nodes(t.root)]
+        assert len(g.store) == len(t.store) == num_vars + (num_vars > 1)
+        size = len(g.store)
+        assert from_tabular(g.store, [(1.0, state)], universe).root is g.root
+        assert len(g.store) == size
+
 
 class TestAobsUniverse:
     @pytest.mark.parametrize("universe", [

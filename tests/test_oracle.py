@@ -51,10 +51,26 @@ class TestCondition:
         with pytest.raises(UnknownVariable):
             Condition.of({9: [0]}).check_within([0, 1, 2])
 
+    @pytest.mark.parametrize("known", [[0, 1, 2], (0, 1, 2),
+                                       frozenset({0, 1, 2})])
+    def test_check_within_any_collection(self, known):
+        # the known variables may be a universe or a root's variable set
+        Condition.of({2: [0]}).check_within(known)
+        with pytest.raises(UnknownVariable,
+                           match=r"^condition on unknown variables \[9\]$"):
+            Condition.of({2: [0], 9: [0]}).check_within(known)
+
 
 class TestAction:
     def test_valid(self):
         assert ACTION_YZ.variables == frozenset({1, 2})
+
+    @pytest.mark.parametrize("known", [[0, 1, 2], frozenset({0, 1, 2})])
+    def test_check_within(self, known):
+        ACTION_YZ.check_within(known)
+        with pytest.raises(UnknownVariable,
+                           match=r"^action on unknown variables \[5, 7\]$"):
+            Action((7, 1, 5), ((1.0, (0, 0, 0)),)).check_within(known)
 
     def test_probs_must_sum_to_one(self):
         with pytest.raises(AobsError):
@@ -130,7 +146,8 @@ class TestTabProb:
         assert tab_prob(FOUR_ROW_TABLE, Condition.of({0: [1]})) == 0.0
 
     def test_unknown_variable(self):
-        with pytest.raises(UnknownVariable):
+        with pytest.raises(UnknownVariable,
+                           match=r"^condition on unknown variables \[7\]$"):
             tab_prob(FOUR_ROW_TABLE, Condition.of({7: [0]}))
 
     def test_monotone_under_relaxation(self):
@@ -187,9 +204,13 @@ class TestTabApplyAction:
                                (0.75, ((0, 1), (1, 1), (2, 1)))])
 
     def test_unknown_variable(self):
-        with pytest.raises(UnknownVariable):
+        with pytest.raises(UnknownVariable,
+                           match=r"^action on unknown variables \[9\]$"):
             tab_apply_action(INITIAL, Condition.of({}),
                              Action((9,), ((1.0, (0,)),)))
+        with pytest.raises(UnknownVariable,
+                           match=r"^condition on unknown variables \[8\]$"):
+            tab_apply_action(INITIAL, Condition.of({8: [0]}), ACTION_YZ)
 
 
 class TestTabEqual:
