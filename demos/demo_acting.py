@@ -38,7 +38,7 @@ show("initial belief:", state)
 
 # "If b is 1, set it to 2."  The condition holds with probability 0.8,
 # so only that slice of the belief is rewritten.
-condition = Condition.of({1: [1]})
+condition = Condition({1: [1]})
 action = Action(vars=(1,), outcomes=((1.0, (2,)),))
 print("\nP(condition) =", probability(state, condition))
 
@@ -48,7 +48,7 @@ show("\nafter acting:", result.state)
 
 # A noisy action: the outcome itself is uncertain.
 noisy = Action(vars=(0, 1), outcomes=((0.9, (0, 0)), (0.1, (1, 0))))
-result = apply_action(result.state, Condition.of({}), noisy)
+result = apply_action(result.state, Condition({}), noisy)
 show("\nafter an unconditional noisy reset:", result.state)
 print("size metric:", size_metric(result.state))
 

@@ -38,11 +38,11 @@ for p, assignment in sorted(enumerate_states(state.root), key=lambda r: r[1]):
     print(f"  {p:.2f}  {pretty}")
 
 # Conjunctive conditions are maps variable -> allowed values.
-c = Condition.of({1: [1], 2: [0]})
+c = Condition({1: [1], 2: [0]})
 print("\nP(b=1 and c=0) =", probability(state, c))
 
 print("states satisfying b=0, with their masses:")
-for p, assignment in select_substate(state, Condition.of({1: [0]})):
+for p, assignment in select_substate(state, Condition({1: [0]})):
     print(f"  {p:.2f}  {dict(assignment)}")
 
 # Uncertainty about the belief itself: a weighted union of two beliefs.

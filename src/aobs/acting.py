@@ -43,27 +43,22 @@ class MassLeak(AobsError):
     than 1."""
 
 
-def find_minimal_subgraphs(
-    root: Node,
-    c: Condition,
-    avars: FrozenSet[int],
-    labels: LabelMap,
-) -> List[Node]:
+def find_minimal_subgraphs(root: Node, need: FrozenSet[int],
+                           labels: LabelMap) -> List[Node]:
     """Find the unique minimal subgraphs where the action can be applied.
 
     A node qualifies when it is labeled included or mixed and its variable set
-    covers the action and condition variables; it is minimal when no child also
-    qualifies.  Within an AND at most one child can cover the full union (its
-    children are variable-disjoint); within an OR every included/mixed child is
-    explored.  They are listed in depth-first order, the order
-    :func:`apply_action` builds their replacements in.
+    covers ``need``, the union of the action and condition variables; it is
+    minimal when no child also qualifies.  Within an AND at most one child
+    can cover ``need`` (its children are variable-disjoint); within an OR
+    every included/mixed child is explored.  They are listed in depth-first
+    order, the order :func:`apply_action` builds their replacements in.
 
     A mixed minimal subgraph is an AND: a mixed OR has an included or
     mixed child, which covers the OR's variables and so qualifies.  The
     store splices an AND child into its parent AND, so every parent of a
     mixed minimal subgraph is an OR.
     """
-    need = avars | c.variables
     label = labels.get
     out: List[Node] = []
     seen: set = set()
@@ -84,15 +79,18 @@ def find_minimal_subgraphs(
 
 
 def isolate(n: Node, labels: LabelMap, store: Store) -> Split:
-    """Split the mixed node ``n`` into ``(included, excluded)``: the
+    """Split the mixed AND ``n``, a mixed minimal subgraph (see
+    :func:`find_minimal_subgraphs`), into ``(included, excluded)``: the
     ``(weight, factors)`` products the condition selects, not yet interned,
     and the ``(weight, node)`` edges it excludes.  Over unit-weight ORs,
     their OR is ``n``.
 
     ``labels`` holds the condition's labels of ``n`` and the nodes below
-    it; a node missing from it is included.  A mixed OR takes in its
-    children's splits with the weights multiplied, and a mixed AND is split
-    by :func:`_split_and`.
+    it; a node missing from it is included.  ``n`` is split by
+    :func:`_split_and` after a fold below its mixed children only: its
+    included children need no visit of their own.  Below them a mixed OR
+    takes in its children's splits with the weights multiplied, and a
+    mixed AND is split by :func:`_split_and`.
     """
     # node key -> split; a pure node's is its label, its one edge
     splits: Dict[int, "Split | str"] = {}
@@ -117,15 +115,10 @@ def isolate(n: Node, labels: LabelMap, store: Store) -> Split:
                 exc += [(w * v, g) for v, g in split[1]]
         return inc, exc
 
-    if n.kind == AND:
-        # fold below the mixed children only, in key order as a fold over
-        # ``n`` would: its included children need no visit of their own
-        label = labels.get
-        for ch in n.children:
-            if label(ch.key) == MIXED:
-                fold(ch, splits, step, leaf)
-        return step(n)
-    return fold(n, splits, step, leaf)
+    for ch in n.children:  # in key order, as a fold over ``n`` would
+        if labels.get(ch.key) == MIXED:
+            fold(ch, splits, step, leaf)
+    return _split_and(n, labels, splits, store)
 
 
 def _placed(kids: List[Node], new: Iterable[Node]) -> List[Node]:
@@ -215,17 +208,16 @@ def erase_action_vars(
     """Remove every maximal descendant ranging only over action variables.
 
     Assumes the node is purely included and its OR weights sum to 1, so the
-    erased parts carry unit mass and can be dropped without rescaling.  A
-    descendant over action variables only is left out of its parent AND,
-    and nothing is interned in its place; if the whole node ranges over
-    action variables only, the empty-AND identity is returned.  A subgraph
-    whose variables are disjoint from ``avars`` is returned unchanged.
+    erased parts carry unit mass and can be dropped without rescaling, and
+    that it ranges over some variable outside ``avars``: the caller drops
+    a factor over action variables only itself.  A descendant over action
+    variables only is left out of its parent AND, and nothing is interned
+    in its place.  A subgraph whose variables are disjoint from ``avars``
+    is returned unchanged.
     ``memo`` maps node keys to erased nodes, and a dropped descendant to
     :data:`_DROPPED`; erasing depends only on the node and ``avars``, so
     all grafts of one action share one memo.
     """
-    if n.omega <= avars:
-        return store.empty_and()
     rebuild = store.rebuilder(memo)
 
     def leaf(node: Node) -> Optional[Node]:
@@ -325,7 +317,7 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     store = s.store
     avars = a.variables
     need = avars | c.variables
-    minimal = find_minimal_subgraphs(s.root, c, avars, labels)
+    minimal = find_minimal_subgraphs(s.root, need, labels)
     erased: Dict[int, Node] = {}
 
     def graft(factors: List[Node], omega: FrozenSet[int]) -> Node:

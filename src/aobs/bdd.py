@@ -205,7 +205,7 @@ def _cube(manager: BddManager, literals: Mapping[int, bool]) -> BddNode:
     return f
 
 
-def _one_hot(manager: BddManager, vmap: BoolVarMap, var: int, value: int) -> Dict[int, bool]:
+def _one_hot(vmap: BoolVarMap, var: int, value: int) -> Dict[int, bool]:
     vmap.index(var, value)  # range check before building the row
     return {
         vmap.index(var, u): (u == value) for u in range(vmap.num_values)
@@ -218,7 +218,7 @@ def encode_state(
     """One-hot conjunction for a (possibly partial) variable assignment."""
     literals: Dict[int, bool] = {}
     for var, value in state.items():
-        literals.update(_one_hot(manager, vmap, var, value))
+        literals.update(_one_hot(vmap, var, value))
     return _cube(manager, literals)
 
 
@@ -231,9 +231,8 @@ def encode_condition(
     for var in sorted(c.allowed):
         g = manager.false
         for value in sorted(c.allowed[var]):
-            g = manager.apply(
-                "or", g, _cube(manager, _one_hot(manager, vmap, var, value))
-            )
+            g = manager.apply("or", g,
+                              _cube(manager, _one_hot(vmap, var, value)))
         f = manager.apply("and", f, g)
     return f
 

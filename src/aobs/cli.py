@@ -15,10 +15,13 @@ one of two bodies (a nested ``root`` body is no longer read):
 
 An action document's ``outcomes`` are ``[probability, assignment]`` pairs
 too, read and checked as rows are, with errors worded for outcomes
-(``each outcome must be ...``, ``outcome value ...``); a name outside the
-universe reads ``unknown variable 'q'`` in either.  Every outcome assigns
-the same variables.  The probabilities must sum to 1 within 1e-6, and are
-divided by their total if it is off by more than 1e-12.
+(``each outcome must be ...``, ``outcome value ...``).  Every outcome
+assigns the same variables; an outcome of probability 0 is checked like
+any other, then left out.  The probabilities must sum to 1 within 1e-6,
+and are divided by their total if it is off by more than 1e-12.  A
+condition document maps names to non-empty lists of allowed values.  A
+name outside the universe reads ``unknown variable 'q'`` in a row, an
+outcome, a node table or a condition.
 
 Variable values, table indices, condition values and action values must
 be JSON integers; probabilities and weights must be JSON numbers.  ``aobs
@@ -121,17 +124,14 @@ def state_to_json(s: Aobs) -> Dict[str, Any]:
     return {"universe": [name[v] for v in s.universe], "nodes": nodes}
 
 
-def _earlier(refs: Any, built: List[Node]) -> List[Node]:
-    """The already built entries that the index list ``refs`` names."""
-    n = len(built)
+def _bad_refs(refs: Any, n: int) -> None:
+    """Raise the first fault of ``refs``, the children of node ``n``,
+    which must be a list of indices of earlier nodes."""
     if not isinstance(refs, list):
         raise SchemaError(f"node {n}: children must be a list of indices")
-    kids = []
     for i in refs:
         if not 0 <= _integer(i, "child index") < n:
             raise SchemaError(f"node {n}: child index {i} is not an earlier node")
-        kids.append(built[i])
-    return kids
 
 
 def _table_root(entries: Any, index: Dict[str, int], store: Store) -> Node:
@@ -139,7 +139,7 @@ def _table_root(entries: Any, index: Dict[str, int], store: Store) -> Node:
     so every child is built before its parent.
 
     Each entry's fields are checked inline; a field that fails is passed
-    to the checker that names the fault (:func:`_earlier`,
+    to the checker that names the fault (:func:`_bad_refs`,
     :func:`_variable`, :func:`_integer`, :func:`_number`), so the first
     fault in document order is the one reported.
     """
@@ -165,7 +165,7 @@ def _table_root(entries: Any, index: Dict[str, int], store: Store) -> Node:
             kids = ([built[i] for i in refs if type(i) is int and 0 <= i < n]
                     if type(refs) is list else None)
             if kids is None or len(kids) != len(refs):
-                kids = _earlier(refs, built)
+                _bad_refs(refs, n)
             if kind == "and":
                 append(make_and(kids))
                 continue
@@ -214,11 +214,12 @@ def _pairs(items: Any, index: Dict[str, int],
     return out
 
 
-def state_from_json(doc: Any, store: Optional[Store] = None) -> Aobs:
+def state_from_json(doc: Any) -> Aobs:
     """Parse a state document: ``universe`` plus a ``nodes`` table or a
-    tabular ``rows`` list (see the module docstring)."""
-    if store is None:
-        store = Store()
+    tabular ``rows`` list (see the module docstring), into a new store.
+    To read a state into an existing store, reintern its root
+    (:meth:`~aobs.core.Store.reintern`)."""
+    store = Store()
     if not isinstance(doc, dict) or "universe" not in doc:
         raise SchemaError("state document needs a 'universe' list")
     names = doc["universe"]
@@ -256,11 +257,10 @@ def condition_from_json(doc: Any, s: Aobs) -> Condition:
     index = _index(s)
     constraints = {}
     for name, values in doc.items():
-        if name not in index:
-            raise SchemaError(f"condition on unknown variable {name!r}")
+        var = _variable(name, index)
         if not isinstance(values, list) or not values:
             raise SchemaError(f"allowed values for {name!r} must be a non-empty list")
-        constraints[index[name]] = frozenset(
+        constraints[var] = frozenset(
             _integer(v, "condition value") for v in values)
     return Condition(constraints)
 

@@ -278,10 +278,6 @@ class Store:
             AND, None, None, kids, (), next(self._ids), omega, mass)
         return node
 
-    def empty_and(self) -> Node:
-        """The identity substate: unit mass over no variables."""
-        return self.make_and(())
-
     def make_or(self, children: Iterable[Tuple[float, Node]]) -> Node:
         """Intern the weighted union of ``children``.
 
@@ -649,16 +645,12 @@ class RefCounts:
         return size
 
 
-def from_physical_state(
-    store: Store,
-    assignments: Mapping[int, int],
-    universe: Sequence[int],
-    var_names: Optional[Sequence[str]] = None,
-) -> Aobs:
+def from_physical_state(store: Store, assignments: Mapping[int, int],
+                        universe: Sequence[int]) -> Aobs:
     """Build a unit-mass belief state from a total variable assignment:
     the one-row table of :func:`from_tabular`, whose union of one product
-    is that product."""
-    return from_tabular(store, [(1.0, assignments)], universe, var_names)
+    is that product.  Its variables are unnamed."""
+    return from_tabular(store, [(1.0, assignments)], universe)
 
 
 def _products(store: Store, universe: Sequence[int]

@@ -37,10 +37,6 @@ class Condition:
     def __hash__(self) -> int:
         return hash(frozenset(self.allowed.items()))
 
-    @staticmethod
-    def of(constraints: Mapping[int, Iterable[int]]) -> "Condition":
-        return Condition(constraints)
-
     @property
     def variables(self) -> frozenset:
         return frozenset(self.allowed)
@@ -64,11 +60,13 @@ class Action:
     """A state-independent probabilistic action.
 
     ``vars`` is the ordered variable set the action overwrites; each outcome is
-    a (probability, values) pair where ``values`` aligns with ``vars``.  The
-    probabilities must sum to 1 within 1e-6, and are divided by their total
-    when it is off by more than 1e-12, so that a sequence of acts keeps
-    mass 1: probabilities built as ``p / sum(raw)`` are off by a few ulps
-    and are kept bit for bit as given.
+    a (probability, values) pair where ``values`` aligns with ``vars``.  An
+    outcome of probability 0 is checked like any other, then left out, as
+    a row of probability 0 is.  The probabilities must sum to 1 within
+    1e-6, and are divided by their total when it is off by more than
+    1e-12, so that a sequence of acts keeps mass 1: probabilities built as
+    ``p / sum(raw)`` are off by a few ulps and are kept bit for bit as
+    given.
     """
 
     vars: Tuple[int, ...]
@@ -80,17 +78,21 @@ class Action:
         if len(set(self.vars)) != len(self.vars):
             raise AobsError("action variables must be distinct")
         total = 0.0
+        zero = False
         for p, values in self.outcomes:
             if not p > 0:  # also true for NaN
-                raise AobsError(f"outcome probability must be positive, got {p}")
+                if p != 0:
+                    raise AobsError(f"outcome probability must be positive or 0, got {p}")
+                zero = True
             if len(values) != len(self.vars):
                 raise AobsError("outcome must assign exactly the action variables")
             total += p
         if not abs(total - 1.0) <= 1e-6:
             raise AobsError(f"outcome probabilities sum to {total}, expected 1")
-        if abs(total - 1.0) > 1e-12:
+        scale = total if abs(total - 1.0) > 1e-12 else 1.0
+        if zero or scale != 1.0:
             object.__setattr__(self, "outcomes", tuple(
-                (p / total, values) for p, values in self.outcomes))
+                [(p / scale, values) for p, values in self.outcomes if p]))
 
     @property
     def variables(self) -> frozenset:

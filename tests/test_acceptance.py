@@ -236,7 +236,7 @@ class TestGoldenFixtures:
                 (0, 1, 2),
             )
             t0 = time.perf_counter()
-            result = apply_action(state, Condition.of({}), action).state
+            result = apply_action(state, Condition({}), action).state
             best = min(best, time.perf_counter() - t0)
         exact = tab_equal(_enum(result), OVERWRITE_RESULT, eps=1e-9)
         ok = exact and best < 1e-3
@@ -248,7 +248,7 @@ class TestGoldenFixtures:
         store = Store()
         state = from_tabular(store, FOUR_ROW_DIST, (0, 1, 2), ("a", "b", "c"))
         state = greedy_optimize(state)
-        p = probability(state, Condition.of({1: [1], 2: [0]}))
+        p = probability(state, Condition({1: [1], 2: [0]}))
         ok = abs(p - 0.42) <= 1e-9
         _report("condition probability golden fixture", ok, f"P = {p:.12f}")
         assert ok

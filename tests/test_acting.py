@@ -57,7 +57,7 @@ def _node_enum(node):
 
 def _random_step(rng, num_vars=4, num_values=3):
     """A random (condition, action) pair over the random_aobs universe."""
-    c = Condition.of({
+    c = Condition({
         v: rng.sample(range(num_values), rng.randint(1, 2))
         for v in rng.sample(range(num_vars), rng.randint(1, 2))
     })
@@ -71,7 +71,7 @@ def _random_step(rng, num_vars=4, num_values=3):
 
 
 def _cond_b1():
-    return Condition.of({1: [1]})
+    return Condition({1: [1]})
 
 
 class TestLabelNodes:
@@ -90,18 +90,18 @@ class TestLabelNodes:
         assert labels[three_var_state.root.key] == MIXED
 
     def test_empty_condition_all_included(self, three_var_state):
-        labels = label_nodes(three_var_state.root, Condition.of({}))
+        labels = label_nodes(three_var_state.root, Condition({}))
         assert set(labels.values()) == {INCLUDED}
 
     def test_zero_mass_root_excluded(self, three_var_state):
-        labels = label_nodes(three_var_state.root, Condition.of({0: [1]}))
+        labels = label_nodes(three_var_state.root, Condition({0: [1]}))
         assert labels[three_var_state.root.key] == EXCLUDED
 
     def test_soundness_against_enumeration(self):
         rng = random.Random(17)
         for _ in range(40):
             s, _ = random_aobs(rng)
-            c = Condition.of({
+            c = Condition({
                 v: rng.sample(range(3), rng.randint(1, 2))
                 for v in rng.sample(range(4), rng.randint(1, 2))
             })
@@ -126,7 +126,7 @@ class TestLabelNodes:
         rows = [(p * q, {0: a, 1: b, 2: a})
                 for a, p in ((0, 0.3), (1, 0.7)) for b, q in ((0, 0.4), (1, 0.6))]
         s = greedy_optimize(normalize(from_tabular(Store(), rows, (0, 1, 2))))
-        c = Condition.of({0: [0]})
+        c = Condition({0: [0]})
         labels = label_nodes(s.root, c)
         skipped = [n for n in iter_nodes(s.root) if n.key not in labels]
         assert {(n.var, n.value) for n in skipped} == {(1, 0), (1, 1)}
@@ -139,7 +139,7 @@ class TestLabelNodes:
         for _ in range(40):
             s, _ = random_aobs(rng, num_vars=5, num_values=2, max_rows=10)
             s = greedy_optimize(normalize(s))
-            c = Condition.of({rng.randrange(5): [0]})
+            c = Condition({rng.randrange(5): [0]})
             labels = label_nodes(s.root, c)
             skipped = [n for n in iter_nodes(s.root) if n.key not in labels]
             for n in skipped:
@@ -155,38 +155,41 @@ class TestFindMinimalSubgraphs:
         # enclosing OR is not minimal
         c = _cond_b1()
         labels = label_nodes(three_var_state.root, c)
-        got = find_minimal_subgraphs(three_var_state.root, c, frozenset({1}), labels)
+        got = find_minimal_subgraphs(three_var_state.root, frozenset({1}),
+                                     labels)
         assert got == [three_var_state.store.make_lit(1, 1)]
 
     def test_full_union_needs_root(self, three_var_state):
-        c = Condition.of({})
+        c = Condition({})
         labels = label_nodes(three_var_state.root, c)
         got = find_minimal_subgraphs(
-            three_var_state.root, c, frozenset({0, 1, 2}), labels
+            three_var_state.root, frozenset({0, 1, 2}), labels
         )
         assert got == [three_var_state.root]
 
     def test_empty_condition_reaches_below_the_root(self, three_var_state):
         # the pass labels only the root; the nodes below it still qualify
-        c = Condition.of({})
+        c = Condition({})
         labels = label_nodes(three_var_state.root, c)
-        got = find_minimal_subgraphs(three_var_state.root, c, frozenset({1}),
+        got = find_minimal_subgraphs(three_var_state.root, frozenset({1}),
                                      labels)
         assert sorted((n.var, n.value) for n in got) == [(1, 0), (1, 1)]
 
     def test_excluded_root_yields_nothing(self, three_var_state):
-        c = Condition.of({0: [1]})
+        c = Condition({0: [1]})
         labels = label_nodes(three_var_state.root, c)
-        assert find_minimal_subgraphs(three_var_state.root, c, frozenset({1}), labels) == []
+        assert find_minimal_subgraphs(three_var_state.root, frozenset({0, 1}),
+                                      labels) == []
 
     def test_existence_whenever_root_selectable(self):
         rng = random.Random(23)
         for _ in range(40):
             s, _ = random_aobs(rng)
-            c = Condition.of({0: rng.sample(range(3), 2)})
+            c = Condition({0: rng.sample(range(3), 2)})
             labels = label_nodes(s.root, c)
             avars = frozenset(rng.sample(range(4), rng.randint(1, 2)))
-            found = find_minimal_subgraphs(s.root, c, avars, labels)
+            found = find_minimal_subgraphs(s.root, avars | c.variables,
+                                           labels)
             if labels[s.root.key] in (INCLUDED, MIXED):
                 assert found
                 for n in found:
@@ -203,12 +206,13 @@ class TestFindMinimalSubgraphs:
         for _ in range(60):
             s = random_dag(rng, 6)
             cvars = rng.sample(range(6), rng.randint(1, 3))
-            c = Condition.of({v: [rng.randrange(2)] for v in cvars})
+            c = Condition({v: [rng.randrange(2)] for v in cvars})
             avars = frozenset(rng.sample(range(6), rng.randint(1, 3)))
             labels = label_nodes(s.root, c)
             if labels[s.root.key] == EXCLUDED:
                 continue
-            for n in find_minimal_subgraphs(s.root, c, avars, labels):
+            for n in find_minimal_subgraphs(s.root, avars | c.variables,
+                                            labels):
                 if labels[n.key] != MIXED:
                     continue
                 mixed += 1
@@ -255,18 +259,6 @@ class TestIsolate:
         _assert_pure_split(store, split, c)
         assert tab_equal(_node_enum(_split_node(store, split)), _node_enum(n))
 
-    def test_pure_or_unchanged(self, store):
-        # an OR over pure children is split into its own edges, each pure
-        # child its own one edge, and interns no node
-        c = _cond_b1()
-        b0 = store.make_and([store.make_lit(0, 0), store.make_lit(1, 0)])
-        b1 = store.make_and([store.make_lit(0, 0), store.make_lit(1, 1)])
-        n = store.make_or([(0.4, b0), (0.6, b1)])
-        labels = label_nodes(n, c)
-        size = len(store)
-        assert isolate(n, labels, store) == ([(0.6, [b1])], [(0.4, b0)])
-        assert len(store) == size
-
     def test_split_reuses_later_mixed_children(self, store):
         # a mixed AND of two mixed ORs, each over a mixed AND of its own, so
         # a union rebuilt from a child's split is not the child's node; the
@@ -279,7 +271,7 @@ class TestIsolate:
                                   (0.5, store.make_and([lit(u, 1), lit(v, 0)]))])
 
         n = store.make_and([mixed_or(0, 1), mixed_or(2, 3)])
-        c = Condition.of({1: [0], 3: [0]})
+        c = Condition({1: [0], 3: [0]})
         labels = label_nodes(n, c)
         _, second = [ch for ch in n.children if labels[ch.key] == MIXED]
         _, exc = split = isolate(n, labels, store)
@@ -297,7 +289,7 @@ class TestIsolate:
                 [(0.5, lit(v, 0)), (0.5, lit(v, 1))])])),
             (0.5, store.make_and([lit(u, 1), lit(v, 0)]))])
             for u, v in ((0, 1), (2, 3))])
-        labels = label_nodes(n, Condition.of({1: [0], 3: [0]}))
+        labels = label_nodes(n, Condition({1: [0], 3: [0]}))
         size = len(store)
         first = isolate(n, labels, store)
         assert len(store) > size  # the included halves of the mixed ORs
@@ -306,30 +298,40 @@ class TestIsolate:
         assert len(store) == size
 
     def test_soundness_on_random_graphs(self):
+        # isolate splits the mixed minimal subgraphs apply_action finds;
+        # unconditional acts on two variables make products of unions
         rng = random.Random(29)
         checked = 0
         while checked < 30:
-            s, _ = random_aobs(rng)
-            c = Condition.of({
+            s, _ = random_aobs(rng, max_rows=3)
+            for v in rng.sample(range(4), 2):
+                spread = Action((v,), tuple(
+                    (0.5, (u,)) for u in rng.sample(range(3), 2)))
+                s = apply_action(s, Condition({}), spread).state
+            c = Condition({
                 v: rng.sample(range(3), rng.randint(1, 2))
                 for v in rng.sample(range(4), 2)
             })
+            need = c.variables | {rng.randrange(4)}
             labels = label_nodes(s.root, c)
-            if labels[s.root.key] != MIXED:
+            if labels[s.root.key] == EXCLUDED:
                 continue
-            split = isolate(s.root, labels, s.store)
-            assert split[0] and split[1]
-            _assert_pure_split(s.store, split, c)
-            assert tab_equal(_node_enum(_split_node(s.store, split)),
-                             _node_enum(s.root))
-            checked += 1
+            for n in find_minimal_subgraphs(s.root, need, labels):
+                if labels[n.key] != MIXED or checked == 30:
+                    continue
+                split = isolate(n, labels, s.store)
+                assert split[0] and split[1]
+                _assert_pure_split(s.store, split, c)
+                assert tab_equal(_node_enum(_split_node(s.store, split)),
+                                 _node_enum(n))
+                checked += 1
 
     def test_small_excluded_half_has_unit_weight(self):
         # the excluded half of a mixed AND child is an OR that no later
         # pass rescales; dividing it by total - included cancels when it is
         # small, and its weights kept a relative error of about 1e-10
         rng = random.Random(37)
-        c = Condition.of({0: [0]})
+        c = Condition({0: [0]})
         for _ in range(50):
             store = Store()
             tail = [rng.random() * 1e-6 for _ in range(3)]
@@ -349,11 +351,6 @@ class TestEraseActionVars:
         got = erase_action_vars(n, frozenset({1}), store, {})
         assert got is store.make_lit(0, 0)
 
-    def test_full(self, store):
-        n = store.make_and([store.make_lit(0, 0), store.make_lit(1, 1)])
-        got = erase_action_vars(n, frozenset({0, 1}), store, {})
-        assert got.kind == AND and not got.children
-
     def test_vanishing_or_folds_into_parent(self, store):
         n = store.make_and([
             store.make_lit(0, 0),
@@ -365,20 +362,16 @@ class TestEraseActionVars:
 
     def test_drops_action_only_factors_without_the_empty_and(self, store):
         # a factor over action variables only is left out of its parent and
-        # nothing is interned in its place; a top-level call on such a
-        # node, also one a shared memo holds as dropped, gives the empty AND
+        # nothing is interned in its place
         lit = store.make_lit
         b = store.make_or([(0.5, lit(1, 0)), (0.5, lit(1, 1))])
         n = store.make_and([lit(0, 0), b, lit(2, 0)])
         size = len(store)
-        memo = {}
-        got = erase_action_vars(n, frozenset({1, 2}), store, memo)
+        got = erase_action_vars(n, frozenset({1, 2}), store, {})
         assert got is lit(0, 0)
         assert len(store) == size
         assert not any(x.kind == AND and not x.children
                        for x in store._nodes.values())
-        e = erase_action_vars(b, frozenset({1, 2}), store, memo)
-        assert e.kind == AND and not e.children
 
     def test_disjoint_subgraph_returned_as_is(self, three_var_state):
         root = three_var_state.root
@@ -471,7 +464,7 @@ class TestNormalize:
 class TestApplyAction:
     def test_unconditional_overwrite(self, two_row_state):
         a = Action((1, 2), ((0.7, (2, 1)), (0.3, (2, 0))))
-        res = apply_action(two_row_state, Condition.of({}), a)
+        res = apply_action(two_row_state, Condition({}), a)
         assert abs(res.selected_mass - 1.0) < 1e-12
         assert tab_equal(enum_canonical(res.state), [
             (0.3, ((0, 0), (1, 2), (2, 0))),
@@ -481,7 +474,7 @@ class TestApplyAction:
 
     def test_zero_mass_condition_is_noop(self, three_var_state):
         a = Action((1,), ((1.0, (0,)),))
-        res = apply_action(three_var_state, Condition.of({0: [1]}), a)
+        res = apply_action(three_var_state, Condition({0: [1]}), a)
         assert res.state.root is three_var_state.root
         assert res.selected_mass == 0.0
 
@@ -507,7 +500,7 @@ class TestApplyAction:
             (0.5, store.make_and([store.make_lit(0, 1), shared])),
         ])
         s = Aobs(root, store, (0, 1, 2))
-        c = Condition.of({1: [1]})
+        c = Condition({1: [1]})
         a = Action((2,), ((0.5, (5,)), (0.5, (6,))))
         res = apply_action(s, c, a)
         expected = tab_apply_action(enum_canonical(s), c, a)
@@ -533,7 +526,7 @@ class TestApplyAction:
         # the root avoids the empty condition's variables, so the labelling
         # pass answers it alone and every other node reads included
         rng = random.Random(47)
-        c = Condition.of({})
+        c = Condition({})
         for _ in range(40):
             s, _ = random_aobs(rng, max_rows=8)
             s = normalize(s)
@@ -564,7 +557,7 @@ class TestApplyAction:
     def test_untouched_root_child_kept(self, three_var_state):
         root = three_var_state.root
         or_c = next(ch for ch in root.children if ch.omega == {2})
-        res = apply_action(three_var_state, Condition.of({1: [1]}),
+        res = apply_action(three_var_state, Condition({1: [1]}),
                            Action((1,), ((1.0, (0,)),)))
         assert res.state.root.kind == AND
         assert any(ch is or_c for ch in res.state.root.children)
@@ -580,7 +573,7 @@ class TestApplyAction:
             (0.6, store.make_and([store.make_lit(0, 1), store.make_lit(1, 0)])),
         ])
         s = Aobs(root, store, (0, 1))
-        c, a = Condition.of({0: [0]}), Action((1,), ((1.0, (1,)),))
+        c, a = Condition({0: [0]}), Action((1,), ((1.0, (1,)),))
         with pytest.raises(MassLeak):
             apply_action(s, c, a)
         res = apply_action(normalize(s), c, a)
@@ -632,7 +625,7 @@ class TestApplyAction:
         def coin(v, p):
             return store.make_or([(p, lit(v, 0)), (1.0 - p, lit(v, 1))])
 
-        c = Condition.of({0: [0]})
+        c = Condition({0: [0]})
         a = Action((1,), ((0.7, (0,)), (0.3, (1,))))
         if shape == "included":
             # the minimal subgraph is an included AND
@@ -641,7 +634,7 @@ class TestApplyAction:
         elif shape == "telescoped":
             # a mixed AND of two mixed ORs (k = 2)
             root = store.make_and([coin(0, 0.3), coin(1, 0.4), lit(2, 0)])
-            c = Condition.of({0: [0], 1: [0]})
+            c = Condition({0: [0], 1: [0]})
             a = Action((2,), ((0.5, (1,)), (0.5, (2,))))
         elif shape == "two-minimal-unions":
             # an OR over two mixed ANDs that each cover the condition and
@@ -720,7 +713,7 @@ class TestApplyAction:
             other = store.make_and([lit(0, 1), lit(1, 0), or_c])
             root = store.make_or([(0.4, root), (0.6, other)])
         s = Aobs(root, store, (0, 1, 2))
-        c = Condition.of({0: [0]})
+        c = Condition({0: [0]})
         a = Action((1, 2), ((0.5, (0, 1)), (0.5, (2, 0))))
         res = apply_action(s, c, a)
         assert not calls
@@ -734,7 +727,7 @@ class TestApplyAction:
         lit = store.make_lit
         s = Aobs(store.make_and([lit(0, 0), lit(1, 0), lit(2, 0)]), store,
                  (0, 1, 2))
-        res = apply_action(s, Condition.of({0: [0]}),
+        res = apply_action(s, Condition({0: [0]}),
                            Action((1,), ((0.5, (1,)), (0.5, (2,)))))
         assert not any(n.kind == AND and not n.children
                        for n in store._nodes.values())
@@ -755,7 +748,7 @@ class TestApplyAction:
             on_or, size = {1: [1]}, 12
         assert size_metric(s) == size
         noop = Action((), ((1.0, ()),))
-        for c in (Condition.of({}), Condition.of(on_or)):
+        for c in (Condition({}), Condition(on_or)):
             res = apply_action(s, c, noop)
             assert res.state.root is s.root
             assert size_metric(res.state) == size
@@ -776,15 +769,16 @@ class TestApplyAction:
                 w = [rng.random() + 0.1 for _ in range(3)]
                 spread = Action((v,), tuple((p / sum(w), (u,))
                                             for u, p in enumerate(w)))
-                s = apply_action(s, Condition.of({}), spread).state
+                s = apply_action(s, Condition({}), spread).state
             if optimize:
                 s = greedy_optimize(s)
-            c = Condition.of({v: rng.sample(range(3), rng.randint(1, 2))
-                              for v in rng.sample(range(4), rng.randint(2, 3))})
+            c = Condition({v: rng.sample(range(3), rng.randint(1, 2))
+                           for v in rng.sample(range(4), rng.randint(2, 3))})
             _, a = _random_step(rng)
             labels = label_nodes(s.root, c)
             stack = ([] if labels[s.root.key] == EXCLUDED else
-                     find_minimal_subgraphs(s.root, c, a.variables, labels))
+                     find_minimal_subgraphs(s.root, a.variables | c.variables,
+                                            labels))
             while stack:
                 n = stack.pop()
                 mixed = [ch for ch in n.children if labels[ch.key] == MIXED]
@@ -851,7 +845,7 @@ class TestActionShapes:
         act = action_subgraph(store, a)
         assert type(act) is Node and act.kind == kind
         s = _wide_states(store)[state]
-        for c in (Condition.of({0: [0]}), Condition.of({})):
+        for c in (Condition({0: [0]}), Condition({})):
             res = apply_action(s, c, a)
             assert res.selected_mass > 0
             assert tab_equal(enum_canonical(res.state),
@@ -870,14 +864,14 @@ class TestLocalCheck:
             if wrong == "unchanged":  # keeps the action variables
                 return n
             if wrong == "emptied":  # loses the other variables too
-                return store.empty_and()
+                return store.make_and(())
             return store.make_lit(9, 0)  # another variable entirely
 
         monkeypatch.setattr("aobs.acting.erase_action_vars", bad)
         for s in _wide_states(store).values():
             size = len(store)
             with pytest.raises(OverlappingSubspaces):
-                apply_action(s, Condition.of({0: [0]}),
+                apply_action(s, Condition({0: [0]}),
                              Action((1,), ((0.5, (0,)), (0.5, (1,)))))
             assert len(store) == size
 
@@ -893,6 +887,6 @@ class TestLocalCheck:
         s = Aobs(root, store, (0, 1))
         assert len(store) == 9
         with pytest.raises(MassLeak):
-            apply_action(s, Condition.of({0: [0]}),
+            apply_action(s, Condition({0: [0]}),
                          Action((1,), ((1.0, (0,)),)))
         assert len(store) == 9

@@ -83,7 +83,7 @@ class TestApply:
                     encode_state(manager, vmap, {0: 0, 1: b, 2: c}),
                 )
         g = encode_condition(
-            manager, vmap, Condition.of({0: [0], 1: [0, 1], 2: [0, 1]})
+            manager, vmap, Condition({0: [0], 1: [0, 1], 2: [0, 1]})
         )
         assert f is g
 
@@ -106,7 +106,7 @@ class TestNotExists:
             f = manager.apply("or", f, encode_state(manager, vmap, state))
         dropped = vmap.var_indices(1) + vmap.var_indices(2)
         got = manager.exists(dropped, f)
-        assert got is encode_condition(manager, vmap, Condition.of({0: [0]}))
+        assert got is encode_condition(manager, vmap, Condition({0: [0]}))
 
 
 class TestEncodings:
@@ -125,7 +125,7 @@ class TestEncodings:
     def test_empty_condition_is_true(self, manager):
         vmap = BoolVarMap(2, 3)
         m = BddManager(vmap.num_bools)
-        assert encode_condition(m, vmap, Condition.of({})) is m.true
+        assert encode_condition(m, vmap, Condition({})) is m.true
 
     def test_one_hot_literal_count(self):
         vmap = BoolVarMap(3, 3)
@@ -192,7 +192,7 @@ class TestApplyAction:
                     "or", b,
                     encode_state(manager, vmap, dict(enumerate(values))),
                 )
-            c = Condition.of({0: rng.sample(range(3), rng.randint(1, 2))})
+            c = Condition({0: rng.sample(range(3), rng.randint(1, 2))})
             a = Action((1,), ((0.5, (rng.randrange(3),)),
                               (0.5, (rng.randrange(3),))))
             got = bdd_apply_action(

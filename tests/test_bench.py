@@ -115,7 +115,7 @@ class TestRunExperiment:
 
         def corrupted(state, condition, action):
             # drop the condition, acting unconditionally
-            return real(state, Condition.of({}), action)
+            return real(state, Condition({}), action)
 
         monkeypatch.setattr(bench, "apply_action", corrupted)
         failed = False

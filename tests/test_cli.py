@@ -27,7 +27,8 @@ from aobs.cli import (
     to_dot,
 )
 from aobs.acting import normalize
-from aobs.core import Store, iter_nodes, size_metric
+from aobs.bench import OracleMismatch
+from aobs.core import AobsError, Store, iter_nodes, size_metric
 from aobs.oracle import (
     Condition, tab_apply_action, tab_canonical, tab_equal, tab_prob,
 )
@@ -73,12 +74,11 @@ class TestStateDocuments:
         built = store.make_and([
             lit(0, 0), store.make_or([(0.4, lit(1, 0)), (0.6, lit(1, 1))]),
             store.make_or([(0.7, lit(2, 0)), (0.3, lit(2, 1))])])
-        s = state_from_json(THREE_VAR_TABLE, store)
-        assert s.root is built
+        s = state_from_json(THREE_VAR_TABLE)
+        assert store.reintern(s.root) is built
         written = state_to_json(s)
         assert set(written) == {"universe", "nodes"}
-        again = state_from_json(written, s.store)
-        assert again.root is s.root
+        assert store.reintern(state_from_json(written).root) is built
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), num_vars=st.integers(1, 8))
@@ -86,7 +86,7 @@ class TestStateDocuments:
         s = random_dag(random.Random(seed), num_vars)
         doc = json.loads(json.dumps(state_to_json(s)))
         assert len(doc["nodes"]) == sum(1 for _ in iter_nodes(s.root))
-        assert state_from_json(doc, s.store).root is s.root
+        assert s.store.reintern(state_from_json(doc).root) is s.root
         assert state_from_json(doc).root.digest == s.root.digest
 
     def test_thousand_level_dag_round_trip(self):
@@ -94,7 +94,8 @@ class TestStateDocuments:
         # graph is 2,000 nodes deep and its nested tree has 2**1000 leaves
         s = level_chain(Store(), 1000)
         text = json.dumps(state_to_json(s))
-        assert state_from_json(json.loads(text), s.store).root is s.root
+        again = state_from_json(json.loads(text)).root
+        assert s.store.reintern(again) is s.root
 
     def test_rows_alternative(self):
         s = state_from_json(TWO_ROW_STATE)
@@ -192,6 +193,8 @@ READER_ERRORS = [
      "weight must be a number, got '0.5'"),
     ("or-bad-child-and-weights", _table(A0, A1, ["or", [1.0], [0, 5]]),
      "node 2: child index 5 is not an earlier node"),
+    ("or-no-children", _table(A0, ["or", [], []]),
+     "OR node requires at least one child"),
     ("rows-not-a-list", {"universe": ["a", "b"], "rows": {"0": 1}},
      "'rows' must be a list"),
     ("row-of-three", _row_doc([1.0, AB, 3]),
@@ -266,6 +269,8 @@ class TestReaderErrors:
 # one malformed action document per message, with that message; the
 # outcomes are read as a state's rows are, and worded as outcomes
 ACTION_ERRORS = [
+    ("outcomes-missing", {"effects": []},
+     "action document needs an 'outcomes' list"),
     ("outcomes-not-a-list", {"outcomes": {"Y": 1}},
      "'outcomes' must be a list"),
     ("outcomes-empty", {"outcomes": []}, "action needs at least one outcome"),
@@ -284,6 +289,26 @@ ACTION_ERRORS = [
     ("outcomes-assign-different-variables",
      {"outcomes": [[0.5, {"Y": 1}], [0.5, {"Z": 1}]]},
      "outcomes must all assign the same variables"),
+    ("zero-outcome-other-variables",
+     {"outcomes": [[1.0, {"Y": 1}], [0.0, {"Z": 1}]]},
+     "outcomes must all assign the same variables"),
+    ("outcome-probability-negative",
+     {"outcomes": [[1.5, {"Y": 1}], [-0.5, {"Y": 0}]]},
+     "outcome probability must be positive or 0, got -0.5"),
+    ("outcomes-all-zero", {"outcomes": [[0.0, {"Y": 1}], [0.0, {"Y": 0}]]},
+     "outcome probabilities sum to 0.0, expected 1"),
+]
+
+# one malformed condition document per message, with that message
+CONDITION_ERRORS = [
+    ("not-an-object", [["X", [0]]], "condition document must be an object"),
+    ("unknown-variable", {"X": [0], "q": [0]}, "unknown variable 'q'"),
+    ("values-empty", {"X": []},
+     "allowed values for 'X' must be a non-empty list"),
+    ("values-not-a-list", {"X": 0},
+     "allowed values for 'X' must be a non-empty list"),
+    ("value-float", {"X": [0.0]},
+     "condition value must be an integer, got 0.0"),
 ]
 
 
@@ -297,6 +322,17 @@ class TestConditionAction:
                    _write(tmp_path / "c.json", {}),
                    _write(tmp_path / "a.json", doc),
                    "--out", str(tmp_path / "out.json")])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [pytest.param(doc, message, id=name)
+         for name, doc, message in CONDITION_ERRORS])
+    def test_condition_error_exit_2(self, tmp_path, capsys, doc, message):
+        rc = main(["eval", _write(tmp_path / "s.json", TWO_ROW_STATE),
+                   _write(tmp_path / "c.json", doc)])
         captured = capsys.readouterr()
         assert (rc, captured.out) == (2, "")
         assert captured.err == f"input error: {message}\n"
@@ -318,7 +354,7 @@ class TestConditionAction:
 
     def test_condition_unknown_var(self):
         s = state_from_json(THREE_VAR_TABLE)
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=r"^unknown variable 'q'$"):
             condition_from_json({"q": [0]}, s)
 
     def test_action(self):
@@ -465,7 +501,7 @@ class TestEvalCommand:
                    _write(tmp_path / "c.json", {"v0": [0, 1], "v7": [2]})])
         assert rc == 0
         expected = tab_prob([(p, tuple(sorted(a.items()))) for p, a in rows],
-                            Condition.of({0: [0, 1], 7: [2]}))
+                            Condition({0: [0, 1], 7: [2]}))
         assert abs(float(capsys.readouterr().out) - expected) < 1e-9
 
 
@@ -485,9 +521,9 @@ class TestActCommand:
         rc = main(["eval", str(out), _write(tmp_path / "b.json", {"b": [1]})])
         assert rc == 0
         s = state_from_json(doc)
-        acted = tab_apply_action(enum_canonical(s), Condition.of({0: [1]}),
+        acted = tab_apply_action(enum_canonical(s), Condition({0: [1]}),
                                  action_from_json(action, s))
-        expected = tab_prob(acted, Condition.of({1: [1]}))
+        expected = tab_prob(acted, Condition({1: [1]}))
         assert abs(float(capsys.readouterr().out) - expected) < 1e-9
 
     def test_overwrite_pipeline(self, tmp_path, capsys):
@@ -615,6 +651,46 @@ class TestActCommand:
                    "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("input error:")
+        assert not out.exists()
+
+
+class TestZeroProbabilityOutcomes:
+    STATE = {"universe": ["a", "b"],
+             "rows": [[0.4, {"a": 1, "b": 0}], [0.6, {"a": 0, "b": 1}]]}
+
+    def _act(self, tmp_path, action, name):
+        out = tmp_path / f"{name}.json"
+        rc = main(["act", _write(tmp_path / "s.json", self.STATE),
+                   _write(tmp_path / "c.json", {"a": [1]}),
+                   _write(tmp_path / f"{name}-action.json", action),
+                   "--out", str(out)])
+        return rc, out
+
+    @pytest.mark.parametrize("outcomes", [
+        pytest.param([[1.0, {"b": 1}], [0.0, {"b": 0}]], id="zero-last"),
+        pytest.param([[0.0, {"b": 0}], [1.0, {"b": 1}]], id="zero-first"),
+        pytest.param([[0.7, {"b": 1}], [0.0, {"b": 1}], [0.3, {"b": 0}]],
+                     id="zero-between"),
+    ])
+    def test_left_out(self, tmp_path, capsys, outcomes):
+        # an outcome of probability 0 is checked, then left out, as a row
+        # of probability 0 is; it once made act exit 2
+        rc, out = self._act(tmp_path, {"outcomes": outcomes}, "zero")
+        kept = [o for o in outcomes if o[0] > 0]
+        rc_kept, out_kept = self._act(tmp_path, {"outcomes": kept}, "kept")
+        assert (rc, rc_kept) == (0, 0)
+        assert out.read_bytes() == out_kept.read_bytes()
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        sizes = captured.out.splitlines()
+        assert sizes[:2] == sizes[2:]
+
+    def test_wrong_variables_exit_2(self, tmp_path, capsys):
+        rc, out = self._act(tmp_path, {"outcomes": [
+            [1.0, {"b": 1}], [0.0, {"a": 0, "b": 0}]]}, "zero")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "input error: outcomes must all assign the same variables\n")
         assert not out.exists()
 
 
@@ -755,7 +831,7 @@ class TestZeroProbabilityRows:
     @pytest.mark.parametrize("seed", range(8))
     def test_eval_matches_oracle(self, tmp_path, capsys, seed):
         rows = self._rows(seed)
-        c = Condition.of({0: [0, 1], 3: [2]})
+        c = Condition({0: [0, 1], 3: [2]})
         rc = main(["eval", _write(tmp_path / "s.json", self._doc(rows)),
                    _write(tmp_path / "c.json", {"v0": [0, 1], "v3": [2]})])
         assert rc == 0
@@ -955,6 +1031,17 @@ class TestBenchCommand:
         assert rc == 2
         assert "cannot write" in capsys.readouterr().err
 
+    def test_oracle_mismatch_exit_1(self, tmp_path, capsys, monkeypatch):
+        def run_seeds(cfg, seeds):
+            raise OracleMismatch("seed 0 step 2: tables differ")
+
+        monkeypatch.setattr("aobs.cli.run_seeds", run_seeds)
+        rc = main(["bench", "--vars", "4", "--values", "2", "--actions", "3",
+                   "--seeds", "1", "--out", str(tmp_path / "run.csv")])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert captured.err == "FATAL: seed 0 step 2: tables differ\n"
+
     def test_zero_seeds_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--vars", "4", "--values", "2", "--actions", "3",
@@ -989,6 +1076,20 @@ class TestClosedOutput:
         assert (tmp_path / "run.csv").read_text().startswith("seed,")
 
 
+class TestMain:
+    def test_library_error_exit_1(self, tmp_path, capsys, monkeypatch):
+        # an AobsError that is not about the input is the program's fault
+        def probability(state, condition):
+            raise AobsError("store out of ids")
+
+        monkeypatch.setattr("aobs.cli.probability", probability)
+        rc = main(["eval", _write(tmp_path / "s.json", THREE_VAR_TABLE),
+                   _write(tmp_path / "c.json", {})])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert captured.err == "error: store out of ids\n"
+
+
 class TestParser:
     def test_built_once_per_process(self):
         assert build_parser() is build_parser()
@@ -1004,6 +1105,21 @@ class TestVerifyCommand:
     def test_small_suite_passes(self, capsys):
         assert main(["verify", "--cases", "5"]) == 0
         assert "5/5 ok" in capsys.readouterr().out
+
+    def test_failing_seed_exit_1(self, capsys, monkeypatch):
+        # every case from the third on disagrees with the oracle
+        runs = []
+
+        def run_experiment(script, cfg, seed):
+            runs.append(seed)
+            if len(runs) >= 3:
+                raise OracleMismatch(f"case {seed}")
+
+        monkeypatch.setattr("aobs.cli.run_experiment", run_experiment)
+        assert main(["verify", "--cases", "5", "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "2/5 ok\n"
+        assert captured.err == f"first failing seed: {runs[2]}\n"
 
     def test_negative_cases_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

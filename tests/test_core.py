@@ -78,7 +78,7 @@ class TestMakeAnd:
             store.make_and([store.make_lit(0, 0), store.make_lit(0, 1)])
 
     def test_empty_and_identity(self, store):
-        e = store.empty_and()
+        e = store.make_and(())
         assert e.kind == AND and not e.children and e.omega == frozenset()
         assert enumerate_states(e) == [(1.0, ())]
         # identity element: dropped from products
@@ -314,7 +314,7 @@ class TestVarSubspace:
 class TestNodeMass:
     def test_unit_leaves(self, store):
         assert store.make_lit(0, 0).mass == 1.0
-        assert store.empty_and().mass == 1.0
+        assert store.make_and(()).mass == 1.0
 
     def test_matches_expansion_on_random_dags(self):
         # random_dag leaves its inner OR weights unnormalized, so most
@@ -614,7 +614,7 @@ class TestFromPhysicalState:
     def test_small_universes(self, store, universe, root):
         g = from_physical_state(store, {v: 1 for v in universe}, universe)
         expected = (store.make_lit(3, 1) if root == "lit"
-                    else store.empty_and())
+                    else store.make_and(()))
         assert g.root is expected
 
     def test_repeated_variable_rejected(self, store):
@@ -629,7 +629,7 @@ class TestFromPhysicalState:
         rng = random.Random(num_vars)
         universe = rng.sample(range(8), num_vars)
         state = {v: rng.randrange(3) for v in universe}
-        g = from_physical_state(Store(), state, universe, None)
+        g = from_physical_state(Store(), state, universe)
         t = from_tabular(Store(), [(1.0, state)], universe)
         assert [(n.key, n.kind, n.var, n.value) for n in iter_nodes(g.root)] \
             == [(n.key, n.kind, n.var, n.value) for n in iter_nodes(t.root)]
@@ -666,7 +666,7 @@ class TestWithRoot:
         assert t == Aobs(other, store, s.universe, s.var_names)
         # an action's and the optimizer's results are the input over a new
         # root
-        res = apply_action(s, Condition.of({1: [1]}),
+        res = apply_action(s, Condition({1: [1]}),
                            Action((2,), ((0.5, (0,)), (0.5, (1,)))))
         for out in (res.state, greedy_optimize(res.state)):
             assert out.root is not s.root
@@ -753,8 +753,8 @@ class TestIds:
         for s in states:
             num_vars = len(s.universe)
             for arity in (1, 2, 3):
-                c = Condition.of({v: [rng.randrange(2)] for v in
-                                  rng.sample(range(num_vars), arity)})
+                c = Condition({v: [rng.randrange(2)] for v in
+                               rng.sample(range(num_vars), arity)})
                 a = Action((rng.randrange(num_vars),),
                            ((0.4, (0,)), (0.6, (1,))))
                 probability(s, c)
@@ -954,7 +954,7 @@ class TestTabularRoundTrip:
                 (0.5 + 5e-7, {0: 1, 1: 1})]
         s = from_tabular(store, rows, (0, 1))
         assert abs(s.root.mass - 1.0) <= 1e-12
-        res = apply_action(s, Condition.of({0: [0]}),
+        res = apply_action(s, Condition({0: [0]}),
                            Action((1,), ((0.5, (0,)), (0.5, (1,)))))
         assert res.selected_mass > 0
         assert_normal_form(res.state)

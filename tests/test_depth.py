@@ -33,7 +33,7 @@ def chain():
 
 
 def test_probability(chain):
-    c = Condition.of({0: [1], 500: [0], TOP: [0]})
+    c = Condition({0: [1], 500: [0], TOP: [0]})
     assert probability(chain, c) == pytest.approx(0.125, abs=1e-12)
 
 
@@ -45,7 +45,7 @@ def test_greedy_optimize(chain):
     out = greedy_optimize(chain)
     assert size_metric(out) <= size_metric(chain)
     for v in (0, 500, TOP):
-        assert probability(out, Condition.of({v: [1]})) == \
+        assert probability(out, Condition({v: [1]})) == \
             pytest.approx(0.5, abs=1e-12)
 
 
@@ -61,20 +61,20 @@ def test_expansion_hits_the_cap(chain):
     with pytest.raises(ExpansionTooLarge):
         enumerate_states(chain.root, cap=10**4)
     with pytest.raises(ExpansionTooLarge):
-        select_substate(chain, Condition.of({TOP: [0]}), cap=10**4)
+        select_substate(chain, Condition({TOP: [0]}), cap=10**4)
 
 
 @pytest.mark.parametrize("cond_var, act_var", [(TOP, 0), (0, TOP)],
                          ids=["condition-on-top", "condition-on-bottom"])
 def test_apply_action_both_directions(chain, cond_var, act_var):
-    out = apply_action(chain, Condition.of({cond_var: [0]}),
+    out = apply_action(chain, Condition({cond_var: [0]}),
                        Action((act_var,), ((1.0, (1,)),)))
     assert out.selected_mass == pytest.approx(0.5, abs=1e-12)
     assert_normal_form(out.state)
     # the selected half is set to 1, the other half keeps its 0.5
-    assert probability(out.state, Condition.of({act_var: [1]})) == \
+    assert probability(out.state, Condition({act_var: [1]})) == \
         pytest.approx(0.75, abs=1e-12)
-    assert probability(out.state, Condition.of({cond_var: [0]})) == \
+    assert probability(out.state, Condition({cond_var: [0]})) == \
         pytest.approx(0.5, abs=1e-12)
 
 

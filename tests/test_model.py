@@ -1,14 +1,15 @@
 """A model-based test of one long-lived store.
 
 A ``hypothesis.stateful`` machine builds, acts on, optimizes, reads,
-selects from, round-trips and unites belief states, all in one
-:class:`~aobs.core.Store`, and keeps each state beside its tabular model
-(``aobs.oracle``).  States are persistent, so every rule may take any state
-made so far, not only the newest, and the store's shared state
-(``last_pass``, ``factored``, ``refcounts`` and each action's sweep) meets
-roots of every age.  After every rule, every state made so far must still
-equal its model, be well formed and in normal form, keep its structural
-digest, and have every node it reaches held by the store.
+selects from, round-trips and unites belief states, and reads random node
+tables, all in one :class:`~aobs.core.Store`, and keeps each state beside
+its tabular model (``aobs.oracle``).  States are persistent, so every
+rule may take any state made so far, not only the newest, and the store's
+shared state (``last_pass``, ``factored``, ``refcounts`` and each
+action's sweep) meets roots of every age.  After every rule, every state
+made so far must still equal its model, be well formed and in normal
+form, keep its structural digest, and have every node it reaches held by
+the store.
 """
 import json
 
@@ -20,8 +21,8 @@ from hypothesis.stateful import (
 from aobs.acting import apply_action
 from aobs.cli import state_from_json, state_to_json
 from aobs.core import (
-    Store, _digest_node, fold, from_physical_state, from_tabular, iter_nodes,
-    union_roots,
+    Aobs, Store, _digest_node, fold, from_physical_state, from_tabular,
+    iter_nodes, union_roots,
 )
 from aobs.optimize import greedy_optimize
 from aobs.oracle import (
@@ -48,7 +49,7 @@ picks = st.integers(0, 1 << 16)
 def conditions(draw):
     variables = draw(st.sets(st.sampled_from(UNIVERSE), min_size=1,
                              max_size=2))
-    return Condition.of({
+    return Condition({
         v: draw(st.sets(st.integers(0, VALUES[v] - 1), min_size=1))
         for v in sorted(variables)})
 
@@ -62,6 +63,49 @@ def actions(draw):
         min_size=1, max_size=3))
     total = sum(w for w, _ in raw)
     return Action(variables, tuple((w / total, values) for w, values in raw))
+
+
+@st.composite
+def node_tables(draw, depth=2):
+    """A node-table document over the universe, drawn at random, and its
+    model.  A node over one variable is a literal, over more a product of
+    two nodes over a split of its variables, and either may instead be a
+    union of two or three nodes over the same variables, whose weights
+    sum to 1; no path holds more than ``depth`` unions.  Entries are
+    written children first, and a node drawn twice is written twice."""
+    entries = []
+
+    def node(variables, depth):
+        kind = "lit" if len(variables) == 1 else "and"
+        if depth and draw(st.booleans()):
+            kind = "or"
+        if kind == "lit":
+            (v,) = variables
+            u = draw(st.integers(0, VALUES[v] - 1))
+            entries.append(["lit", f"v{v}", u])
+            return [(1.0, ((v, u),))]
+        if kind == "and":
+            left = draw(st.sets(st.sampled_from(variables), min_size=1,
+                                max_size=len(variables) - 1))
+            parts = [sorted(left), [v for v in variables if v not in left]]
+        else:
+            parts = [variables] * draw(st.integers(2, 3))
+        kids, tables = [], []
+        for part in parts:
+            tables.append(node(part, depth - (kind == "or")))
+            kids.append(len(entries) - 1)
+        if kind == "and":
+            entries.append(["and", kids])
+            return [(p * q, a + b) for p, a in tables[0]
+                    for q, b in tables[1]]
+        raw = [draw(weights) for _ in kids]
+        ws = [w / sum(raw) for w in raw]
+        entries.append(["or", ws, kids])
+        return [(w * p, a) for w, table in zip(ws, tables) for p, a in table]
+
+    table = node(list(UNIVERSE), depth)
+    doc = {"universe": [f"v{v}" for v in UNIVERSE], "nodes": entries}
+    return doc, tab_canonical([(p, tuple(sorted(a))) for p, a in table])
 
 
 def _rows(raw):
@@ -92,7 +136,7 @@ class OneStore(RuleBasedStateMachine):
         """``c``, or if ``repeat``, a copy of the last rule's condition, so
         that the store's last condition pass may answer for another state."""
         if repeat and self.condition is not None:
-            c = Condition.of(self.condition.allowed)
+            c = Condition(self.condition.allowed)
         self.condition = c
         return c
 
@@ -152,10 +196,20 @@ class OneStore(RuleBasedStateMachine):
 
     @rule(i=picks)
     def round_trip(self, i):
-        # a node table read into the store that holds its graph is that graph
+        # a node table reinterned into the store that holds its graph is
+        # that graph
         e = self.pick(i)
         doc = json.loads(json.dumps(state_to_json(e.state)))
-        assert state_from_json(doc, self.store).root is e.state.root
+        assert self.store.reintern(state_from_json(doc).root) is e.state.root
+
+    @rule(drawn=node_tables())
+    def read_table(self, drawn):
+        # a node table read into a new store, its root then reinterned
+        doc, table = drawn
+        read = state_from_json(json.loads(json.dumps(doc)))
+        assert tab_equal(enum_canonical(read), table)
+        self.add(Aobs(self.store.reintern(read.root), self.store, UNIVERSE),
+                 table)
 
     @rule(i=picks, j=picks, w=st.sampled_from([0.25, 0.5, 0.9]))
     def union(self, i, j, w):

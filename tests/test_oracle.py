@@ -37,28 +37,28 @@ THREE_ROW_TABLE = [(0.2, ((0, 0), (1, 0))),
 class TestCondition:
     def test_allows_unconstrained(self):
         # an unconstrained variable accepts any value
-        c = Condition.of({1: [1]})
+        c = Condition({1: [1]})
         assert c.satisfied_by(((0, 5), (1, 1)))
         assert c.satisfied_by(((0, 0), (1, 1)))
         assert not c.satisfied_by(((0, 5), (1, 0)))
 
     def test_satisfied_by(self):
-        c = Condition.of({1: [1], 2: [0]})
+        c = Condition({1: [1], 2: [0]})
         assert c.satisfied_by(FOUR_ROW_TABLE[2][1])
         assert not c.satisfied_by(FOUR_ROW_TABLE[3][1])
 
     def test_check_within(self):
         with pytest.raises(UnknownVariable):
-            Condition.of({9: [0]}).check_within([0, 1, 2])
+            Condition({9: [0]}).check_within([0, 1, 2])
 
     @pytest.mark.parametrize("known", [[0, 1, 2], (0, 1, 2),
                                        frozenset({0, 1, 2})])
     def test_check_within_any_collection(self, known):
         # the known variables may be a universe or a root's variable set
-        Condition.of({2: [0]}).check_within(known)
+        Condition({2: [0]}).check_within(known)
         with pytest.raises(UnknownVariable,
                            match=r"^condition on unknown variables \[9\]$"):
-            Condition.of({2: [0], 9: [0]}).check_within(known)
+            Condition({2: [0], 9: [0]}).check_within(known)
 
 
 class TestAction:
@@ -86,7 +86,7 @@ class TestAction:
         total = sum([0.3333333] * 3)
         assert a.outcomes == tuple((0.3333333 / total, (u,)) for u in range(3))
         rows = [(0.4, ((0, 1), (1, 0))), (0.6, ((0, 0), (1, 1)))]
-        c = Condition.of({0: [1]})
+        c = Condition({0: [1]})
         expected = tab_apply_action(rows, c, a)
         assert abs(sum(p for p, _ in expected) - 1.0) <= EPS_P
         s = from_tabular(Store(), [(p, dict(row)) for p, row in rows], [0, 1])
@@ -113,6 +113,28 @@ class TestAction:
         with pytest.raises(AobsError, match="must be positive"):
             Action((0,), tuple(zip(probs, ((0,), (1,)))))
 
+    def test_zero_outcome_checked_then_left_out(self):
+        # as a row of probability 0 is: checked, then dropped
+        a = Action((0,), ((0.0, (1,)), (1.0, (0,)), (0.0, (2,))))
+        assert a.outcomes == ((1.0, (0,)),)
+        assert a == Action((0,), ((1.0, (0,)),))
+        with pytest.raises(AobsError, match="exactly the action variables"):
+            Action((0,), ((1.0, (0,)), (0.0, (1, 1))))
+
+    def test_zero_outcomes_then_scaled(self):
+        a = Action((0,), ((0.5, (0,)), (0.0, (1,)), (0.4999999, (2,))))
+        assert [v for _, v in a.outcomes] == [(0,), (2,)]
+        assert sum(p for p, _ in a.outcomes) == pytest.approx(1.0, abs=1e-15)
+
+    def test_all_zero_outcomes_rejected(self):
+        with pytest.raises(AobsError, match=r"sum to 0\.0, expected 1"):
+            Action((0,), ((0.0, (0,)), (0.0, (1,))))
+
+    @pytest.mark.parametrize("p", [-0.5, -1e-300])
+    def test_negative_probability_rejected(self, p):
+        with pytest.raises(AobsError, match="must be positive or 0"):
+            Action((0,), ((1.0 - p, (0,)), (p, (1,))))
+
     def test_wrong_arity_rejected(self):
         with pytest.raises(AobsError):
             Action((0, 1), ((1.0, (0,)),))
@@ -137,18 +159,18 @@ class TestTabCanonical:
 
 class TestTabProb:
     def test_conjunction(self):
-        assert abs(tab_prob(FOUR_ROW_TABLE, Condition.of({1: [1], 2: [0]})) - 0.42) < 1e-12
+        assert abs(tab_prob(FOUR_ROW_TABLE, Condition({1: [1], 2: [0]})) - 0.42) < 1e-12
 
     def test_empty_condition(self):
-        assert tab_prob(FOUR_ROW_TABLE, Condition.of({})) == 1.0
+        assert tab_prob(FOUR_ROW_TABLE, Condition({})) == 1.0
 
     def test_zero_mass_value(self):
-        assert tab_prob(FOUR_ROW_TABLE, Condition.of({0: [1]})) == 0.0
+        assert tab_prob(FOUR_ROW_TABLE, Condition({0: [1]})) == 0.0
 
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariable,
                            match=r"^condition on unknown variables \[7\]$"):
-            tab_prob(FOUR_ROW_TABLE, Condition.of({7: [0]}))
+            tab_prob(FOUR_ROW_TABLE, Condition({7: [0]}))
 
     def test_monotone_under_relaxation(self):
         rng = random.Random(2)
@@ -161,25 +183,25 @@ class TestTabProb:
                 v: rng.sample(range(3), rng.randint(1, 2))
                 for v in rng.sample(range(4), 2)
             }
-            full = Condition.of(constraints)
+            full = Condition(constraints)
             dropped = dict(constraints)
             dropped.pop(next(iter(dropped)))
-            relaxed = Condition.of(dropped)
+            relaxed = Condition(dropped)
             assert tab_prob(tab, relaxed) >= tab_prob(tab, full) - 1e-12
 
 
 class TestTabApplyAction:
     def test_unconditional_overwrite(self):
-        got = tab_apply_action(INITIAL, Condition.of({}), ACTION_YZ)
+        got = tab_apply_action(INITIAL, Condition({}), ACTION_YZ)
         assert tab_equal(got, RESULT)
 
     def test_zero_selection_is_identity(self):
-        got = tab_apply_action(INITIAL, Condition.of({0: [9]}), ACTION_YZ)
+        got = tab_apply_action(INITIAL, Condition({0: [9]}), ACTION_YZ)
         assert tab_equal(got, tab_canonical(INITIAL))
 
     def test_conditional_merge(self):
         got = tab_apply_action(
-            THREE_ROW_TABLE, Condition.of({1: [1]}), Action((1,), ((1.0, (2,)),))
+            THREE_ROW_TABLE, Condition({1: [1]}), Action((1,), ((1.0, (2,)),))
         )
         assert tab_equal(got, [(0.2, ((0, 0), (1, 0))),
                                (0.3, ((0, 0), (1, 2))),
@@ -192,25 +214,25 @@ class TestTabApplyAction:
             tab = tab_canonical([
                 (p, tuple(sorted(a.items()))) for p, a in rows
             ])
-            c = Condition.of({0: rng.sample(range(3), rng.randint(1, 2))})
+            c = Condition({0: rng.sample(range(3), rng.randint(1, 2))})
             a = Action((1, 2), ((0.5, (0, 0)), (0.5, (1, 2))))
             out = tab_apply_action(tab, c, a)
             assert abs(sum(p for p, _ in out) - 1.0) < 1e-9
 
     def test_full_overwrite_yields_outcome_distribution(self):
         a = Action((0, 1, 2), ((0.25, (0, 0, 0)), (0.75, (1, 1, 1))))
-        got = tab_apply_action(FOUR_ROW_TABLE, Condition.of({}), a)
+        got = tab_apply_action(FOUR_ROW_TABLE, Condition({}), a)
         assert tab_equal(got, [(0.25, ((0, 0), (1, 0), (2, 0))),
                                (0.75, ((0, 1), (1, 1), (2, 1)))])
 
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariable,
                            match=r"^action on unknown variables \[9\]$"):
-            tab_apply_action(INITIAL, Condition.of({}),
+            tab_apply_action(INITIAL, Condition({}),
                              Action((9,), ((1.0, (0,)),)))
         with pytest.raises(UnknownVariable,
                            match=r"^condition on unknown variables \[8\]$"):
-            tab_apply_action(INITIAL, Condition.of({8: [0]}), ACTION_YZ)
+            tab_apply_action(INITIAL, Condition({8: [0]}), ACTION_YZ)
 
 
 class TestTabEqual:

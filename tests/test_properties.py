@@ -29,7 +29,7 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 
 def _condition(rng, num_vars, num_values):
-    return Condition.of({
+    return Condition({
         v: rng.sample(range(num_values), rng.randint(1, num_values - 1))
         for v in rng.sample(range(num_vars), rng.randint(1, 2))
     })
@@ -163,7 +163,7 @@ def test_actions_intern_what_their_results_keep():
         if i % 2:
             s = greedy_optimize(s)
         for _ in range(3):
-            c = Condition.of({
+            c = Condition({
                 v: [rng.randrange(2)]
                 for v in rng.sample(range(num_vars),
                                     rng.randint(0, min(3, num_vars)))})

@@ -20,24 +20,24 @@ from conftest import enum_canonical, label_nodes, random_aobs, random_dag
 
 class TestProbability:
     def test_conjunction(self, three_var_state):
-        c = Condition.of({1: [1], 2: [0]})
+        c = Condition({1: [1], 2: [0]})
         assert abs(probability(three_var_state, c) - 0.42) < 1e-12
 
     def test_empty_condition(self, three_var_state):
-        assert probability(three_var_state, Condition.of({})) == 1.0
+        assert probability(three_var_state, Condition({})) == 1.0
 
     def test_factored_marginal(self, two_var_left):
-        assert abs(probability(two_var_left, Condition.of({1: [1]})) - 0.8) < 1e-12
+        assert abs(probability(two_var_left, Condition({1: [1]})) - 0.8) < 1e-12
 
     def test_unknown_variable(self, three_var_state):
         with pytest.raises(UnknownVariable):
-            probability(three_var_state, Condition.of({9: [0]}))
+            probability(three_var_state, Condition({9: [0]}))
 
     def test_matches_oracle(self):
         rng = random.Random(13)
         for _ in range(50):
             s, _ = random_aobs(rng)
-            c = Condition.of({
+            c = Condition({
                 v: rng.sample(range(3), rng.randint(1, 2))
                 for v in rng.sample(range(4), rng.randint(1, 3))
             })
@@ -47,7 +47,7 @@ class TestProbability:
         rng = random.Random(19)
         for _ in range(30):
             s, _ = random_aobs(rng)
-            c = Condition.of({0: rng.sample(range(3), 2)})
+            c = Condition({0: rng.sample(range(3), 2)})
             p = probability(s, c)
             assert abs(probability(normalize(s), c) - p) < 1e-9
             assert abs(probability(greedy_optimize(s), c) - p) < 1e-9
@@ -57,30 +57,30 @@ class TestProbability:
         for _ in range(30):
             s, _ = random_aobs(rng)
             total = sum(
-                probability(s, Condition.of({2: [u]})) for u in range(3)
+                probability(s, Condition({2: [u]})) for u in range(3)
             )
             assert abs(total - 1.0) < 1e-9
 
     def test_range(self, three_var_state):
         for var in three_var_state.universe:
             for value in range(3):
-                p = probability(three_var_state, Condition.of({var: [value]}))
+                p = probability(three_var_state, Condition({var: [value]}))
                 assert 0.0 <= p <= 1.0
 
 
 class TestSelectSubstate:
     def test_selected_rows(self, three_var_state):
-        got = select_substate(three_var_state, Condition.of({1: [0]}))
+        got = select_substate(three_var_state, Condition({1: [0]}))
         assert tab_equal(got, [
             (0.28, ((0, 0), (1, 0), (2, 0))),
             (0.12, ((0, 0), (1, 0), (2, 1))),
         ])
 
     def test_zero_mass_empty(self, three_var_state):
-        assert select_substate(three_var_state, Condition.of({0: [1]})) == []
+        assert select_substate(three_var_state, Condition({0: [1]})) == []
 
     def test_empty_condition_full_state(self, three_var_state):
-        got = select_substate(three_var_state, Condition.of({}))
+        got = select_substate(three_var_state, Condition({}))
         assert tab_equal(got, enum_canonical(three_var_state))
 
     def test_mass_equals_probability(self):
@@ -89,7 +89,7 @@ class TestSelectSubstate:
         rng = random.Random(37)
         for _ in range(50):
             s, _ = random_aobs(rng)
-            c = Condition.of({
+            c = Condition({
                 v: rng.sample(range(3), rng.randint(1, 2))
                 for v in rng.sample(range(4), 2)
             })
@@ -114,11 +114,11 @@ class TestSelectSubstate:
                                  (0.5, store.make_lit(v, 1))])
                   for v in range(13)]
         s = Aobs(store.make_and(halves), store, tuple(range(13)))
-        assert select_substate(s, Condition.of({12: [2]}), cap=1000) == []
+        assert select_substate(s, Condition({12: [2]}), cap=1000) == []
 
     def test_cap(self, three_var_state):
         with pytest.raises(ExpansionTooLarge):
-            select_substate(three_var_state, Condition.of({}), cap=2)
+            select_substate(three_var_state, Condition({}), cap=2)
 
 
 def _reference_probability(s, c) -> float:
@@ -173,7 +173,7 @@ class _Reads(dict):
 def _arity_condition(rng, num_vars, num_values):
     """A condition on 0 to 3 variables: several variables make pruned
     products whose other children the condition can see."""
-    return Condition.of({
+    return Condition({
         v: rng.sample(range(num_values), rng.randint(1, num_values))
         for v in rng.sample(range(num_vars), rng.randint(0, min(3, num_vars)))
     })
@@ -247,10 +247,10 @@ class TestConditionPass:
         or_c = store.make_or([(0.3, c0), (0.7, c1)])
         root = store.make_and([a0, b1, or_c])
         s = Aobs(root, store, (0, 1, 2))
-        labels, label, mass = condition_pass(s, Condition.of({0: [0]}))
+        labels, label, mass = condition_pass(s, Condition({0: [0]}))
         assert label == INCLUDED and mass == root.mass
         assert labels == {root.key: INCLUDED, a0.key: INCLUDED}
-        labels, label, mass = condition_pass(s, Condition.of({2: [1]}))
+        labels, label, mass = condition_pass(s, Condition({2: [1]}))
         assert label == MIXED and mass == 0.7
         assert {a0.key, b1.key, or_c.key, c1.key} <= labels.keys()
 
@@ -279,14 +279,14 @@ class TestPassMemo:
 
     def test_read_then_act_runs_one_pass(self, runs):
         s = self._state()
-        p = probability(s, Condition.of({1: [1]}))
-        res = apply_action(s, Condition.of({1: [1]}), self.ACT)
+        p = probability(s, Condition({1: [1]}))
+        res = apply_action(s, Condition({1: [1]}), self.ACT)
         assert runs[0] == 1
         assert res.selected_mass == p == pytest.approx(0.5)
 
     def test_another_root_gets_a_fresh_pass(self, runs):
         s = self._state()
-        c = Condition.of({1: [1]})
+        c = Condition({1: [1]})
         probability(s, c)
         t = apply_action(s, c, self.ACT).state
         assert runs[0] == 1
@@ -294,7 +294,7 @@ class TestPassMemo:
         assert runs[0] == 2
 
     def test_another_store_gets_a_fresh_pass(self, runs):
-        c = Condition.of({1: [1]})
+        c = Condition({1: [1]})
         s, t = self._state(), self._state()
         assert s.root.key == t.root.key and s.root is not t.root
         probability(s, c)
@@ -303,22 +303,22 @@ class TestPassMemo:
 
     def test_unequal_condition_gets_a_fresh_pass(self, runs):
         s = self._state()
-        assert probability(s, Condition.of({1: [1]})) == pytest.approx(0.5)
-        assert probability(s, Condition.of({1: [0]})) == pytest.approx(0.5)
-        assert probability(s, Condition.of({0: [1]})) == pytest.approx(0.8)
+        assert probability(s, Condition({1: [1]})) == pytest.approx(0.5)
+        assert probability(s, Condition({1: [0]})) == pytest.approx(0.5)
+        assert probability(s, Condition({0: [1]})) == pytest.approx(0.8)
         assert runs[0] == 3
 
     def test_conditions_are_immutable_and_hash_by_value(self, runs):
         # the store's entry is keyed on the condition itself, so a
         # condition must not change once made
-        c = Condition.of({0: [0], 2: [1, 0]})
+        c = Condition({0: [0], 2: [1, 0]})
         with pytest.raises(TypeError):
             c.allowed[0] = frozenset({1})
         with pytest.raises(TypeError):
             c.allowed[1] = frozenset({1})
         equal = Condition({2: (0, 1), 0: [0]})
         assert equal == c and hash(equal) == hash(c)
-        assert len({c, equal, Condition.of({0: [1]})}) == 2
+        assert len({c, equal, Condition({0: [1]})}) == 2
         s = self._state()
         assert probability(s, c) == probability(s, equal)
         assert runs[0] == 1
@@ -327,7 +327,7 @@ class TestPassMemo:
         # the condition pass checks the condition before it runs; an
         # action checks its own variables before the pass
         s = self._state()
-        unknown = Condition.of({9: [0]})
+        unknown = Condition({9: [0]})
         with pytest.raises(UnknownVariable, match="condition"):
             probability(s, unknown)
         with pytest.raises(UnknownVariable, match="condition"):
@@ -335,13 +335,13 @@ class TestPassMemo:
         with pytest.raises(UnknownVariable, match="condition"):
             apply_action(s, unknown, self.ACT)
         with pytest.raises(UnknownVariable, match="action"):
-            apply_action(s, Condition.of({1: [1]}),
+            apply_action(s, Condition({1: [1]}),
                          Action((9,), ((1.0, (0,)),)))
         assert s.store.last_pass is None and runs[0] == 0
 
     def test_served_labels_are_never_changed(self, runs):
         s = self._state()
-        c = Condition.of({1: [1], 2: [0]})
+        c = Condition({1: [1], 2: [0]})
         probability(s, c)
         labels = dict(s.store.last_pass[2][0])
         first = apply_action(s, c, self.ACT).state
