@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
     AND,
@@ -28,7 +28,7 @@ from .core import (
     fold,
 )
 from .oracle import Action, Condition
-from .query import EXCLUDED, INCLUDED, MIXED, LabelMap, condition_pass
+from .query import EXCLUDED, INCLUDED, MANY, MIXED, Pass, condition_pass
 
 Edge = Tuple[float, Node]
 Product = Tuple[float, List[Node]]  # a product not built yet, as its factors
@@ -44,22 +44,31 @@ class MassLeak(AobsError):
 
 
 def find_minimal_subgraphs(root: Node, need: FrozenSet[int],
-                           labels: LabelMap) -> List[Node]:
+                           cvars: FrozenSet[int], ps: Pass) -> List[Node]:
     """Find the unique minimal subgraphs where the action can be applied.
 
     A node qualifies when it is labeled included or mixed and its variable set
-    covers ``need``, the union of the action and condition variables; it is
-    minimal when no child also qualifies.  Within an AND at most one child
-    can cover ``need`` (its children are variable-disjoint); within an OR
-    every included/mixed child is explored.  They are listed in depth-first
-    order, the order :func:`apply_action` builds their replacements in.
+    covers ``need``, the union of the action variables and ``cvars``, the
+    condition's; it is minimal when no child also qualifies.  ``ps`` is the
+    condition pass (:func:`aobs.query.condition_pass`).  Within an OR every
+    included/mixed child is explored.  Within an AND at most one child can
+    cover ``need`` (its children are variable-disjoint), and the pass names
+    it: for an AND it did not settle, the one child other than a literal
+    that meets the condition, if only one does.  An AND it settled meets
+    the condition in literals only, so no child covers ``need`` unless
+    ``need`` is one variable; the children of such an AND, as of every AND
+    under a condition on no variables, are tested one by one.  The minimal
+    subgraphs are listed in depth-first order, the order
+    :func:`apply_action` builds their replacements in.
 
     A mixed minimal subgraph is an AND: a mixed OR has an included or
     mixed child, which covers the OR's variables and so qualifies.  The
     store splices an AND child into its parent AND, so every parent of a
     mixed minimal subgraph is an OR.
     """
+    labels, _, _, meets = ps
     label = labels.get
+    scan = not cvars or len(need) == 1
     out: List[Node] = []
     seen: set = set()
     stack = ([root] if need <= root.omega
@@ -69,8 +78,14 @@ def find_minimal_subgraphs(root: Node, need: FrozenSet[int],
         if n.key in seen:
             continue
         seen.add(n.key)
-        inner = [ch for ch in n.children if need <= ch.omega
-                 and label(ch.key, INCLUDED) != EXCLUDED]
+        one = meets.get(n.key)
+        if one is not None:  # an AND the pass did not settle
+            inner = [one] if one is not MANY and need <= one.omega else ()
+        elif n.kind == AND and not scan:
+            inner = ()
+        else:
+            inner = [ch for ch in n.children if need <= ch.omega
+                     and label(ch.key, INCLUDED) != EXCLUDED]
         if inner:
             stack.extend(reversed(inner))
         else:
@@ -78,22 +93,27 @@ def find_minimal_subgraphs(root: Node, need: FrozenSet[int],
     return out
 
 
-def isolate(n: Node, labels: LabelMap, store: Store) -> Split:
+def isolate(n: Node, ps: Pass, store: Store,
+            memo: Dict[int, "Split | str"]) -> Split:
     """Split the mixed AND ``n``, a mixed minimal subgraph (see
     :func:`find_minimal_subgraphs`), into ``(included, excluded)``: the
     ``(weight, factors)`` products the condition selects, not yet interned,
     and the ``(weight, node)`` edges it excludes.  Over unit-weight ORs,
     their OR is ``n``.
 
-    ``labels`` holds the condition's labels of ``n`` and the nodes below
-    it; a node missing from it is included.  ``n`` is split by
-    :func:`_split_and` after a fold below its mixed children only: its
-    included children need no visit of their own.  Below them a mixed OR
-    takes in its children's splits with the weights multiplied, and a
-    mixed AND is split by :func:`_split_and`.
+    ``ps`` is the condition pass (:func:`aobs.query.condition_pass`) that
+    labels ``n`` and the nodes below it; a node missing from its labels is
+    included.  ``n`` is split by :func:`_split_and` after a fold below its
+    mixed children only, which the pass names: its included children need
+    no visit of their own.  Below them a mixed OR takes in its children's
+    splits with the weights multiplied, and a mixed AND is split by
+    :func:`_split_and`.  ``memo`` maps node keys to splits, a pure node's
+    being its label, and a mixed child of an AND also keeps its halves in
+    its entry (see :func:`_split_and`); a split depends only on the node
+    and the labels, so all minimal subgraphs of one action share one memo,
+    and a node that several of them hold is split once.
     """
-    # node key -> split; a pure node's is its label, its one edge
-    splits: Dict[int, "Split | str"] = {}
+    labels, _, _, meets = ps
 
     def leaf(node: Node) -> Optional[str]:
         label = labels.get(node.key, INCLUDED)
@@ -101,11 +121,11 @@ def isolate(n: Node, labels: LabelMap, store: Store) -> Split:
 
     def step(node: Node) -> Split:
         if node.kind == AND:
-            return _split_and(node, labels, splits, store)
+            return _split_and(node, ps, memo, store)
         inc: List[Product] = []
         exc: List[Edge] = []
         for w, ch in zip(node.weights, node.children):
-            split = splits[ch.key]
+            split = memo[ch.key]
             if split == INCLUDED:
                 inc.append((w, [ch]))
             elif split == EXCLUDED:
@@ -115,10 +135,11 @@ def isolate(n: Node, labels: LabelMap, store: Store) -> Split:
                 exc += [(w * v, g) for v, g in split[1]]
         return inc, exc
 
-    for ch in n.children:  # in key order, as a fold over ``n`` would
+    one = meets[n.key]
+    for ch in n.children if one is MANY else (one,):  # in key order
         if labels.get(ch.key) == MIXED:
-            fold(ch, splits, step, leaf)
-    return _split_and(n, labels, splits, store)
+            fold(ch, memo, step, leaf)
+    return _split_and(n, ps, memo, store)
 
 
 def _placed(kids: List[Node], new: Iterable[Node]) -> List[Node]:
@@ -147,7 +168,7 @@ def _check_cover(factors: list, omega: FrozenSet[int]) -> None:
                                    f" do not partition {sorted(omega)}")
 
 
-def _split_and(n: Node, labels: LabelMap, splits: Dict[int, "Split | str"],
+def _split_and(n: Node, ps: Pass, splits: Dict[int, "Split | str"],
                store: Store) -> Split:
     """The split of the mixed AND ``n``, its mixed children split in
     ``splits``.  The included product holds the included children and the
@@ -157,40 +178,49 @@ def _split_and(n: Node, labels: LabelMap, splits: Dict[int, "Split | str"],
     mixed children after it whole: over unit-weight ORs each is the union
     of its own two halves.
 
-    Mixed children are taken in the order of their lowest variable, which
-    the graph fixes, so the terms do not depend on the store's ids.  Every
-    product keeps its factors in key order (:func:`_placed`), and each
-    term is built over ``n.omega``, checked only where it differs from
-    ``n``: each half of a mixed child must range exactly over that child's
-    variables."""
-    label = labels.get
-    fixed: List[Node] = []
-    mixed: List[Node] = []
-    for ch in n.children:  # one pass, labels are INCLUDED, MIXED or EXCLUDED
-        lab = label(ch.key, INCLUDED)
-        if lab == EXCLUDED:
-            raise AobsError("mixed AND node with an excluded child")
-        (fixed if lab == INCLUDED else mixed).append(ch)
-    if len(mixed) > 1:
-        mixed.sort(key=lambda ch: min(ch.omega))
-    parts: List[Tuple[list, float, Node]] = []  # (inc half, share, exc)
+    The pass ``ps`` names the mixed child when only one child other than a
+    literal meets the condition, and the included children are the others;
+    else the labels tell them apart.  Mixed children are taken in the order
+    of their lowest variable, which the graph fixes, so the terms do not
+    depend on the store's ids.  A mixed child's halves and its included
+    share are built once and kept in its entry in ``splits``, after its
+    split.  Every product keeps its factors in key order (:func:`_placed`),
+    and each term is built over ``n.omega``, checked only where it differs
+    from ``n``: each half of a mixed child must range exactly over that
+    child's variables."""
+    labels, _, _, meets = ps
+    children = n.children
+    one = meets[n.key]
+    if one is MANY:
+        fixed = [ch for ch in children if labels.get(ch.key) != MIXED]
+        mixed = sorted([ch for ch in children if labels.get(ch.key) == MIXED],
+                       key=lambda ch: min(ch.omega))
+    else:
+        i = children.index(one)
+        fixed, mixed = [*children[:i], *children[i + 1:]], [one]
+    parts: List[tuple] = []  # (inc, exc, inc half, share, exc half)
     for ch in mixed:
-        inc, exc = splits[ch.key]
-        # each half is scaled by its own sum: ``total - inc_mass`` cancels
-        # when the excluded half is small, and its OR would keep the error
-        inc_mass = sum([w for w, _ in inc])
-        exc_mass = sum([w for w, _ in exc])
-        half = (inc[0][1] if len(inc) == 1 else [store.make_or(
-            [(w / inc_mass, store.make_and(f)) for w, f in inc])])
-        exc_half = store.make_or([(w / exc_mass, g) for w, g in exc])
-        _check_cover(half, ch.omega)
-        _check_cover([exc_half], ch.omega)
-        parts.append((half, inc_mass / (inc_mass + exc_mass), exc_half))
+        got = splits[ch.key]
+        if len(got) == 2:  # its halves are not built yet
+            inc, exc = got
+            # each half is scaled by its own sum: ``total - inc_mass``
+            # cancels when the excluded half is small, and its OR would
+            # keep the error
+            inc_mass = sum([w for w, _ in inc])
+            exc_mass = sum([w for w, _ in exc])
+            half = (inc[0][1] if len(inc) == 1 else [store.make_or(
+                [(w / inc_mass, store.make_and(f)) for w, f in inc])])
+            exc_half = store.make_or([(w / exc_mass, g) for w, g in exc])
+            _check_cover(half, ch.omega)
+            _check_cover([exc_half], ch.omega)
+            got = splits[ch.key] = (
+                inc, exc, half, inc_mass / (inc_mass + exc_mass), exc_half)
+        parts.append(got)
 
     excluded: List[Edge] = []
     factors: List[Node] = fixed  # included children and halves, spliced
     prefix = 1.0
-    for i, (half, share, exc_half) in enumerate(parts):
+    for i, (_, _, half, share, exc_half) in enumerate(parts):
         kids = _placed(factors[:], [*_factors(exc_half), *mixed[i + 1:]])
         term = store._and_sorted(kids, n.omega)
         excluded.append((prefix * (1.0 - share), term))
@@ -218,8 +248,6 @@ def erase_action_vars(
     :data:`_DROPPED`; erasing depends only on the node and ``avars``, so
     all grafts of one action share one memo.
     """
-    rebuild = store.rebuilder(memo)
-
     def leaf(node: Node) -> Optional[Node]:
         if avars.isdisjoint(node.omega):
             return node
@@ -228,9 +256,11 @@ def erase_action_vars(
         return None
 
     def step(node: Node) -> Node:
-        # an OR's children share its variables, so only an AND drops any
-        if node.kind != AND:
-            return rebuild(node)
+        # ``leaf`` settles every literal, and an OR's children share its
+        # variables, so only an AND drops any
+        if node.kind == OR:
+            return store.make_or([(w, memo[c.key]) for w, c
+                                  in zip(node.weights, node.children)])
         return store.make_and([e for c in node.children
                                if (e := memo[c.key]) is not _DROPPED])
 
@@ -310,22 +340,28 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
     (:meth:`~aobs.core.Aobs.with_root`).
     """
     a.check_within(s.root.omega)
-    labels, root_label, selected = condition_pass(s, c)
+    ps = condition_pass(s, c)
+    labels, root_label, selected, _ = ps
     if root_label == EXCLUDED:
         return ApplyResult(s, 0.0)
 
     store = s.store
     avars = a.variables
-    need = avars | c.variables
-    minimal = find_minimal_subgraphs(s.root, need, labels)
+    cvars = c.variables
+    need = avars | cvars
+    minimal = find_minimal_subgraphs(s.root, need, cvars, ps)
+    # the memos of this action: erased nodes, each erased factor's checked
+    # remainder, and splits (see isolate)
     erased: Dict[int, Node] = {}
+    rest: Dict[int, Sequence[Node]] = {}
+    splits: Dict[int, "Split | str"] = {}
 
     def graft(factors: List[Node], omega: FrozenSet[int]) -> Node:
         """The product over ``omega`` of the action subgraph and the
         factors, less the action variables; a product of one AND is read
         through its children.  Factors that meet the action variables are
-        erased, each checked to lose exactly them.  The kept factors stay
-        in key order and the new ones are put in their places
+        erased, each checked once to lose exactly them.  The kept factors
+        stay in key order and the new ones are put in their places
         (:func:`_placed`)."""
         if len(factors) == 1:
             factors = _factors(factors[0])
@@ -335,9 +371,12 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
             if avars.isdisjoint(g.omega):
                 out.append(g)
             elif not g.omega <= avars:  # else it erases away
-                e = erase_action_vars(g, avars, store, erased)
-                _check_cover([e], g.omega - avars)
-                new += _factors(e)
+                got = rest.get(g.key)
+                if got is None:
+                    e = erase_action_vars(g, avars, store, erased)
+                    _check_cover([e], g.omega - avars)
+                    got = rest[g.key] = _factors(e)
+                new += got
         new += act_factors
         return store._and_sorted(_placed(out, new), omega)
 
@@ -380,7 +419,7 @@ def apply_action(s: Aobs, c: Condition, a: Action) -> ApplyResult:
             if labels.get(n.key, INCLUDED) == INCLUDED:  # one product
                 rebuilt[n.key] = graft([n], n.omega)
                 continue
-            inc, exc = isolate(n, labels, store)
+            inc, exc = isolate(n, ps, store, splits)
             # its parents are ORs (see find_minimal_subgraphs)
             kids, weights = _or_edges(
                 [(w, graft(f, n.omega)) for w, f in inc] + exc)

@@ -20,22 +20,31 @@ INCLUDED = "I"
 EXCLUDED = "E"
 MIXED = "M"
 
+#: what a pass records for an AND in which several children other than
+#: literals meet the condition
+MANY = "*"
+
 #: node key -> label, filled in by one condition pass
 LabelMap = Dict[int, str]
-#: the labels of a pass, the root's label and the mass the condition selects
-Pass = Tuple[LabelMap, str, float]
+#: AND key -> the one child other than a literal that meets the
+#: condition, or ``MANY`` (see :func:`_pass`)
+Meets = Dict[int, "Node | str"]
+#: the labels of a pass, the root's label, the mass the condition selects
+#: and what the pass found in each AND it did not settle
+Pass = Tuple[LabelMap, str, float, Meets]
 
 
 def condition_pass(s: Aobs, c: Condition) -> Pass:
     """The condition pass over ``s``: ``(labels, root label, selected
-    mass)``.  Raises :class:`~aobs.core.UnknownVariable` if ``c`` names a
-    variable outside the universe.
+    mass, meets)`` (see :func:`_pass`).  Raises
+    :class:`~aobs.core.UnknownVariable` if ``c`` names a variable outside
+    the universe.
 
     The result is kept in ``s.store.last_pass``, keyed by the root node and
     the condition, so a second call on the same root with an equal
     condition returns it without a walk.  Nodes and conditions are
     immutable, so the entry is never stale.  Callers share the returned
-    labels and must not change them.
+    labels and records and must not change them.
     """
     root = s.root
     c.check_within(root.omega)
@@ -66,13 +75,21 @@ def _pass(root: Node, allowed: Dict[int, FrozenSet[int]]) -> Pass:
     children that labels its literal children on condition variables: it
     is excluded if the condition rejects one of them, and included if no
     other child meets the condition's variables, so each child it leaves
-    unlabelled avoids the condition.  No reader descends below an excluded
-    node, and a child it shares with another parent is labelled through
-    that parent.  An AND the scan does not settle has all its literal
-    children labelled, and its other children are visited.
+    unlabelled avoids the condition.  The scan stops once it has met every
+    condition variable, as it does in an AND that holds them all.  No
+    reader descends below an excluded node, and a child it shares with
+    another parent is labelled through that parent.  An AND the scan does
+    not settle has all its literal children labelled, and its other
+    children are visited; ``meets`` records the one child other than a
+    literal that meets the condition, its only child that can be mixed, or
+    ``MANY`` when several do, for :func:`aobs.acting.find_minimal_subgraphs`
+    and :func:`aobs.acting.isolate`.  Nothing is recorded for an AND the
+    scan settles.
     """
     cvars = frozenset(allowed)
     labels: LabelMap = {}
+    meets: Meets = {}
+    ncv = len(cvars)
     mixed: Dict[int, float] = {}  # node key -> selected mass, mixed nodes
 
     def leaf(node: Node) -> Optional[str]:
@@ -80,7 +97,8 @@ def _pass(root: Node, allowed: Dict[int, FrozenSet[int]]) -> Pass:
             return INCLUDED
         if node.kind == AND:
             # the literal children are settled here, so they are not visited
-            settled = True  # no other child meets the condition
+            left = ncv  # condition variables not met yet
+            one = None  # the other child that meets the condition, or MANY
             for ch in node.children:
                 if ch.kind == LIT:
                     vals = allowed.get(ch.var)
@@ -88,10 +106,17 @@ def _pass(root: Node, allowed: Dict[int, FrozenSet[int]]) -> Pass:
                         if ch.value not in vals:
                             return EXCLUDED
                         labels[ch.key] = INCLUDED
-                elif settled and not cvars.isdisjoint(ch.omega):
-                    settled = False
-            if settled:
+                        left -= 1
+                        if not left:
+                            break
+                elif not cvars.isdisjoint(ch.omega):
+                    one = ch if one is None else MANY
+                    left -= len(cvars.intersection(ch.omega))
+                    if not left:
+                        break
+            if one is None:
                 return INCLUDED
+            meets[node.key] = one
             for ch in node.children:
                 if ch.kind == LIT:
                     labels[ch.key] = INCLUDED
@@ -130,7 +155,7 @@ def _pass(root: Node, allowed: Dict[int, FrozenSet[int]]) -> Pass:
 
     label = fold(root, labels, step, leaf)
     return labels, label, (root.mass if label == INCLUDED
-                           else mixed.get(root.key, 0.0))
+                           else mixed.get(root.key, 0.0)), meets
 
 
 def probability(s: Aobs, c: Condition) -> float:

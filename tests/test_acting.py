@@ -32,6 +32,8 @@ from aobs.core import (
 )
 from aobs.bench import ExperimentConfig, gen_experiment
 from aobs.optimize import greedy_optimize
+from aobs import query
+from aobs.query import MANY, condition_pass, probability
 from aobs.oracle import (
     Action,
     Condition,
@@ -149,37 +151,81 @@ class TestLabelNodes:
         assert pruned >= 10
 
 
+def _pass(store, n, c):
+    """The condition pass of ``c`` over the state whose root is ``n``."""
+    return condition_pass(Aobs(n, store, tuple(sorted(n.omega))), c)
+
+
 class TestFindMinimalSubgraphs:
+    # each search reads the condition pass, as apply_action does, and is
+    # checked against the complete reference labelling
+
     def test_selected_literal_is_minimal(self, three_var_state):
         # the included literal itself covers the variable union, so the
-        # enclosing OR is not minimal
-        c = _cond_b1()
-        labels = label_nodes(three_var_state.root, c)
-        got = find_minimal_subgraphs(three_var_state.root, frozenset({1}),
-                                     labels)
-        assert got == [three_var_state.store.make_lit(1, 1)]
+        # enclosing OR is not minimal; the pass names the OR as the one
+        # child of the root that meets the condition
+        s, c = three_var_state, _cond_b1()
+        ps = condition_pass(s, c)
+        or_b = s.root.children[1]
+        assert ps[3] == {s.root.key: or_b}
+        got = find_minimal_subgraphs(s.root, frozenset({1}), c.variables, ps)
+        assert got == [s.store.make_lit(1, 1)]
 
     def test_full_union_needs_root(self, three_var_state):
-        c = Condition({})
-        labels = label_nodes(three_var_state.root, c)
-        got = find_minimal_subgraphs(
-            three_var_state.root, frozenset({0, 1, 2}), labels
-        )
-        assert got == [three_var_state.root]
+        s, c = three_var_state, Condition({})
+        got = find_minimal_subgraphs(s.root, frozenset({0, 1, 2}),
+                                     c.variables, condition_pass(s, c))
+        assert got == [s.root]
 
     def test_empty_condition_reaches_below_the_root(self, three_var_state):
-        # the pass labels only the root; the nodes below it still qualify
-        c = Condition({})
-        labels = label_nodes(three_var_state.root, c)
-        got = find_minimal_subgraphs(three_var_state.root, frozenset({1}),
-                                     labels)
-        assert sorted((n.var, n.value) for n in got) == [(1, 0), (1, 1)]
+        # the pass labels only the root and records nothing; the nodes
+        # below it still qualify, so every AND's children are tested
+        s, c = three_var_state, Condition({})
+        ps = condition_pass(s, c)
+        assert ps[0] == {s.root.key: INCLUDED} and ps[3] == {}
+        for need in ({1}, {1, 2}):
+            got = find_minimal_subgraphs(s.root, frozenset(need),
+                                         c.variables, ps)
+            want = [(1, 0), (1, 1)] if need == {1} else [(None, None)]
+            assert sorted((n.var, n.value) for n in got) == want
+
+    def test_settled_product_is_minimal(self, store):
+        # AND(a=0, OR over b, OR over c) under {a: [0]}: the pass settles
+        # it as included and records nothing, so under a two-variable need
+        # it is minimal without a test of its children; under a need of
+        # the condition's one variable, its literal is minimal
+        lit = store.make_lit
+        root = store.make_and([
+            lit(0, 0),
+            store.make_or([(0.4, lit(1, 0)), (0.6, lit(1, 1))]),
+            store.make_or([(0.7, lit(2, 0)), (0.3, lit(2, 1))])])
+        s, c = Aobs(root, store, (0, 1, 2)), Condition({0: [0]})
+        ps = condition_pass(s, c)
+        assert ps[1] == INCLUDED and ps[3] == {}
+        assert find_minimal_subgraphs(root, frozenset({0, 1}), c.variables,
+                                      ps) == [root]
+        assert find_minimal_subgraphs(root, frozenset({0}), c.variables,
+                                      ps) == [lit(0, 0)]
+
+    def test_two_children_meet_a_two_variable_condition(
+            self, three_var_state):
+        # under {b: [1], c: [0]} two children of the root meet the
+        # condition, so the pass records MANY and the root is minimal
+        s, c = three_var_state, Condition({1: [1], 2: [0]})
+        ps = condition_pass(s, c)
+        assert ps[1] == MIXED and ps[3] == {s.root.key: MANY}
+        got = find_minimal_subgraphs(s.root, frozenset({1, 2}), c.variables,
+                                     ps)
+        assert got == [s.root]
+        split = isolate(s.root, ps, s.store, {})
+        _assert_pure_split(s.store, split, c)
+        assert tab_equal(_node_enum(_split_node(s.store, split)),
+                         _node_enum(s.root))
 
     def test_excluded_root_yields_nothing(self, three_var_state):
-        c = Condition({0: [1]})
-        labels = label_nodes(three_var_state.root, c)
-        assert find_minimal_subgraphs(three_var_state.root, frozenset({0, 1}),
-                                      labels) == []
+        s, c = three_var_state, Condition({0: [1]})
+        assert find_minimal_subgraphs(s.root, frozenset({0, 1}), c.variables,
+                                      condition_pass(s, c)) == []
 
     def test_existence_whenever_root_selectable(self):
         rng = random.Random(23)
@@ -188,13 +234,16 @@ class TestFindMinimalSubgraphs:
             c = Condition({0: rng.sample(range(3), 2)})
             labels = label_nodes(s.root, c)
             avars = frozenset(rng.sample(range(4), rng.randint(1, 2)))
-            found = find_minimal_subgraphs(s.root, avars | c.variables,
-                                           labels)
+            need = avars | c.variables
+            found = find_minimal_subgraphs(s.root, need, c.variables,
+                                           condition_pass(s, c))
             if labels[s.root.key] in (INCLUDED, MIXED):
                 assert found
                 for n in found:
                     assert labels[n.key] in (INCLUDED, MIXED)
-                    assert avars | c.variables <= n.omega
+                    assert need <= n.omega
+                    assert not any(need <= ch.omega and labels.get(
+                        ch.key, INCLUDED) != EXCLUDED for ch in n.children)
 
     def test_mixed_minimal_subgraphs_have_only_or_parents(self):
         # a mixed OR has a child that qualifies, so a mixed minimal
@@ -211,8 +260,9 @@ class TestFindMinimalSubgraphs:
             labels = label_nodes(s.root, c)
             if labels[s.root.key] == EXCLUDED:
                 continue
+            ps = condition_pass(s, c)
             for n in find_minimal_subgraphs(s.root, avars | c.variables,
-                                            labels):
+                                            c.variables, ps):
                 if labels[n.key] != MIXED:
                     continue
                 mixed += 1
@@ -251,8 +301,7 @@ class TestIsolate:
             store.make_or([(0.4, store.make_lit(1, 0)),
                            (0.6, store.make_lit(1, 1))]),
         ])
-        labels = label_nodes(n, c)
-        inc, exc = split = isolate(n, labels, store)
+        inc, exc = split = isolate(n, _pass(store, n, c), store, {})
         assert len(inc) == 1 and len(exc) == 1
         assert abs(inc[0][0] - 0.6) < 1e-12
         assert abs(exc[0][0] - 0.4) < 1e-12
@@ -272,30 +321,35 @@ class TestIsolate:
 
         n = store.make_and([mixed_or(0, 1), mixed_or(2, 3)])
         c = Condition({1: [0], 3: [0]})
-        labels = label_nodes(n, c)
-        _, second = [ch for ch in n.children if labels[ch.key] == MIXED]
-        _, exc = split = isolate(n, labels, store)
+        ps = _pass(store, n, c)
+        _, second = [ch for ch in n.children if ps[0][ch.key] == MIXED]
+        _, exc = split = isolate(n, ps, store, {})
         assert any(ch is second for ch in exc[0][1].children)
         _assert_pure_split(store, split, c)
         assert tab_equal(_node_enum(_split_node(store, split)), _node_enum(n))
 
-    def test_second_call_interns_nothing(self, store):
-        # each call keeps its own memo; a second call on the same mixed AND
-        # meets every node it builds in the store, so the minimal subgraphs
-        # of one action need no shared memo
+    def test_second_call_interns_nothing(self, store, monkeypatch):
+        # the minimal subgraphs of one action share one memo: a second
+        # call on the same mixed AND finds its mixed children's halves in
+        # it, so it builds no union, and returns an equal split
         lit = store.make_lit
         n = store.make_and([store.make_or([
             (0.5, store.make_and([lit(u, 0), store.make_or(
                 [(0.5, lit(v, 0)), (0.5, lit(v, 1))])])),
             (0.5, store.make_and([lit(u, 1), lit(v, 0)]))])
             for u, v in ((0, 1), (2, 3))])
-        labels = label_nodes(n, Condition({1: [0], 3: [0]}))
+        ps = _pass(store, n, Condition({1: [0], 3: [0]}))
+        memo = {}
         size = len(store)
-        first = isolate(n, labels, store)
+        first = isolate(n, ps, store, memo)
         assert len(store) > size  # the included halves of the mixed ORs
+        unions = []
+        make_or = Store.make_or
+        monkeypatch.setattr(Store, "make_or", lambda self, edges: (
+            unions.append(edges), make_or(self, edges))[1])
         size = len(store)
-        assert isolate(n, labels, store) == first
-        assert len(store) == size
+        assert isolate(n, ps, store, memo) == first
+        assert len(store) == size and unions == []
 
     def test_soundness_on_random_graphs(self):
         # isolate splits the mixed minimal subgraphs apply_action finds;
@@ -313,13 +367,14 @@ class TestIsolate:
                 for v in rng.sample(range(4), 2)
             })
             need = c.variables | {rng.randrange(4)}
-            labels = label_nodes(s.root, c)
-            if labels[s.root.key] == EXCLUDED:
+            ps = condition_pass(s, c)
+            if ps[1] == EXCLUDED:
                 continue
-            for n in find_minimal_subgraphs(s.root, need, labels):
-                if labels[n.key] != MIXED or checked == 30:
+            splits = {}  # one memo for the minimal subgraphs, as an action
+            for n in find_minimal_subgraphs(s.root, need, c.variables, ps):
+                if ps[0].get(n.key) != MIXED or checked == 30:
                     continue
-                split = isolate(n, labels, s.store)
+                split = isolate(n, ps, s.store, splits)
                 assert split[0] and split[1]
                 _assert_pure_split(s.store, split, c)
                 assert tab_equal(_node_enum(_split_node(s.store, split)),
@@ -338,8 +393,7 @@ class TestIsolate:
             a = store.make_or([(1.0 - sum(tail), store.make_lit(0, 0))] + [
                 (w, store.make_lit(0, u)) for u, w in enumerate(tail, 1)])
             n = store.make_and([a, store.make_lit(1, 0)])
-            labels = label_nodes(n, c)
-            _, exc = isolate(n, labels, store)
+            _, exc = isolate(n, _pass(store, n, c), store, {})
             for _, term in exc:
                 half = next(g for g in term.children if g.kind == OR)
                 assert abs(sum(half.weights) - 1.0) <= 1e-15
@@ -776,9 +830,10 @@ class TestApplyAction:
                            for v in rng.sample(range(4), rng.randint(2, 3))})
             _, a = _random_step(rng)
             labels = label_nodes(s.root, c)
+            ps = condition_pass(s, c)
             stack = ([] if labels[s.root.key] == EXCLUDED else
                      find_minimal_subgraphs(s.root, a.variables | c.variables,
-                                            labels))
+                                            c.variables, ps))
             while stack:
                 n = stack.pop()
                 mixed = [ch for ch in n.children if labels[ch.key] == MIXED]
@@ -792,6 +847,72 @@ class TestApplyAction:
             if res.selected_mass > 0:
                 assert_normal_form(res.state)
         assert telescoped >= 10
+
+    def test_shared_union_and_factor_are_split_and_erased_once(
+            self, store, monkeypatch):
+        # three products share a mixed union over b and a factor over
+        # (c, d) that the action on c erases: one act builds the union's
+        # two halves and erases the factor once, not once per product
+        lit = store.make_lit
+        union = store.make_or([(w, lit(1, u))
+                               for u, w in enumerate((0.1, 0.2, 0.3, 0.4))])
+        factor = store.make_or([
+            (0.3, store.make_and([lit(2, 0), lit(3, 0)])),
+            (0.7, store.make_and([lit(2, 1), lit(3, 1)]))])
+        root = store.make_or([
+            (w, store.make_and([lit(0, u), union, factor]))
+            for u, w in enumerate((0.2, 0.3, 0.5))])
+        s = Aobs(root, store, (0, 1, 2, 3))
+        c = Condition({1: [0, 1]})
+        a = Action((2,), ((0.5, (2,)), (0.5, (3,))))
+        erased, halves = [], []
+
+        def spy(n, avars, store, memo):
+            erased.append(n)
+            return erase_action_vars(n, avars, store, memo)
+
+        make_or = Store.make_or
+
+        def count(self, edges):
+            edges = list(edges)
+            if all(g.omega == union.omega for _, g in edges):
+                halves.append(edges)
+            return make_or(self, edges)
+
+        monkeypatch.setattr("aobs.acting.erase_action_vars", spy)
+        monkeypatch.setattr(Store, "make_or", count)
+        res = apply_action(s, c, a)
+        assert erased == [factor]
+        assert len(halves) == 2  # the included half and the excluded half
+        assert tab_equal(enum_canonical(res.state),
+                         tab_apply_action(enum_canonical(s), c, a))
+
+    def test_act_after_a_read_reuses_its_pass_record(
+            self, three_var_state, monkeypatch):
+        # the act finds the read's pass in the store: the minimal search
+        # and the split read the record the read made, and no pass runs
+        s, c = three_var_state, _cond_b1()
+        runs = []
+        run = query._pass
+        monkeypatch.setattr(query, "_pass", lambda root, allowed: (
+            runs.append(root), run(root, allowed))[1])
+        p = probability(s, c)
+        ps = s.store.last_pass[2]
+        assert runs == [s.root]
+        assert ps[3] == {s.root.key: s.root.children[1]}
+        got = []
+        monkeypatch.setattr(
+            "aobs.acting.find_minimal_subgraphs", lambda *args: (
+                got.append(args[3]), find_minimal_subgraphs(*args))[1])
+        monkeypatch.setattr("aobs.acting.isolate", lambda *args: (
+            got.append(args[1]), isolate(*args))[1])
+        a = Action((2,), ((0.5, (0,)), (0.5, (1,))))
+        res = apply_action(s, c, a)
+        assert runs == [s.root] and len(got) == 2
+        assert all(g is ps for g in got)
+        assert res.selected_mass == p
+        assert tab_equal(enum_canonical(res.state),
+                         tab_apply_action(enum_canonical(s), c, a))
 
     def test_selected_mass_matches_oracle(self, two_var_right):
         res = apply_action(

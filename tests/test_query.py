@@ -212,7 +212,7 @@ class TestConditionPass:
     def _check(s, c, a):
         ref = label_nodes(s.root, c)
         s.store.last_pass = None
-        labels, root_label, mass = condition_pass(s, c)
+        labels, root_label, mass, meets = condition_pass(s, c)
         for key, label in labels.items():
             assert ref[key] == label
         assert root_label == ref[s.root.key]
@@ -227,7 +227,7 @@ class TestConditionPass:
         reads = _Reads(labels)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(acting, "condition_pass",
-                       lambda s, c: (reads, root_label, mass))
+                       lambda s, c: (reads, root_label, mass, meets))
             res = apply_action(s, c, a)
         assert res.selected_mass == p
         nodes = {n.key: n for n in iter_nodes(s.root)}
@@ -247,11 +247,13 @@ class TestConditionPass:
         or_c = store.make_or([(0.3, c0), (0.7, c1)])
         root = store.make_and([a0, b1, or_c])
         s = Aobs(root, store, (0, 1, 2))
-        labels, label, mass = condition_pass(s, Condition({0: [0]}))
+        labels, label, mass, meets = condition_pass(s, Condition({0: [0]}))
         assert label == INCLUDED and mass == root.mass
         assert labels == {root.key: INCLUDED, a0.key: INCLUDED}
-        labels, label, mass = condition_pass(s, Condition({2: [1]}))
+        assert meets == {}  # a settled AND is not recorded
+        labels, label, mass, meets = condition_pass(s, Condition({2: [1]}))
         assert label == MIXED and mass == 0.7
+        assert meets == {root.key: or_c}  # its one child on the condition
         assert {a0.key, b1.key, or_c.key, c1.key} <= labels.keys()
 
 
